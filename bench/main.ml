@@ -752,14 +752,14 @@ let asymptotic () =
     [ 7; 9; 11; 13 ]
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: state-matching subtree reuse and node reuse.              *)
+(* Ablation: state-matching subtree reuse.                             *)
 
 let ablate_reuse () =
-  header "Ablation: subtree reuse (state-matching) and node reuse";
+  header "Ablation: subtree reuse (state-matching)";
   let lines = max 400 (int_of_float (10000. *. !scale)) in
   let src = Spec_gen.plain ~lines ~seed:23 in
   let lang = Languages.C_subset.language in
-  let run ?(case = "") name config =
+  let run ~case name config =
     let s, outcome =
       Session.create ~config ~table:(Language.table lang)
         ~lexer:(Language.lexer lang) src
@@ -773,30 +773,20 @@ let ablate_reuse () =
       /. float_of_int (List.length samples)
       *. 1e3
     in
-    if case <> "" then
-      record_latency ~experiment:"ablate-reuse" ~language:"c" ~case
-        ~runs:(List.length samples)
-        (timing_of_samples samples);
+    record_latency ~experiment:"ablate-reuse" ~language:"c" ~case
+      ~runs:(List.length samples)
+      (timing_of_samples samples);
     Printf.printf "%-44s %10.3f ms/reparse\n" name ms;
     ms
   in
   let full =
-    run ~case:"full" "state-matching + node reuse (the paper)"
-      Glr.default_config
+    run ~case:"full" "state-matching (the paper)" Glr.default_config
   in
   let no_sm =
     run ~case:"no-state-matching" "no state-matching (decompose to terminals)"
-      { Glr.default_config with state_matching = false }
+      { Glr.state_matching = false }
   in
-  let no_nr =
-    run ~case:"no-node-reuse" "no bottom-up node reuse"
-      { Glr.default_config with reuse_nodes = false }
-  in
-  Printf.printf
-    "state-matching buys %.0fx; bottom-up node reuse costs %.2fx parse time \
-     and exists to preserve\n node identity for annotations and semantic \
-     attributes (ref [25])\n"
-    (no_sm /. full) (full /. no_nr)
+  Printf.printf "state-matching buys %.0fx\n" (no_sm /. full)
 
 (* ------------------------------------------------------------------ *)
 (* §4.2/§6: incremental semantic work after an edit.                   *)
@@ -843,7 +833,7 @@ let attrs () =
         (per_edit /. float_of_int total_nodes))
     [ 250; 1000; 4000 ];
   Printf.printf
-    "(node retention keeps attribute values alive across reparses: the \
+    "(subtrees shifted whole keep attribute values alive across reparses: the \
      per-edit evaluation count\n follows the damage, not the document — \
      the incremental semantic analysis of §4.2)\n"
 
@@ -980,7 +970,7 @@ let bechamel_tests () =
             lazy
               (let s, _ =
                  Session.create
-                   ~config:{ Glr.default_config with state_matching = false }
+                   ~config:{ Glr.state_matching = false }
                    ~table:(Language.table Languages.C_subset.language)
                    ~lexer:(Language.lexer Languages.C_subset.language)
                    (Spec_gen.plain ~lines:1000 ~seed:59)
@@ -1036,8 +1026,8 @@ let bechamel () =
    committed baseline. *)
 let reuse () =
   header "Reuse: per-language reuse percentages over a §5 edit stream";
-  Printf.printf "%-8s %7s %9s %8s %10s %10s %8s\n" "Lang" "cycles" "retain %"
-    "node %" "subtree %" "la-match %" "token %";
+  Printf.printf "%-8s %7s %9s %10s %10s %8s\n" "Lang" "cycles" "retain %"
+    "subtree %" "la-match %" "token %";
   let c_lines = max 400 (int_of_float (8000. *. !scale)) in
   let cpp_profile = Spec_gen.find "ensemble" in
   let cpp_scale =
@@ -1073,7 +1063,6 @@ let reuse () =
       let edits = Edit_gen.token_edits ~seed:83 ~count (Session.text s) in
       List.iter (fun e -> ignore (edit_cycle s e)) edits;
       let d = Metrics.diff (Metrics.snapshot ()) before in
-      let node_pct = Metrics.share d "glr.nodes_reused" "glr.nodes_created" in
       let subtree_pct =
         Metrics.share d "glr.shifted_subtrees" "glr.shifted_terminals"
       in
@@ -1106,20 +1095,19 @@ let reuse () =
         [
           ("cycles", Json.Int count);
           ("tree_retained_pct", Json.Float retained_pct);
-          ("node_reuse_pct", Json.Float node_pct);
           ("subtree_shift_pct", Json.Float subtree_pct);
           ("lookahead_state_match_pct", Json.Float la_pct);
           ("token_reuse_pct", Json.Float token_pct);
         ];
-      Printf.printf "%-8s %7d %9.2f %8.2f %10.2f %10.2f %8.2f\n" name count
-        retained_pct node_pct subtree_pct la_pct token_pct)
+      Printf.printf "%-8s %7d %9.2f %10.2f %10.2f %8.2f\n" name count
+        retained_pct subtree_pct la_pct token_pct)
     programs;
   Printf.printf
-    "(retain %%: share of the tree NOT rebuilt by an average reparse; node \
-     %%: dag nodes reused\n bottom-up vs freshly allocated; subtree %%: \
-     undamaged subtrees shifted whole vs terminal\n shifts; la-match %%: \
-     lookahead subtrees accepted by the recorded state vs decomposed; token \
-     %%:\n tokens reused by the incremental lexer vs re-lexed)\n"
+    "(retain %%: share of the tree NOT rebuilt by an average reparse; \
+     subtree %%: undamaged\n subtrees shifted whole vs terminal shifts; \
+     la-match %%: lookahead subtrees accepted by\n the recorded state vs \
+     decomposed; token %%: tokens reused by the incremental lexer vs\n \
+     re-lexed)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Recovery: error isolation, reuse outside the damage, budgets.       *)

@@ -124,10 +124,10 @@ let print_envelope ~tool docs =
 let print_stats (st : Iglr.Glr.stats) =
   Printf.printf
     "parse: terminals=%d subtrees=%d reductions=%d breakdowns=%d \
-     max-parsers=%d created=%d reused=%d\n"
+     max-parsers=%d created=%d\n"
     st.Iglr.Glr.shifted_terminals st.Iglr.Glr.shifted_subtrees
     st.Iglr.Glr.reductions st.Iglr.Glr.breakdowns st.Iglr.Glr.max_parsers
-    st.Iglr.Glr.nodes_created st.Iglr.Glr.nodes_reused
+    st.Iglr.Glr.nodes_created
 
 let parse_cmd =
   let dump =

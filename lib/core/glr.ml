@@ -34,7 +34,6 @@ type stats = {
   mutable max_parsers : int;
   mutable forks : int;
   mutable nodes_created : int;
-  mutable nodes_reused : int;
   mutable degraded : bool;
   mutable pruned_parsers : int;
 }
@@ -48,7 +47,6 @@ let fresh_stats () =
     max_parsers = 0;
     forks = 0;
     nodes_created = 0;
-    nodes_reused = 0;
     degraded = false;
     pruned_parsers = 0;
   }
@@ -65,7 +63,6 @@ let m_breakdowns = Metrics.counter "glr.breakdowns"
 let m_shifted_subtrees = Metrics.counter "glr.shifted_subtrees"
 let m_shifted_terminals = Metrics.counter "glr.shifted_terminals"
 let m_nodes_created = Metrics.counter "glr.nodes_created"
-let m_nodes_reused = Metrics.counter "glr.nodes_reused"
 let m_forks = Metrics.counter "glr.forks"
 let m_choices_packed = Metrics.counter "glr.choices_packed"
 let m_gss_nodes = Metrics.counter "glr.gss_nodes"
@@ -87,14 +84,9 @@ let m_budget_nodes = Metrics.counter "glr.budget_exhausted_nodes"
 let m_budget_deadline = Metrics.counter "glr.budget_exhausted_deadline"
 let m_budget_cancelled = Metrics.counter "glr.budget_cancelled"
 
-type config = {
-  reuse_nodes : bool;
-  unshare_eps : bool;
-  state_matching : bool;
-}
+type config = { state_matching : bool }
 
-let default_config =
-  { reuse_nodes = true; unshare_eps = true; state_matching = true }
+let default_config = { state_matching = true }
 
 (* Proxy entry of the lazy symbol-node table: the first interpretation
    stands for its symbol node until a second one arrives (footnote 10). *)
@@ -224,33 +216,12 @@ let lookup_actions r (p : Gss.node) =
       fallback ()
 
 (* ------------------------------------------------------------------ *)
-(* Node construction with merging and bottom-up reuse.                 *)
-
-let find_reusable_old_node rule kids =
-  match kids with
-  | k0 :: _ -> (
-      match k0.Node.parent with
-      | Some p
-        when (match p.Node.kind with Node.Prod r -> r = rule | _ -> false)
-             && (not (Node.has_changes p))
-             && Array.length p.Node.kids = List.length kids
-             && List.for_all2 ( == ) (Array.to_list p.Node.kids) kids ->
-          Some p
-      | _ -> None)
-  | [] -> None
+(* Node construction with merging.                                     *)
 
 let build_node r rule kids preceding_state =
   let state = if r.multiple_states then Node.nostate else preceding_state in
-  match
-    if r.cfgc.reuse_nodes then find_reusable_old_node rule kids else None
-  with
-  | Some old ->
-      r.stats.nodes_reused <- r.stats.nodes_reused + 1;
-      old.Node.state <- state;
-      old
-  | None ->
-      r.stats.nodes_created <- r.stats.nodes_created + 1;
-      Node.make_prod ~prod:rule ~state (Array.of_list kids)
+  r.stats.nodes_created <- r.stats.nodes_created + 1;
+  Node.make_prod ~prod:rule ~state (Array.of_list kids)
 
 (* In a deterministic round every reduction fires once, so the memo table
    (which exists to share identical productions between parsers) is
@@ -356,42 +327,7 @@ let get_symbol_node r node =
     | None ->
         if List.length entry.alts >= 2 then begin
           let kids = Array.of_list (List.rev entry.alts) in
-          (* Node retention for symbol nodes: when an ambiguous region is
-             reconstructed with the same interpretations (their roots were
-             themselves reused bottom-up), keep the previous choice node so
-             annotations and identity survive (ref [25]). *)
-          let old_choice =
-            if not r.cfgc.reuse_nodes then None
-            else
-              Array.fold_left
-                (fun acc (alt : Node.t) ->
-                  match acc, alt.Node.parent with
-                  | None, Some p -> (
-                      match p.Node.kind with
-                      | Node.Choice ci when ci.nt = nt && not (Node.has_changes p)
-                        ->
-                          Some p
-                      | _ -> None)
-                  | acc, _ -> acc)
-                None kids
-          in
-          let c =
-            match old_choice with
-            | Some old ->
-                r.stats.nodes_reused <- r.stats.nodes_reused + 1;
-                let same_kids =
-                  Array.length old.Node.kids = Array.length kids
-                  && Array.for_all2 ( == ) old.Node.kids kids
-                in
-                if not same_kids then begin
-                  old.Node.kids <- kids;
-                  match old.Node.kind with
-                  | Node.Choice ci -> ci.selected <- -1
-                  | _ -> assert false
-                end;
-                old
-            | None -> Node.make_choice ~nt kids
-          in
+          let c = Node.make_choice ~nt kids in
           entry.choice <- Some c;
           Metrics.incr m_choices_packed;
           Array.iter
@@ -893,7 +829,6 @@ let record_run r ~gss0 =
   Metrics.add m_shifted_subtrees r.stats.shifted_subtrees;
   Metrics.add m_shifted_terminals r.stats.shifted_terminals;
   Metrics.add m_nodes_created r.stats.nodes_created;
-  Metrics.add m_nodes_reused r.stats.nodes_reused;
   Metrics.add m_forks r.stats.forks;
   Metrics.add m_gss_nodes (Gss.allocated () - gss0);
   Metrics.record_peak m_gss_peak r.stats.max_parsers;
@@ -938,7 +873,7 @@ let parse ?(config = default_config) ?(budget = no_budget) ?deadline ?cancel
           let eos = root.Node.kids.(Array.length root.Node.kids - 1) in
           root.Node.kids <- [| bos; link.Gss.label; eos |];
           Node.refresh_token_count root;
-          if config.unshare_eps then ignore (Unshare.run root);
+          ignore (Unshare.run root);
           Node.commit root
       | [] -> assert false)
   | None -> assert false);

@@ -55,7 +55,6 @@ type stats = {
   mutable forks : int;
       (** table interrogations that returned multiple actions *)
   mutable nodes_created : int;
-  mutable nodes_reused : int;  (** bottom-up node reuse hits *)
   mutable degraded : bool;
       (** some GSS branches were pruned by the parser budget *)
   mutable pruned_parsers : int;  (** parsers dropped by [max_parsers] *)
@@ -64,12 +63,9 @@ type stats = {
 val fresh_stats : unit -> stats
 
 type config = {
-  reuse_nodes : bool;
-      (** bottom-up node reuse of unchanged productions (ref [25]) *)
-  unshare_eps : bool;  (** run the ε-duplication post-pass (§3.5) *)
   state_matching : bool;
       (** subtree reuse via state-matching; [false] decomposes every
-          lookahead to terminals (ablation: incremental node reuse only) *)
+          lookahead to terminals (ablation: only terminals are reused) *)
 }
 (** Parser actions are no longer traced through a string callback: when
     the {!Trace} sink is enabled the engine emits structured events —

@@ -14,7 +14,6 @@ let m_breakdowns = Metrics.counter "inclr.breakdowns"
 let m_shifted_subtrees = Metrics.counter "inclr.shifted_subtrees"
 let m_shifted_terminals = Metrics.counter "inclr.shifted_terminals"
 let m_nodes_created = Metrics.counter "inclr.nodes_created"
-let m_nodes_reused = Metrics.counter "inclr.nodes_reused"
 
 let record stats =
   Metrics.incr m_parses;
@@ -22,10 +21,9 @@ let record stats =
   Metrics.add m_breakdowns stats.Glr.breakdowns;
   Metrics.add m_shifted_subtrees stats.Glr.shifted_subtrees;
   Metrics.add m_shifted_terminals stats.Glr.shifted_terminals;
-  Metrics.add m_nodes_created stats.Glr.nodes_created;
-  Metrics.add m_nodes_reused stats.Glr.nodes_reused
+  Metrics.add m_nodes_created stats.Glr.nodes_created
 
-let parse ?(reuse_nodes = true) table root =
+let parse table root =
   (match root.Node.kind with
   | Node.Root -> ()
   | _ -> invalid_arg "Inc_lr.parse: not a document root");
@@ -71,31 +69,8 @@ let parse ?(reuse_nodes = true) table root =
       Array.init arity (fun i ->
           match kids.(i) with Some k -> k | None -> assert false)
     in
-    let node =
-      let reusable =
-        if not reuse_nodes then None
-        else if arity = 0 then None
-        else
-          match kids.(0).Node.parent with
-          | Some old
-            when (match old.Node.kind with
-                 | Node.Prod q -> q = p
-                 | _ -> false)
-                 && (not (Node.has_changes old))
-                 && Array.length old.Node.kids = arity
-                 && Array.for_all2 ( == ) old.Node.kids kids ->
-              Some old
-          | _ -> None
-      in
-      match reusable with
-      | Some old ->
-          stats.Glr.nodes_reused <- stats.Glr.nodes_reused + 1;
-          old.Node.state <- preceding;
-          old
-      | None ->
-          stats.Glr.nodes_created <- stats.Glr.nodes_created + 1;
-          Node.make_prod ~prod:p ~state:preceding kids
-    in
+    stats.Glr.nodes_created <- stats.Glr.nodes_created + 1;
+    let node = Node.make_prod ~prod:p ~state:preceding kids in
     let target = Table.goto table ~state:preceding ~nt:prod.Cfg.lhs in
     if target < 0 then fail "internal: goto undefined";
     stack := (target, Some node) :: !stack

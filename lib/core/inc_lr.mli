@@ -15,5 +15,4 @@ exception
 
 (** [parse table root] — incremental reparse in place, like {!Glr.parse}.
     @raise Error on syntax errors or a conflicted table entry. *)
-val parse :
-  ?reuse_nodes:bool -> Lrtab.Table.t -> Parsedag.Node.t -> Glr.stats
+val parse : Lrtab.Table.t -> Parsedag.Node.t -> Glr.stats

@@ -7,7 +7,7 @@ exception Error of { offset_tokens : int; message : string }
 
 let usable = Table.is_deterministic
 
-let parse ?(reuse_nodes = true) table root =
+let parse table root =
   (match root.Node.kind with
   | Node.Root -> ()
   | _ -> invalid_arg "Sf_lr.parse: not a document root");
@@ -52,29 +52,8 @@ let parse ?(reuse_nodes = true) table root =
       Array.init arity (fun i ->
           match kids.(i) with Some k -> k | None -> assert false)
     in
-    let node =
-      let reusable =
-        if (not reuse_nodes) || arity = 0 then None
-        else
-          match kids.(0).Node.parent with
-          | Some old
-            when (match old.Node.kind with
-                 | Node.Prod q -> q = p
-                 | _ -> false)
-                 && (not (Node.has_changes old))
-                 && Array.length old.Node.kids = arity
-                 && Array.for_all2 ( == ) old.Node.kids kids ->
-              Some old
-          | _ -> None
-      in
-      match reusable with
-      | Some old ->
-          stats.Glr.nodes_reused <- stats.Glr.nodes_reused + 1;
-          old
-      | None ->
-          stats.Glr.nodes_created <- stats.Glr.nodes_created + 1;
-          Node.make_prod ~prod:p ~state:Node.nostate kids
-    in
+    stats.Glr.nodes_created <- stats.Glr.nodes_created + 1;
+    let node = Node.make_prod ~prod:p ~state:Node.nostate kids in
     let target = Table.goto table ~state:preceding ~nt:prod.Cfg.lhs in
     if target < 0 then fail "internal: goto undefined";
     stack := (target, Some node) :: !stack

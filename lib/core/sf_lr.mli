@@ -31,5 +31,4 @@ val usable : Lrtab.Table.t -> bool
 (** [parse table root] — incremental reparse in place, like
     {!Inc_lr.parse}.  @raise Error on syntax errors or conflicted
     entries. *)
-val parse :
-  ?reuse_nodes:bool -> Lrtab.Table.t -> Parsedag.Node.t -> Glr.stats
+val parse : Lrtab.Table.t -> Parsedag.Node.t -> Glr.stats

@@ -335,7 +335,8 @@ let span_events snap name =
   match List.assoc_opt name snap with Some (Span s) -> s.events | _ -> 0
 
 (* [share snap a b] — a / (a + b) as a percentage; 0 when both empty.
-   The reuse percentages are instances: share reused (reused + created). *)
+   The reuse percentages are instances: share shifted_subtrees
+   shifted_terminals. *)
 let share snap a b =
   let x = count snap a and y = count snap b in
   if x + y = 0 then 0. else 100. *. float_of_int x /. float_of_int (x + y)
@@ -392,7 +393,7 @@ let to_json snap =
 
 module Openmetrics = struct
   (* Metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.  Registry names use dots
-     ("glr.nodes_reused"); map every other character to '_' and prefix
+     ("glr.shifted_subtrees"); map every other character to '_' and prefix
      the exposition namespace. *)
   let sanitize name =
     let b = Bytes.of_string ("iglr_" ^ name) in

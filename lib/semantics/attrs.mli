@@ -3,18 +3,18 @@
     The paper's pipeline runs formal semantic analyses over the dag
     (§4.2, §6); this module provides the substrate: synthesized
     attributes computed bottom-up, memoized by {e node identity}.  The
-    parser's node retention (ref [25]) guarantees that an unchanged
-    subtree keeps its nodes across reparses, so its attribute values are
-    reused for free — after an edit, only attributes of rebuilt nodes
+    parser shifts an unchanged subtree whole (state-matching, §3.2), so
+    the subtree keeps its nodes across reparses and its attribute values
+    are reused for free — after an edit, only attributes of rebuilt nodes
     (the damage path) are recomputed.  This is the incremental-attribution
     behaviour the paper gets from reusing "program annotations" with the
     retained nodes.
 
     Soundness of the identity-keyed memo relies on the parser's reuse
-    discipline: a node's children only change when the node itself (or,
-    for a retained choice node, its whole region) was rebuilt with fresh
-    ancestors; the memo additionally fingerprints the children's ids so a
-    retained choice with replaced interpretations re-evaluates.  Run
+    discipline: a node's children only change when the node itself was
+    rebuilt with fresh ancestors; the memo additionally fingerprints the
+    children's ids so a choice node whose interpretations were replaced
+    in place re-evaluates.  Run
     dynamic syntactic filters (which splice choices in freshly rebuilt
     regions) before evaluating, as {!Iglr.Session} does.
 

@@ -108,7 +108,7 @@ module Flight = struct
     f_req : int;
     f_doc : string;
     f_ms : float;  (* end-to-end: accept → response built *)
-    f_reuse_pct : float;
+    f_reuse_pct : float;  (* subtree shifts as a share of all shifts *)
     f_degraded : bool;
     f_rejects : (string * int) list;  (* reuse-reject counts by reason *)
   }
@@ -582,7 +582,8 @@ let do_parse ~req ~id ~doc ~budget ~timing ~metrics t () =
       Flight.f_req = req;
       f_doc = doc;
       f_ms = end_to_end;
-      f_reuse_pct = Metrics.share d "glr.nodes_reused" "glr.nodes_created";
+      f_reuse_pct =
+        Metrics.share d "glr.shifted_subtrees" "glr.shifted_terminals";
       f_degraded = degraded;
       f_rejects =
         [

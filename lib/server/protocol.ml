@@ -247,7 +247,6 @@ let outcome_to_json = function
           ("reductions", Json.Int st.Glr.reductions);
           ("breakdowns", Json.Int st.Glr.breakdowns);
           ("nodes_created", Json.Int st.Glr.nodes_created);
-          ("nodes_reused", Json.Int st.Glr.nodes_reused);
           ("degraded", Json.Bool st.Glr.degraded);
         ]
   | Session.Recovered { flagged; isolated; degraded; error; location } ->

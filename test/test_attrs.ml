@@ -1,7 +1,7 @@
 (* Tests for the incremental attribute evaluator (lib/semantics/attrs):
    synthesized attributes over the dag, memoized by node identity, so a
-   reparse after an edit re-evaluates only the damage (the payoff of the
-   paper's node retention). *)
+   reparse after an edit re-evaluates only the damage (the payoff of
+   shifting unchanged subtrees whole). *)
 
 module Node = Parsedag.Node
 module Session = Iglr.Session

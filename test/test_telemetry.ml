@@ -156,6 +156,59 @@ let openmetrics_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "sample outside its declared family accepted"
 
+(* The flight recorder's [reuse_pct] is the share of shifts that took a
+   whole subtree: after a one-token edit to a multi-statement document
+   most statements are shifted as unchanged subtrees, so it is positive. *)
+let flight_reuse_after_token_edit () =
+  let module Json = Metrics.Json in
+  let module Engine = Server.Engine in
+  let line method_ params =
+    Json.to_line
+      (Json.Obj
+         [
+           ("id", Json.String method_);
+           ("method", Json.String method_);
+           ("params", Json.Obj (("doc", Json.String "f.calc") :: params));
+         ])
+  in
+  let text =
+    String.concat "\n"
+      (List.init 8 (fun i -> Printf.sprintf "v%d = (1%d + 2) * x;" i i))
+  in
+  let engine = Engine.create ~jobs:0 ~emit:ignore () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  List.iter (Engine.handle_line engine)
+    [
+      line "open" [ ("lang", Json.String "calc"); ("text", Json.String text) ];
+      line "edit"
+        [
+          ( "edits",
+            Json.List
+              [
+                Json.Obj
+                  [
+                    ("pos", Json.Int (String.index text '2'));
+                    ("del", Json.Int 1);
+                    ("insert", Json.String "7");
+                  ];
+              ] );
+        ];
+      line "parse" [];
+    ];
+  Engine.drain engine;
+  let recent =
+    Option.bind (Json.member "recent" (Engine.flight engine)) Json.to_list
+  in
+  match recent with
+  | Some (_ :: _ as entries) ->
+      let last = List.nth entries (List.length entries - 1) in
+      let pct =
+        Option.get (Option.bind (Json.member "reuse_pct" last) Json.to_float)
+      in
+      if not (pct > 0.) then
+        Alcotest.failf "flight reuse_pct %.2f after a one-token edit" pct
+  | _ -> Alcotest.fail "no flight entry for the parse"
+
 let suite =
   [
     Alcotest.test_case "merged snapshot equals per-domain sums" `Quick
@@ -166,4 +219,6 @@ let suite =
     Alcotest.test_case "openmetrics round-trip" `Quick openmetrics_roundtrip;
     Alcotest.test_case "openmetrics rejects garbage" `Quick
       openmetrics_rejects_garbage;
+    Alcotest.test_case "flight reuse_pct after a token edit" `Quick
+      flight_reuse_after_token_edit;
   ]
