@@ -100,44 +100,25 @@ let measure f =
 (* ------------------------------------------------------------------ *)
 (* Locations.                                                          *)
 
-(* Byte offset of token [k]'s text start (skipping its leading trivia);
-   [k] may equal the token count, giving the end of the last token. *)
 let location_of_token t k =
+  let starts = Document.leaf_starts t.doc in
   let leaves = Document.leaves t.doc in
-  let n = Array.length leaves in
-  let k = max 0 (min k n) in
-  let byte = ref 0 in
-  for i = 0 to k - 1 do
-    match leaves.(i).Node.kind with
-    | Node.Term inf ->
-        byte := !byte + String.length inf.Node.trivia + String.length inf.Node.text
-    | _ -> ()
-  done;
-  (if k < n then
-     match leaves.(k).Node.kind with
-     | Node.Term inf -> byte := !byte + String.length inf.Node.trivia
-     | _ -> ());
-  let text = Document.text t.doc in
-  let byte = min !byte (String.length text) in
-  let line = ref 1 and bol = ref 0 in
-  for i = 0 to byte - 1 do
-    if text.[i] = '\n' then begin
-      incr line;
-      bol := i + 1
-    end
-  done;
-  { offset_tokens = k; offset_bytes = byte; line = !line; col = byte - !bol + 1 }
+  let k = max 0 (min k (Array.length leaves)) in
+  (* Token [k]'s text start, past its leading trivia; the end of the
+     last token when [k] is the token count. *)
+  let byte =
+    if k = Array.length leaves then starts.(k)
+    else
+      match leaves.(k).Node.kind with
+      | Node.Term inf -> starts.(k) + String.length inf.Node.trivia
+      | _ -> starts.(k)
+  in
+  let line = Document.line_of t.doc byte in
+  let bol = (Document.line_starts t.doc).(line - 1) in
+  { offset_tokens = k; offset_bytes = byte; line; col = byte - bol + 1 }
 
 let token_end_byte t j =
-  let leaves = Document.leaves t.doc in
-  let b = ref 0 in
-  for i = 0 to min j (Array.length leaves - 1) do
-    match leaves.(i).Node.kind with
-    | Node.Term inf ->
-        b := !b + String.length inf.Node.trivia + String.length inf.Node.text
-    | _ -> ()
-  done;
-  !b
+  (Document.leaf_starts t.doc).(max 0 (min (j + 1) (Document.token_count t.doc)))
 
 (* ------------------------------------------------------------------ *)
 (* Local error isolation (§4.3 extended): mask the smallest enclosing

@@ -8,65 +8,57 @@ type result = {
   trailing : string option;
 }
 
-let term_info (n : Node.t) =
+let rec first_above a ~lo ~hi x =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) > x then first_above a ~lo ~hi:mid x
+    else first_above a ~lo:(mid + 1) ~hi x
+
+let lex_la (n : Node.t) =
   match n.Node.kind with
-  | Node.Term i -> i
+  | Node.Term i -> i.Node.lex_la
   | _ -> invalid_arg "Relex: leaf is not a terminal"
 
-let relex ~lexer ~old_text ~leaves ~pos ~del ~insert ~new_text =
+let relex ~lexer ~leaves ~starts ~la_bound ~pos ~del ~insert ~new_text =
   let n = Array.length leaves in
-  (* Offsets of each leaf in the old text. *)
-  let starts = Array.make n 0 in
-  let ends = Array.make n 0 in
-  let las = Array.make n 0 in
-  let off = ref 0 in
-  for i = 0 to n - 1 do
-    let info = term_info leaves.(i) in
-    starts.(i) <- !off;
-    off := !off + String.length info.Node.trivia + String.length info.Node.text;
-    ends.(i) <- !off;
-    las.(i) <- info.Node.lex_la
-  done;
-  ignore old_text;
   let delta = String.length insert - del in
-  (* First leaf whose examined bytes reach the edit. *)
-  let damage_lo =
-    let rec find i =
-      if i >= n then n else if ends.(i) + las.(i) > pos then i else find (i + 1)
-    in
-    find 0
+  (* First leaf whose examined bytes reach the edit.  Leaf [i] ends at
+     [starts.(i+1)]: the first leaf ending past [pos] is damaged, and an
+     earlier one only if its lookahead reaches [pos], so the candidates
+     are the leaves ending within [la_bound] bytes before it. *)
+  let leaf_ending_past x = first_above starts ~lo:1 ~hi:(n + 1) x - 1 in
+  let at_pos = leaf_ending_past pos in
+  let rec find i =
+    if i >= at_pos || starts.(i + 1) + lex_la leaves.(i) > pos then i
+    else find (i + 1)
   in
-  let relex_from =
-    if damage_lo < n then starts.(damage_lo)
-    else if n = 0 then 0
-    else ends.(n - 1)
+  let damage_lo = find (leaf_ending_past (pos - la_bound)) in
+  (* Old tokens lying entirely after the edited region start at new-text
+     offset [starts.(j) + delta]; [j] walks them as the scan advances, and
+     the scan resynchronizes when it lands exactly on one. *)
+  let rec scan acc cur j =
+    if j < n && starts.(j) + delta < cur then scan acc cur (j + 1)
+    else if j < n && starts.(j) + delta = cur then
+      {
+        first = damage_lo;
+        replaced = j - damage_lo;
+        tokens = List.rev acc;
+        trailing = None;
+      }
+    else
+      match Scanner.next lexer new_text ~pos:cur with
+      | Some (tok, cur') -> scan (tok :: acc) cur' j
+      | None ->
+          (* Only trivia remains: everything to the right of the damage
+             is replaced and the document's trailing trivia changes. *)
+          {
+            first = damage_lo;
+            replaced = n - damage_lo;
+            tokens = List.rev acc;
+            trailing =
+              Some (String.sub new_text cur (String.length new_text - cur));
+          }
   in
-  (* New-text offsets at which an untouched old token starts. *)
-  let resync : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  for j = n - 1 downto 0 do
-    if starts.(j) >= pos + del then Hashtbl.replace resync (starts.(j) + delta) j
-  done;
-  let rec scan acc cur =
-    match Hashtbl.find_opt resync cur with
-    | Some j ->
-        {
-          first = damage_lo;
-          replaced = j - damage_lo;
-          tokens = List.rev acc;
-          trailing = None;
-        }
-    | None -> (
-        match Scanner.next lexer new_text ~pos:cur with
-        | Some (tok, cur') -> scan (tok :: acc) cur'
-        | None ->
-            (* Only trivia remains: everything to the right of the damage
-               is replaced and the document's trailing trivia changes. *)
-            {
-              first = damage_lo;
-              replaced = n - damage_lo;
-              tokens = List.rev acc;
-              trailing =
-                Some (String.sub new_text cur (String.length new_text - cur));
-            })
-  in
-  scan [] relex_from
+  scan [] starts.(damage_lo)
+    (first_above starts ~lo:0 ~hi:n (pos + del - 1))

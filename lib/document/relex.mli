@@ -1,16 +1,22 @@
 (** Incremental relexing.
 
-    Given the old token sequence (the tree's terminal leaves), the old
-    text, and one textual edit, computes the minimal damaged token range
-    and the replacement tokens, resynchronizing with the old stream at the
-    first clean boundary past the edit.
+    Given the old token sequence (the tree's terminal leaves), its
+    position index, and one textual edit, computes the minimal damaged
+    token range and the replacement tokens, resynchronizing with the old
+    stream at the first clean boundary past the edit.
 
     A token is damaged when the bytes it {e examined} — its trivia, its
     lexeme, and its recorded lookahead — intersect the edit.  Resynchron-
     ization happens at a new-text offset that coincides with the start
     boundary of an old token lying entirely after the edited region; lexing
     is boundary-deterministic (no cross-token scanner state), so the rest
-    of the old stream is guaranteed to reproduce and can be reused. *)
+    of the old stream is guaranteed to reproduce and can be reused.
+
+    The index makes the work proportional to the damage, not the
+    document: [starts] (the old leaves' byte offsets) locates the edit by
+    binary search, [la_bound] (an upper bound on every leaf's lookahead)
+    bounds how far back a damaged leaf can lie, and resynchronization
+    walks [starts] from the end of the edit. *)
 
 type result = {
   first : int;  (** index of the first replaced leaf *)
@@ -20,14 +26,24 @@ type result = {
       (** new trailing trivia when the edit ran to end of text *)
 }
 
-(** @raise Lexgen.Scanner.Lex_error when the new text is unscannable and
+(** [relex ~lexer ~leaves ~starts ~la_bound ~pos ~del ~insert ~new_text]
+    — [starts] has one entry per leaf, the byte offset where the leaf
+    (its trivia first) begins in the old text, plus a final entry for the
+    end of the last leaf; [la_bound] is at least every leaf's [lex_la].
+    @raise Lexgen.Scanner.Lex_error when the new text is unscannable and
     the spec has no catch-all rule. *)
 val relex :
   lexer:Lexgen.Spec.t ->
-  old_text:string ->
   leaves:Parsedag.Node.t array ->
+  starts:int array ->
+  la_bound:int ->
   pos:int ->
   del:int ->
   insert:string ->
   new_text:string ->
   result
+
+(** [first_above a ~lo ~hi x] — the least [i] in [\[lo, hi)] with
+    [a.(i) > x], or [hi] if there is none; [a] must be ascending on that
+    range.  Binary search, shared with the document's line index. *)
+val first_above : int array -> lo:int -> hi:int -> int -> int
