@@ -1105,21 +1105,9 @@ let explain_cmd =
     Trace.set_enabled false;
     guard_dag "explain" lang session;
     let r = Trace.Explain.of_events (Trace.events ()) in
-    (* Token offset -> character offset, via the document's leaf array. *)
-    let leaves = Vdoc.Document.leaves (Iglr.Session.document session) in
-    let char_offset tok =
-      let off = ref 0 in
-      for i = 0 to min tok (Array.length leaves) - 1 do
-        match leaves.(i).Parsedag.Node.kind with
-        | Parsedag.Node.Term t ->
-            off :=
-              !off
-              + String.length t.Parsedag.Node.trivia
-              + String.length t.Parsedag.Node.text
-        | _ -> ()
-      done;
-      !off
-    in
+    (* Token offset -> character offset, via the document's leaf starts. *)
+    let starts = Vdoc.Document.leaf_starts (Iglr.Session.document session) in
+    let char_offset tok = starts.(min tok (Array.length starts - 1)) in
     let pos, del, insert = List.nth edits (n - 1) in
     Printf.printf "edit %d/%d: pos=%d del=%d insert=%S\n" n n pos del insert;
     Printf.printf "relex: %d token(s) rescanned, %d kept\n" r.Trace.Explain.tokens_relexed

@@ -136,6 +136,14 @@ let symbol_name g (n : Node.t) =
   | `T t -> Cfg.terminal_name g t
   | `Other -> "?"
 
+(* A shifted terminal's trace label: its trivia and text, cut at 24
+   bytes. *)
+let term_label (i : Node.term_info) =
+  let t = String.length i.trivia and x = String.length i.text in
+  if t + x <= 24 then i.trivia ^ i.text
+  else if t >= 24 then String.sub i.trivia 0 24 ^ "..."
+  else i.trivia ^ String.sub i.text 0 (24 - t) ^ "..."
+
 (* Graphviz snapshot of the live GSS: parser tops as double circles,
    links labeled by the symbol of the dag node spanning them.  Emitted as
    a [gss.snapshot] event whenever several parsers are active, so [iglrc
@@ -356,7 +364,7 @@ let rec reducer r (q : Gss.node) target rule kids =
   if tracing () then
     Trace.instant Trace.Glr "reduce"
       [
-        ("prod", Trace.Str (Format.asprintf "%a" (Cfg.pp_production r.g) rule));
+        ("prod", Trace.Str (Cfg.production_name r.g rule));
         ("target", Trace.Int target);
         ("at", Trace.Int r.pos);
       ];
@@ -580,14 +588,20 @@ let shifter r =
         end)
       r.for_shifter;
     if tracing () then begin
-      let y = Node.text_yield la in
-      let y = if String.length y > 24 then String.sub y 0 24 ^ "..." else y in
+      (* A terminal is labelled with its text; a subtree shifted whole
+         with its symbol and size, so the label never walks its leaves. *)
+      let parsers = ("parsers", Trace.Int (List.length r.active)) in
+      let at = ("at", Trace.Int r.pos) in
       Trace.instant Trace.Glr "shift"
-        [
-          ("yield", Trace.Str y);
-          ("parsers", Trace.Int (List.length r.active));
-          ("at", Trace.Int r.pos);
-        ];
+        (match la.Node.kind with
+        | Node.Term i -> [ ("yield", Trace.Str (term_label i)); parsers; at ]
+        | _ ->
+            [
+              ("symbol", Trace.Str (symbol_name r.g la));
+              ("tokens", Trace.Int (Node.token_count la));
+              parsers;
+              at;
+            ]);
       (* Snapshot the transient GSS whenever the stack is actually
          graph-structured; [iglrc dot --gss] renders the last one. *)
       if List.length r.active > 1 then

@@ -30,6 +30,7 @@ type t = {
   by_lhs : int array array;
   seq_kinds : seq_kind array;
   term_precs : (int * assoc) option array;
+  production_names : string array;
   start : int;
   term_index : (string, int) Hashtbl.t;
   nonterm_index : (string, int) Hashtbl.t;
@@ -74,12 +75,8 @@ let term_prec g t = g.term_precs.(t)
 
 let pp_symbol g ppf s = Format.pp_print_string ppf (symbol_name g s)
 
-let pp_production g ppf i =
-  let p = g.productions.(i) in
-  Format.fprintf ppf "%s ->" (nonterminal_name g p.lhs);
-  if Array.length p.rhs = 0 then Format.pp_print_string ppf " ε"
-  else
-    Array.iter (fun s -> Format.fprintf ppf " %s" (symbol_name g s)) p.rhs
+let production_name g i = g.production_names.(i)
+let pp_production g ppf i = Format.pp_print_string ppf (production_name g i)
 
 let pp ppf g =
   Format.fprintf ppf "start: %s@." (nonterminal_name g g.start);
@@ -116,6 +113,20 @@ let make ~terminal_names ~nonterminal_names ~productions ~seq_kinds
   let by_lhs = Array.make nn [] in
   Array.iter (fun p -> by_lhs.(p.lhs) <- p.p_id :: by_lhs.(p.lhs)) productions;
   let by_lhs = Array.map (fun l -> Array.of_list (List.rev l)) by_lhs in
+  (* Rendered once: traced reductions label every event with one. *)
+  let production_names =
+    Array.map
+      (fun p ->
+        let name = function
+          | T t -> terminal_names.(t)
+          | N n -> nonterminal_names.(n)
+        in
+        String.concat " "
+          ((nonterminal_names.(p.lhs) ^ " ->")
+          :: (if Array.length p.rhs = 0 then [ "ε" ]
+              else Array.to_list (Array.map name p.rhs))))
+      productions
+  in
   {
     terminal_names;
     nonterminal_names;
@@ -123,6 +134,7 @@ let make ~terminal_names ~nonterminal_names ~productions ~seq_kinds
     by_lhs;
     seq_kinds;
     term_precs;
+    production_names;
     start;
     term_index = index_names terminal_names;
     nonterm_index = index_names nonterminal_names;

@@ -89,6 +89,10 @@ val seq_kind : t -> int -> seq_kind
 val term_prec : t -> int -> (int * assoc) option
 
 val pp_symbol : t -> Format.formatter -> symbol -> unit
+val production_name : t -> int -> string
+(** ["lhs -> x y"] ([ε] for an empty right-hand side), rendered once when
+    the grammar is made. *)
+
 val pp_production : t -> Format.formatter -> int -> unit
 val pp : Format.formatter -> t -> unit
 

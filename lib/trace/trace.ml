@@ -12,9 +12,10 @@
    domain id on every event, so worker domains never contend on a slot
    or tear each other's writes.  [events] merges the rings time-ordered;
    the Chrome export maps the domain id to [tid], one Perfetto lane per
-   domain.  Recording overwrites a slot in place (a timestamp read plus
-   seven stores), and on overflow the oldest events of that domain are
-   dropped, never the parse. *)
+   domain.  Recording overwrites one slot of preallocated columns in
+   place (a timestamp read plus a store per field and per argument; no
+   allocation is retained), and on overflow the oldest events of that
+   domain are dropped, never the parse. *)
 
 module Json = Metrics.Json
 
@@ -31,7 +32,7 @@ let cat_name = function
   | Session -> "session"
   | Query -> "query"
 
-type arg = Int of int | Str of string | Float of float | Bool of bool
+type arg = Int of int | Str of string | Bool of bool
 
 type phase = Begin | End | Instant
 
@@ -48,24 +49,57 @@ type event = {
 (* ------------------------------------------------------------------ *)
 (* Per-domain rings.                                                   *)
 
-type slot = {
-  mutable s_seq : int;
-  mutable s_ts : float;
-  mutable s_did : int;
-  mutable s_phase : phase;
-  mutable s_cat : cat;
-  mutable s_name : string;
-  mutable s_args : (string * arg) list;
+(* A ring is three preallocated arrays indexed by [seq mod capacity]:
+   each event owns one timestamp, [ints_per] ints (a header packing the
+   domain id, phase, category and argument tags, then one payload per
+   argument) and [strs_per] strings (name, request id, then a key and a
+   [Str] payload per argument).  Recording copies the caller's arguments
+   into its slots, so the ring does not retain a call site's list for
+   the minor GC to promote.  Only the few events with more than
+   [inline_args] arguments (a relex splice, a state-mismatch reuse
+   rejection) keep the tail of their list, in [r_more]. *)
+let inline_args = 4
+let ints_per = 1 + inline_args
+let strs_per = 2 + (2 * inline_args)
+
+type ring = {
+  r_cap : int;
+  r_ts : Float.Array.t;
+  r_int : int array;
+  r_str : string array;
+  r_more : (string * arg) list array;
 }
 
+(* Header bits: phase (2), category (4), argument count (3), a 2-bit
+   tag per inline argument, then the domain id. *)
+let phases = [| Begin; End; Instant |]
+let cats = [| Lex; Relex; Glr; Gss; Reuse; Commit; Filter; Session; Query |]
+let phase_code = function Begin -> 0 | End -> 1 | Instant -> 2
+
+let cat_code = function
+  | Lex -> 0
+  | Relex -> 1
+  | Glr -> 2
+  | Gss -> 3
+  | Reuse -> 4
+  | Commit -> 5
+  | Filter -> 6
+  | Session -> 7
+  | Query -> 8
+
+let tag_int = 0
+let tag_str = 1
+let tag_bool = 2
+let tag_shift j = 9 + (2 * j)
+let did_shift = tag_shift inline_args
+
 (* One shard per domain slot, created lazily the first time that domain
-   records.  [sh_last_ts] clamps the shard's clock monotone; [sh_ctx] is
-   the current request id, stamped onto every event recorded while a
-   [with_request] bracket is open on that domain. *)
+   records.  [sh_ctx] is the current request id, stamped onto every
+   event recorded while a [with_request] bracket is open on that
+   domain. *)
 type shard = {
-  mutable sh_ring : slot array;
+  mutable sh_ring : ring;
   mutable sh_next : int;
-  mutable sh_last_ts : float;
   mutable sh_ctx : string;
 }
 
@@ -80,9 +114,13 @@ let shards : shard option array = Array.make Metrics.domain_slots None
 let shard_mutex = Mutex.create ()
 
 let new_ring n =
-  Array.init n (fun _ ->
-      { s_seq = 0; s_ts = 0.; s_did = 0; s_phase = Instant; s_cat = Session;
-        s_name = ""; s_args = [] })
+  {
+    r_cap = n;
+    r_ts = Float.Array.make n 0.;
+    r_int = Array.make (n * ints_per) 0;
+    r_str = Array.make (n * strs_per) "";
+    r_more = Array.make n [];
+  }
 
 let my_shard () =
   let i = Metrics.domain_slot () in
@@ -95,8 +133,7 @@ let my_shard () =
         | Some sh -> sh
         | None ->
             let sh =
-              { sh_ring = new_ring !capacity; sh_next = 0; sh_last_ts = 0.;
-                sh_ctx = "" }
+              { sh_ring = new_ring !capacity; sh_next = 0; sh_ctx = "" }
             in
             shards.(i) <- Some sh;
             sh
@@ -117,7 +154,7 @@ let set_capacity n =
   capacity := n;
   Array.iter
     (function
-      | Some sh when Array.length sh.sh_ring <> n ->
+      | Some sh when sh.sh_ring.r_cap <> n ->
           sh.sh_ring <- new_ring n;
           sh.sh_next <- 0
       | _ -> ())
@@ -128,10 +165,7 @@ let set_enabled b =
   if b then ignore (my_shard ());
   on := b
 
-let clear () =
-  iter_shards (fun sh ->
-      sh.sh_next <- 0;
-      sh.sh_last_ts <- 0.)
+let clear () = iter_shards (fun sh -> sh.sh_next <- 0)
 
 let recorded () =
   let n = ref 0 in
@@ -140,34 +174,62 @@ let recorded () =
 
 let dropped () =
   let n = ref 0 in
-  iter_shards (fun sh -> n := !n + max 0 (sh.sh_next - Array.length sh.sh_ring));
+  iter_shards (fun sh -> n := !n + max 0 (sh.sh_next - sh.sh_ring.r_cap));
   !n
 
-(* Monotone clock per shard: wall time clamped to never run backwards,
-   so each domain's stream is non-decreasing by construction (and the
-   merged stream is, because it is sorted). *)
-let[@inline] now_monotone sh =
-  let t = Unix.gettimeofday () in
-  if t > sh.sh_last_ts then sh.sh_last_ts <- t;
-  sh.sh_last_ts
+(* Copies arguments [j..] into event [i]'s slots; returns the header's
+   argument bits. *)
+let rec put_args r i j bits = function
+  | [] ->
+      if r.r_more.(i) != [] then r.r_more.(i) <- [];
+      bits lor (j lsl 6)
+  | rest when j = inline_args ->
+      r.r_more.(i) <- rest;
+      bits lor (j lsl 6)
+  | (k, v) :: rest ->
+      let vi = (i * ints_per) + 1 + j and si = (i * strs_per) + 2 + (2 * j) in
+      r.r_str.(si) <- k;
+      let tag =
+        match v with
+        | Int n ->
+            r.r_int.(vi) <- n;
+            tag_int
+        | Str s ->
+            r.r_str.(si + 1) <- s;
+            tag_str
+        | Bool b ->
+            r.r_int.(vi) <- Bool.to_int b;
+            tag_bool
+      in
+      put_args r i (j + 1) (bits lor (tag lsl tag_shift j)) rest
 
+(* The clock is wall time clamped to never run backwards past the
+   shard's previous event, so each domain's stream is non-decreasing by
+   construction (and the merged stream is, because it is sorted). *)
 let record phase cat name args =
   if !on then begin
     let sh = my_shard () in
     let r = sh.sh_ring in
-    let cap = Array.length r in
-    if cap > 0 then begin
-      let s = r.(sh.sh_next mod cap) in
-      s.s_seq <- sh.sh_next;
-      s.s_ts <- now_monotone sh;
-      s.s_did <- (Domain.self () :> int);
-      s.s_phase <- phase;
-      s.s_cat <- cat;
-      s.s_name <- name;
-      s.s_args <-
-        (if sh.sh_ctx = "" then args else ("rid", Str sh.sh_ctx) :: args);
-      sh.sh_next <- sh.sh_next + 1
-    end
+    let n = sh.sh_next in
+    let i = n mod r.r_cap in
+    let t = Unix.gettimeofday () in
+    let t =
+      if n = 0 then t
+      else
+        Float.max t
+          (Float.Array.get r.r_ts (if i = 0 then r.r_cap - 1 else i - 1))
+    in
+    Float.Array.set r.r_ts i t;
+    let si = i * strs_per in
+    r.r_str.(si) <- name;
+    if r.r_str.(si + 1) != sh.sh_ctx then r.r_str.(si + 1) <- sh.sh_ctx;
+    r.r_int.(i * ints_per) <-
+      put_args r i 0
+        (phase_code phase
+        lor (cat_code cat lsl 2)
+        lor ((Domain.self () :> int) lsl did_shift))
+        args;
+    sh.sh_next <- n + 1
   end
 
 let[@inline] instant cat name args = record Instant cat name args
@@ -209,20 +271,34 @@ let request_id () =
 
 let shard_events sh =
   let r = sh.sh_ring in
-  let cap = Array.length r in
-  if cap = 0 || sh.sh_next = 0 then []
-  else begin
-    let first = max 0 (sh.sh_next - cap) in
-    let out = ref [] in
-    for i = sh.sh_next - 1 downto first do
-      let s = r.(i mod cap) in
-      out :=
-        { seq = s.s_seq; ts = s.s_ts; did = s.s_did; phase = s.s_phase;
-          cat = s.s_cat; name = s.s_name; args = s.s_args }
-        :: !out
-    done;
-    !out
-  end
+  let first = max 0 (sh.sh_next - r.r_cap) in
+  let out = ref [] in
+  for seq = sh.sh_next - 1 downto first do
+    let i = seq mod r.r_cap in
+    let h = r.r_int.(i * ints_per) and si = i * strs_per in
+    let arg j =
+      let vi = (i * ints_per) + 1 + j and si = si + 2 + (2 * j) in
+      let tag = (h lsr tag_shift j) land 3 in
+      ( r.r_str.(si),
+        if tag = tag_str then Str r.r_str.(si + 1)
+        else if tag = tag_bool then Bool (r.r_int.(vi) <> 0)
+        else Int r.r_int.(vi) )
+    in
+    let args = List.init ((h lsr 6) land 7) arg @ r.r_more.(i) in
+    let rid = r.r_str.(si + 1) in
+    out :=
+      {
+        seq;
+        ts = Float.Array.get r.r_ts i;
+        did = h lsr did_shift;
+        phase = phases.(h land 3);
+        cat = cats.((h lsr 2) land 15);
+        name = r.r_str.(si);
+        args = (if rid = "" then args else ("rid", Str rid) :: args);
+      }
+      :: !out
+  done;
+  !out
 
 (* Merged, time-ordered view over every domain's ring.  Ties (clamped
    clocks produce them) break on (did, seq) so the order is total and
@@ -254,7 +330,6 @@ let int_arg name e =
 let pp_arg ppf = function
   | Int n -> Format.pp_print_int ppf n
   | Str s -> Format.fprintf ppf "%S" s
-  | Float f -> Format.fprintf ppf "%g" f
   | Bool b -> Format.pp_print_bool ppf b
 
 let pp_event ppf e =
@@ -273,8 +348,11 @@ let to_legacy_string e =
       | Some p, Some t -> Some (Printf.sprintf "reduce: %s (target state %d)" p t)
       | _ -> None)
   | Glr, "shift" -> (
-      match (str "yield", int "parsers") with
-      | Some y, Some n -> Some (Printf.sprintf "shift: %S -> %d parser(s)" y n)
+      match (str "yield", str "symbol", int "tokens", int "parsers") with
+      | Some y, _, _, Some n ->
+          Some (Printf.sprintf "shift: %S -> %d parser(s)" y n)
+      | None, Some s, Some k, Some n ->
+          Some (Printf.sprintf "shift: %s (%d tokens) -> %d parser(s)" s k n)
       | _ -> None)
   | Gss, "pack" -> (
       match (str "symbol", int "alts") with
@@ -299,7 +377,6 @@ module Export = struct
   let json_of_arg = function
     | Int n -> Json.Int n
     | Str s -> Json.String s
-    | Float f -> Json.Float f
     | Bool b -> Json.Bool b
 
   let to_chrome evs =

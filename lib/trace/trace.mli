@@ -31,7 +31,7 @@ type cat = Lex | Relex | Glr | Gss | Reuse | Commit | Filter | Session | Query
 
 val cat_name : cat -> string
 
-type arg = Int of int | Str of string | Float of float | Bool of bool
+type arg = Int of int | Str of string | Bool of bool
 
 type phase = Begin | End | Instant
 
@@ -102,10 +102,14 @@ val pp_event : Format.formatter -> event -> unit
 
 val to_legacy_string : event -> string option
 (** Compatibility pretty-printer: renders [glr.reduce], [glr.shift],
-    [gss.pack] and [gss.merge] events as the exact strings the old
+    [gss.pack] and [gss.merge] events as the strings the old
     [Glr.config.trace : string -> unit] callback produced ("reduce: U ->
     x (target state 3)", "amb: symbol node for stmt (2
-    interpretations)", ...); [None] for every other event. *)
+    interpretations)", ...); [None] for every other event.  A shifted
+    terminal renders as before ("shift: \" x\" -> 1 parser(s)", its
+    trivia and text cut at 24 bytes); a subtree shifted whole carries its
+    symbol and size instead of its text ("shift: stmt (8 tokens) -> 1
+    parser(s)"), so labelling it never walks its leaves. *)
 
 module Export : sig
   val to_chrome : event list -> Metrics.Json.t

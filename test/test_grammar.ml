@@ -103,6 +103,21 @@ let test_plus_with_sep () =
   in
   Alcotest.(check int) "separated cons arity 3" 3 (Array.length cons.rhs)
 
+(* Production names are rendered once when the grammar is made; the
+   star's empty production renders as ε. *)
+let test_production_names () =
+  let g = Fixtures.seq_grammar () in
+  let names =
+    Array.to_list (Cfg.productions_of g (Cfg.find_nonterminal g "stmt*"))
+    |> List.map (Cfg.production_name g)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "stmt* productions"
+    [ "stmt* -> stmt* stmt"; "stmt* -> ε" ] names;
+  Alcotest.(check string) "pp_production prints the name"
+    (Cfg.production_name g 0)
+    (Format.asprintf "%a" (Cfg.pp_production g) 0)
+
 let test_nullable () =
   let g = Fixtures.nullable_grammar () in
   let a = Analysis.compute g in
@@ -247,6 +262,7 @@ let suite =
     Alcotest.test_case "precedence assignment" `Quick test_prec_assignment;
     Alcotest.test_case "sequence desugaring" `Quick test_seq_desugaring;
     Alcotest.test_case "separated plus" `Quick test_plus_with_sep;
+    Alcotest.test_case "production names" `Quick test_production_names;
     Alcotest.test_case "nullable" `Quick test_nullable;
     Alcotest.test_case "FIRST" `Quick test_first;
     Alcotest.test_case "FOLLOW" `Quick test_follow;

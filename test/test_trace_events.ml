@@ -106,6 +106,116 @@ let test_root_span_encloses () =
   Alcotest.(check bool) "engine events present" true
     (List.exists (fun (e : Trace.event) -> e.Trace.cat = Trace.Glr) evs)
 
+let render evs = List.map (Format.asprintf "%a" Trace.pp_event) evs
+
+(* The ring copies each event's arguments into preallocated slots: what
+   comes back out is what went in, in order — past the inline slots too,
+   and with the request id first.  After an overflow only the newest
+   events remain, each with its own arguments. *)
+let test_ring_round_trip () =
+  let args k =
+    [
+      ("k", Trace.Int k);
+      ("s", Trace.Str (string_of_int k));
+      ("b", Trace.Bool (k mod 2 = 0));
+    ]
+  in
+  let many =
+    [
+      ("a", Trace.Int 1);
+      ("b", Trace.Str "two");
+      ("c", Trace.Bool true);
+      ("d", Trace.Int (-4));
+      ("e", Trace.Str "");
+      ("f", Trace.Int max_int);
+    ]
+  in
+  let evs =
+    capture @@ fun () ->
+    Trace.instant Trace.Glr "none" [];
+    Trace.instant Trace.Glr "many" many;
+    Trace.with_request "r1" (fun () ->
+        Trace.begin_span Trace.Session "req" (args 3);
+        Trace.end_span Trace.Session "req" []);
+    Trace.events ()
+  in
+  Alcotest.(check (list string))
+    "arguments round-trip"
+    [
+      "i glr.none";
+      Printf.sprintf "i glr.many a=1 b=\"two\" c=true d=-4 e=\"\" f=%d" max_int;
+      "B session.req rid=\"r1\" k=3 s=\"3\" b=false";
+      "E session.req rid=\"r1\"";
+    ]
+    (render evs);
+  Trace.set_capacity 8;
+  Fun.protect ~finally:(fun () -> Trace.set_capacity 65536) @@ fun () ->
+  let evs =
+    capture @@ fun () ->
+    for k = 0 to 19 do
+      Trace.instant Trace.Glr "tick" (args k)
+    done;
+    Alcotest.(check int) "overwritten events counted" 12 (Trace.dropped ());
+    Trace.events ()
+  in
+  Alcotest.(check (list int)) "newest events kept, in order"
+    (List.init 8 (fun i -> 12 + i))
+    (List.map (fun (e : Trace.event) -> e.Trace.seq) evs);
+  Alcotest.(check (list string))
+    "each with its own arguments"
+    (List.init 8 (fun i ->
+         let k = 12 + i in
+         Printf.sprintf "i glr.tick k=%d s=\"%d\" b=%b" k k (k mod 2 = 0)))
+    (render evs)
+
+(* A shifted terminal is labelled with its text, cut at 24 bytes; a
+   subtree shifted whole with its symbol and size, the same ones the
+   reuse decision just before it names. *)
+let test_shift_labels () =
+  let lang = Languages.C_subset.language in
+  let s =
+    capture (fun () ->
+        make_session lang
+          "/* a comment longer than the label */ int f () { int x; x = 1; \
+           }\nint g () { return 2; }")
+  in
+  (match
+     List.filter_map Trace.to_legacy_string (Trace.events ())
+     |> List.filter (fun l -> String.starts_with ~prefix:"shift" l)
+   with
+  | first :: second :: _ ->
+      Alcotest.(check string) "long trivia cut"
+        "shift: \"/* a comment longer than...\" -> 1 parser(s)" first;
+      Alcotest.(check string) "short token whole"
+        "shift: \" f\" -> 1 parser(s)" second
+  | _ -> Alcotest.fail "no shifts traced");
+  let evs =
+    capture @@ fun () ->
+    Session.edit s ~pos:(String.length (Session.text s) - 4) ~del:1 ~insert:"3";
+    (match Session.reparse s with
+    | Session.Parsed _ -> ()
+    | Session.Recovered _ -> Alcotest.fail "edit broke the parse");
+    Trace.events ()
+  in
+  let rec check_subtree_shifts n = function
+    | (prev : Trace.event) :: (e : Trace.event) :: rest
+      when e.Trace.name = "shift" && Trace.str_arg "symbol" e <> None ->
+        Alcotest.(check string) "preceded by its reuse decision" "accept"
+          prev.Trace.name;
+        Alcotest.(check (option string)) "same symbol"
+          (Trace.str_arg "symbol" prev) (Trace.str_arg "symbol" e);
+        Alcotest.(check (option int)) "same size"
+          (Trace.int_arg "tokens" prev) (Trace.int_arg "tokens" e);
+        check_subtree_shifts (n + 1) rest
+    | _ :: rest -> check_subtree_shifts n rest
+    | [] -> n
+  in
+  Alcotest.(check bool) "a subtree was shifted whole" true
+    (check_subtree_shifts 0 evs > 0);
+  Alcotest.(check bool) "subtree shift rendering" true
+    (List.mem "shift: ext_decl (13 tokens) -> 1 parser(s)"
+       (List.filter_map Trace.to_legacy_string evs))
+
 (* Appendix B: "a (b);" inside a function body is both an expression
    statement and a declaration of b; the dag keeps both readings under a
    choice node (gold diamond, dotted edges) and shares the terminals of
@@ -209,4 +319,6 @@ let suite =
     Alcotest.test_case "session spans enclose engine events" `Quick
       test_root_span_encloses;
     Alcotest.test_case "appendix B golden dot" `Quick test_golden_dot;
+    Alcotest.test_case "ring round-trips arguments" `Quick test_ring_round_trip;
+    Alcotest.test_case "shift labels" `Quick test_shift_labels;
   ]
