@@ -193,19 +193,24 @@ let dag ?(allow_pending = false) ?expect_text table root =
           n.Node.kids
     | Node.Error _ ->
         (* An error node wraps exactly the flagged token run: >= 1 kids,
-           all raw terminals, count cached as their sum; it carries
-           nostate (never reusable by state matching) and the error flag;
-           it must not hang under a choice (alternatives must share one
-           terminal yield, which a damage region cannot guarantee). *)
+           all raw terminals whose parent is this node (so a scan of the
+           leaves finds every error region), count cached as their sum;
+           it carries nostate (never reusable by state matching) and the
+           error flag; it must not hang under a choice (alternatives must
+           share one terminal yield, which a damage region cannot
+           guarantee). *)
         let arity = Array.length n.Node.kids in
         if arity = 0 then add n "error-node" "error node with no kids";
         Array.iteri
           (fun i (k : Node.t) ->
-            match k.Node.kind with
+            (match k.Node.kind with
             | Node.Term _ -> ()
             | _ ->
                 add n "error-node" "kid %d has kind %s, error kids must be terminals"
-                  i (kind_name k))
+                  i (kind_name k));
+            match k.Node.parent with
+            | Some p when p == n -> ()
+            | _ -> add n "error-node" "kid %d's parent is not this error node" i)
           n.Node.kids;
         if n.Node.state <> Node.nostate then
           add n "error-node" "error node carries state %d, must be nostate"

@@ -150,73 +150,96 @@ let rec is_seq_element g (n : Node.t) =
           | Cfg.Seq_empty | Cfg.Plain -> false)
       | _ -> false)
 
-let span_of idx_tbl (u : Node.t) =
-  match Node.first_terminal u with
-  | Some ft -> (
-      match Hashtbl.find_opt idx_tbl ft.Node.nid with
-      | Some lo -> Some (lo, lo + Node.token_count u - 1)
-      | None -> None)
-  | None -> None
+(* Walk the parent path up from leaf [i], offering each node and its
+   leaf-index span to [f] until it answers [Some _].  Spans come from
+   arithmetic, not lookups (Appendix A's cover()): a parent's first leaf
+   is its kid's first leaf minus the token counts of the kids left of
+   it; choice alternatives share one yield, so stepping into a choice
+   moves nothing.  O(parent-path length x arity). *)
+let find_up t i f =
+  let rec go (n : Node.t) lo =
+    match f n (lo, lo + Node.token_count n - 1) with
+    | Some _ as r -> r
+    | None -> (
+        match n.Node.parent with
+        | None -> None
+        | Some ({ Node.kind = Node.Choice _; _ } as p) -> go p lo
+        | Some p ->
+            let rec left k acc =
+              if k >= Array.length p.Node.kids || p.Node.kids.(k) == n then acc
+              else left (k + 1) (acc + Node.token_count p.Node.kids.(k))
+            in
+            go p (lo - left 0 0))
+  in
+  go (Document.leaves t.doc).(i) i
 
 (* Smallest isolation unit containing leaf [i], as a leaf-index span:
    the span of the enclosing error node when [i] sits in an already
    isolated region (keeps the region stable across reparses instead of
    widening to the enclosing statement), else the enclosing sequence
-   element, else the single token itself. *)
-let unit_around t idx_tbl i =
+   element, else the single token itself.  Error kids are terminals, so
+   an error node on the path is [i]'s parent. *)
+let isolation_unit t i =
   let g = grammar t in
-  let leaves = Document.leaves t.doc in
-  let existing =
-    match leaves.(i).Node.parent with
-    | Some ({ Node.kind = Node.Error _; _ } as e) -> span_of idx_tbl e
-    | _ -> None
+  let unit (n : Node.t) s =
+    match n.Node.kind with
+    | Node.Error _ -> Some s
+    | _ -> if is_seq_element g n then Some s else None
   in
-  match existing with
-  | Some s -> s
-  | None -> (
-      let rec climb (n : Node.t) =
-        if is_seq_element g n then
-          match span_of idx_tbl n with Some s -> Some s | None -> None
-        else match n.Node.parent with Some p -> climb p | None -> None
-      in
-      match climb leaves.(i) with Some s -> s | None -> (i, i))
+  match find_up t i unit with Some s -> s | None -> (i, i)
 
 (* Strictly larger covering unit of run [(lo, hi)], or — when no such
    unit exists (a structureless tree, e.g. after an initial parse
    failure) — the run widened by its own width on each side, so repeated
    escalation reaches an isolable region in logarithmically many
    attempts instead of creeping one token per attempt. *)
-let escalate t idx_tbl (lo, hi) =
+let escalate t (lo, hi) =
   let g = grammar t in
-  let leaves = Document.leaves t.doc in
-  let n = Array.length leaves in
-  let rec climb (x : Node.t) =
-    match x.Node.parent with
-    | None -> None
-    | Some p ->
-        if is_seq_element g p then
-          match span_of idx_tbl p with
-          | Some (l, h) when l <= lo && hi <= h && (l < lo || hi < h) ->
-              Some (l, h)
-          | _ -> climb p
-        else climb p
+  let covers (n : Node.t) (l, h) =
+    if is_seq_element g n && l <= lo && hi <= h && (l < lo || hi < h) then
+      Some (l, h)
+    else None
   in
-  match climb leaves.(lo) with
+  match find_up t lo covers with
   | Some r -> r
   | None ->
       let w = max 1 (hi - lo + 1) in
-      (max 0 (lo - w), min (n - 1) (hi + w))
+      (max 0 (lo - w), min (Document.token_count t.doc - 1) (hi + w))
 
-(* Masked-stream token offset -> index in the full leaves array. *)
-let unmask_offset masked offset =
-  let n = Array.length masked in
-  let rec go i seen last =
-    if i >= n then if last >= 0 then last else 0
-    else if masked.(i) then go (i + 1) seen last
-    else if seen = offset then i
-    else go (i + 1) (seen + 1) i
+(* Isolated error nodes with their leaf spans and messages, in source
+   order: one pass over the leaves, no hashing.  An error node's kids are
+   exactly a run of leaves, each pointing back at it (the sanitizer's
+   [error-node] rules), so a region starts at the leaf that is its
+   node's first kid. *)
+let error_spans t =
+  let leaves = Document.leaves t.doc in
+  let spans = ref [] in
+  for i = Array.length leaves - 1 downto 0 do
+    match leaves.(i).Node.parent with
+    | Some ({ Node.kind = Node.Error info; _ } as e)
+      when e.Node.kids.(0) == leaves.(i) ->
+        let span = (i, i + Node.token_count e - 1) in
+        spans := (e, span, info.Node.message) :: !spans
+    | _ -> ()
+  done;
+  !spans
+
+(* Masked-stream token offset -> index in the full leaves array, given
+   the sorted, disjoint, non-adjacent masked runs: each run at or before
+   the running index pushes it past the run.  An offset past the last
+   unmasked token maps to that token; [None] when every token is
+   masked. *)
+let unmask_offset ~n rs offset =
+  let at =
+    List.fold_left
+      (fun at (lo, hi) -> if lo <= at then at + hi - lo + 1 else at)
+      offset rs
   in
-  go 0 0 (-1)
+  if at < n then Some at
+  else
+    match List.rev rs with
+    | (lo, hi) :: _ when hi = n - 1 -> if lo > 0 then Some (lo - 1) else None
+    | _ -> Some (n - 1)
 
 let normalize_runs rs =
   let rs = List.sort_uniq compare rs in
@@ -240,31 +263,21 @@ exception Give_up
    [Give_up]/attempt exhaustion the tree is whole again and the caller
    falls back to flag-only recovery. *)
 let isolate t ~deadline ~cancel (error : Glr.error) =
-  let leaves = Document.leaves t.doc in
-  let n = Array.length leaves in
+  let n = Document.token_count t.doc in
   if n = 0 then None
   else begin
-    let idx_tbl = Hashtbl.create (2 * n) in
-    Array.iteri
-      (fun i (l : Node.t) -> Hashtbl.replace idx_tbl l.Node.nid i)
-      leaves;
     (* Seed: the unit around the failure point, plus spans of existing
        error regions with no pending edits (their text is still broken).
        A region the user just edited is *not* seeded — it gets its chance
        to integrate cleanly, and is re-added below only if it still
        fails. *)
     let runs =
-      ref [ unit_around t idx_tbl (max 0 (min error.Glr.offset_tokens (n - 1))) ]
+      ref
+        (isolation_unit t (max 0 (min error.Glr.offset_tokens (n - 1)))
+        :: List.filter_map
+             (fun (e, s, _) -> if Node.has_changes e then None else Some s)
+             (error_spans t))
     in
-    Node.iter
-      (fun (e : Node.t) ->
-        match e.Node.kind with
-        | Node.Error _ when not (Node.has_changes e) -> (
-            match span_of idx_tbl e with
-            | Some s -> runs := s :: !runs
-            | None -> ())
-        | _ -> ())
-      (Document.root t.doc);
     let result = ref None in
     let prev_total = ref 0 in
     let attempts = ref 0 in
@@ -298,19 +311,15 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
              result := Some (rs, tot, stats)
          | exception Glr.Parse_error e2 ->
              Document.reattach undo;
-             let masked = Array.make n false in
-             List.iter
-               (fun (lo, hi) ->
-                 for i = lo to hi do
-                   masked.(i) <- true
-                 done)
-               rs;
-             let at = unmask_offset masked e2.Glr.offset_tokens in
-             if masked.(at) then
-               (* Every token is masked and the empty program still fails:
-                  nothing left to isolate. *)
-               raise Give_up;
-             let ((ulo, uhi) as u) = unit_around t idx_tbl at in
+             let at =
+               match unmask_offset ~n rs e2.Glr.offset_tokens with
+               | Some at -> at
+               | None ->
+                   (* Every token is masked and the empty program still
+                      fails: nothing left to isolate. *)
+                   raise Give_up
+             in
+             let ((ulo, uhi) as u) = isolation_unit t at in
              let adjacent (lo, hi) = at >= lo - 1 && at <= hi + 1 in
              let candidate = normalize_runs (u :: rs) in
              (* A degenerate unit (single token, no enclosing structure)
@@ -325,7 +334,7 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
                   the run nearest the new failure point. *)
                runs :=
                  List.map
-                   (fun r -> if adjacent r then escalate t idx_tbl r else r)
+                   (fun r -> if adjacent r then escalate t r else r)
                    rs
          | exception Glr.Budget_exhausted _ ->
              (* Out of budget mid-isolation: restore and degrade to
@@ -535,20 +544,7 @@ let edit t ~pos ~del ~insert = owned t (fun () -> edit_owned t ~pos ~del ~insert
 let error_regions t =
   let leaves = Document.leaves t.doc in
   let n = Array.length leaves in
-  let idx_tbl = Hashtbl.create (2 * max 1 n) in
-  Array.iteri
-    (fun i (l : Node.t) -> Hashtbl.replace idx_tbl l.Node.nid i)
-    leaves;
-  let raw = ref [] in
-  Node.iter
-    (fun (e : Node.t) ->
-      match e.Node.kind with
-      | Node.Error info -> (
-          match span_of idx_tbl e with
-          | Some (lo, hi) -> raw := (lo, hi - lo + 1, info.Node.message) :: !raw
-          | None -> ())
-      | _ -> ())
-    (Document.root t.doc);
+  let raw = ref (List.map (fun (_, span, msg) -> (span, msg)) (error_spans t)) in
   (* Flag-only recovery leaves error bits on terminals outside any error
      node: report maximal runs of those too. *)
   let inside_error (l : Node.t) =
@@ -564,16 +560,16 @@ let error_regions t =
       while !j + 1 < n && flagged (!j + 1) do
         incr j
       done;
-      raw := (!i, !j - !i + 1, "unincorporated edit") :: !raw;
+      raw := ((!i, !j), "unincorporated edit") :: !raw;
       i := !j + 1
     end
     else incr i
   done;
   List.sort compare !raw
-  |> List.map (fun (lo, k, msg) ->
+  |> List.map (fun ((lo, hi), msg) ->
          {
            r_start = location_of_token t lo;
-           r_end_byte = token_end_byte t (lo + k - 1);
-           r_tokens = k;
+           r_end_byte = token_end_byte t hi;
+           r_tokens = hi - lo + 1;
            r_message = msg;
          })

@@ -161,6 +161,14 @@ val has_errors : t -> bool
     flagged by flag-only recovery.  Empty after a clean parse. *)
 val error_regions : t -> region list
 
+(** [isolation_unit t k] — the leaf-index span [(lo, hi)] that error
+    isolation masks first when a parse fails at token [k] (which must be
+    in [0..token_count - 1]): the enclosing error node's run when [k] is
+    already isolated, else the smallest enclosing sequence element
+    (statement, declaration), else [(k, k)].  Read-only; found by
+    walking [k]'s parent path, so it costs that path's length. *)
+val isolation_unit : t -> int -> int * int
+
 (** [location_of_token t k] — position of token [k] (clamped to
     [0..token_count]); [k = token_count] is the end of input. *)
 val location_of_token : t -> int -> location

@@ -119,6 +119,124 @@ let check_positions ~rng lexer s =
         QCheck.Test.fail_reportf "location of token %d diverged in %S" k text)
     ([ 0; n; -1; n + 5 ] @ List.init 3 (fun _ -> Random.State.int rng (n + 1)))
 
+(* The recovery half: after every reparse, the error regions and
+   isolation units that [Session] finds from the leaves array and
+   parent-path arithmetic must equal the ones the whole-dag walk below
+   finds. *)
+
+(* Leaf nid -> index, the side table the dag-walk spans key on. *)
+let leaf_index doc =
+  let leaves = Vdoc.Document.leaves doc in
+  let tbl = Hashtbl.create (2 * max 1 (Array.length leaves)) in
+  Array.iteri (fun i (l : Node.t) -> Hashtbl.replace tbl l.Node.nid i) leaves;
+  tbl
+
+let reference_span idx_tbl (u : Node.t) =
+  match Node.first_terminal u with
+  | Some ft -> (
+      match Hashtbl.find_opt idx_tbl ft.Node.nid with
+      | Some lo -> Some (lo, lo + Node.token_count u - 1)
+      | None -> None)
+  | None -> None
+
+(* The [Node.iter] walk over every reachable node, deduplicated by nid,
+   that [Session.error_regions] replaced, kept as its oracle. *)
+let reference_error_regions s =
+  let doc = Session.document s in
+  let leaves = Vdoc.Document.leaves doc in
+  let n = Array.length leaves in
+  let idx_tbl = leaf_index doc in
+  let raw = ref [] in
+  Node.iter
+    (fun (e : Node.t) ->
+      match e.Node.kind with
+      | Node.Error info -> (
+          match reference_span idx_tbl e with
+          | Some (lo, hi) -> raw := (lo, hi - lo + 1, info.Node.message) :: !raw
+          | None -> ())
+      | _ -> ())
+    (Session.root s);
+  let inside_error (l : Node.t) =
+    match l.Node.parent with
+    | Some { Node.kind = Node.Error _; _ } -> true
+    | _ -> false
+  in
+  let flagged i = leaves.(i).Node.error && not (inside_error leaves.(i)) in
+  let i = ref 0 in
+  while !i < n do
+    if flagged !i then begin
+      let j = ref !i in
+      while !j + 1 < n && flagged (!j + 1) do
+        incr j
+      done;
+      raw := (!i, !j - !i + 1, "unincorporated edit") :: !raw;
+      i := !j + 1
+    end
+    else incr i
+  done;
+  let starts = Vdoc.Document.leaf_starts doc in
+  List.sort compare !raw
+  |> List.map (fun (lo, k, msg) ->
+         {
+           Session.r_start = Session.location_of_token s lo;
+           r_end_byte = starts.(min (lo + k) n);
+           r_tokens = k;
+           r_message = msg;
+         })
+
+(* The hashed climb that [Session.isolation_unit] replaced. *)
+let reference_unit s i =
+  let g = Lrtab.Table.grammar (Session.table s) in
+  let doc = Session.document s in
+  let idx_tbl = leaf_index doc in
+  let leaves = Vdoc.Document.leaves doc in
+  let rec is_seq_element (n : Node.t) =
+    match n.Node.parent with
+    | None -> false
+    | Some p -> (
+        match p.Node.kind with
+        | Node.Choice _ -> is_seq_element p
+        | Node.Prod pr -> (
+            let prod = Grammar.Cfg.production g pr in
+            Grammar.Cfg.seq_kind g prod.Grammar.Cfg.lhs = Grammar.Cfg.Seq
+            &&
+            match prod.Grammar.Cfg.role with
+            | Grammar.Cfg.Seq_one | Grammar.Cfg.Seq_cons ->
+                Array.length p.Node.kids > 0
+                && p.Node.kids.(Array.length p.Node.kids - 1) == n
+            | Grammar.Cfg.Seq_empty | Grammar.Cfg.Plain -> false)
+        | _ -> false)
+  in
+  let existing =
+    match leaves.(i).Node.parent with
+    | Some ({ Node.kind = Node.Error _; _ } as e) -> reference_span idx_tbl e
+    | _ -> None
+  in
+  match existing with
+  | Some sp -> sp
+  | None -> (
+      let rec climb (n : Node.t) =
+        if is_seq_element n then reference_span idx_tbl n
+        else match n.Node.parent with Some p -> climb p | None -> None
+      in
+      match climb leaves.(i) with Some sp -> sp | None -> (i, i))
+
+let check_recovery_spans ~rng s =
+  let text = Session.text s in
+  if Session.error_regions s <> reference_error_regions s then
+    QCheck.Test.fail_reportf "error regions diverged from the dag walk in %S"
+      text;
+  let n = Vdoc.Document.token_count (Session.document s) in
+  if n > 0 then
+    for _ = 1 to 3 do
+      let k = Random.State.int rng n in
+      let got = Session.isolation_unit s k and want = reference_unit s k in
+      if got <> want then
+        QCheck.Test.fail_reportf
+          "isolation unit of token %d is (%d, %d), the dag walk's (%d, %d) in %S"
+          k (fst got) (snd got) (fst want) (snd want) text
+    done
+
 let replay lang base (seed, count) =
   let table = Language.table lang in
   let script = Edit_gen.random_script ~seed ~count base in
@@ -145,6 +263,7 @@ let replay lang base (seed, count) =
         QCheck.Test.fail_report "document text diverged from edit replay";
       let outcome = Session.reparse s in
       check_positions ~rng (Language.lexer lang) s;
+      check_recovery_spans ~rng s;
       (if Trace.dropped () = 0 then
          match Trace.Check.well_formed (Trace.events ()) with
          | [] -> ()
@@ -235,6 +354,7 @@ let fault_replay lang base (seed, count) =
     step ();
     let outcome = Session.reparse s in
     check_positions ~rng:index_rng (Language.lexer lang) s;
+    check_recovery_spans ~rng:index_rng s;
     match (batch lang !text, outcome) with
     | Some expected, Session.Parsed _ ->
         Analyze.Check.assert_dag ~expect_text:!text table (Session.root s);
@@ -571,6 +691,8 @@ let index_frags =
 
 let index_replay (seed, count) =
   let rng = Random.State.make [| seed |] in
+  (* Its own stream, so the checks leave the edit scripts as they were. *)
+  let unit_rng = Random.State.make [| seed; 0x5a |] in
   let frags k =
     String.concat ""
       (List.init k (fun _ ->
@@ -584,6 +706,7 @@ let index_replay (seed, count) =
           (frags (Random.State.int rng 30))
       in
       check_positions ~rng lexer s;
+      check_recovery_spans ~rng:unit_rng s;
       for _ = 1 to count do
         let len = String.length (Session.text s) in
         let pos = Random.State.int rng (len + 1) in
@@ -593,7 +716,10 @@ let index_replay (seed, count) =
          with
         | () -> ()
         | exception Lexgen.Scanner.Lex_error _ -> ());
-        if Random.State.bool rng then ignore (Session.reparse s);
+        if Random.State.bool rng then begin
+          ignore (Session.reparse s);
+          check_recovery_spans ~rng:unit_rng s
+        end;
         check_positions ~rng lexer s
       done)
     Languages.Registry.all;
@@ -702,6 +828,48 @@ let reuse_invariant () =
       "single-token edit rebuilt %d of %d nodes (%.1f%% reuse, need >= 90%%)"
       created total reused_pct
 
+(* Ambiguous statements and expressions put choice nodes on a token's
+   parent path, below and at the statement that is its unit: every
+   token's isolation unit must still equal the dag walk's, on the clean
+   tree and after an error region is spliced in beside them. *)
+let units_across_ambiguity () =
+  let lang = Languages.C_subset.language in
+  let text =
+    "typedef int a;\nint f () { x = 1; a * b; c * d; (a)(b); y = 2; }\n\
+     int g () { e * f; w = (c)(d); z = 3; }\n"
+  in
+  let s, _ =
+    Session.create ~table:(Language.table lang) ~lexer:(Language.lexer lang)
+      text
+  in
+  let rec through_choice (n : Node.t) =
+    match n.Node.parent with
+    | Some { Node.kind = Node.Choice _; _ } -> true
+    | Some p -> through_choice p
+    | None -> false
+  in
+  let check_all () =
+    let leaves = Vdoc.Document.leaves (Session.document s) in
+    Array.iteri
+      (fun k _ ->
+        let got = Session.isolation_unit s k and want = reference_unit s k in
+        if got <> want then
+          Alcotest.failf "unit of token %d is (%d, %d), the dag walk's (%d, %d)"
+            k (fst got) (snd got) (fst want) (snd want))
+      leaves;
+    if Session.error_regions s <> reference_error_regions s then
+      Alcotest.fail "error regions diverged from the dag walk";
+    Array.exists through_choice leaves
+  in
+  Alcotest.(check bool) "some path crosses a choice" true (check_all ());
+  let p = Str.search_forward (Str.regexp_string "y =") text 0 in
+  Session.edit s ~pos:(p + 3) ~del:0 ~insert:" ) (";
+  (match Session.reparse s with
+  | Session.Recovered { isolated; _ } ->
+      Alcotest.(check bool) "isolated" true (isolated > 0)
+  | Session.Parsed _ -> Alcotest.fail "broken statement parsed");
+  Alcotest.(check bool) "a path still crosses a choice" true (check_all ())
+
 let suite =
   [
     Test_seed.to_alcotest prop_calc;
@@ -719,4 +887,6 @@ let suite =
     Test_seed.to_alcotest prop_fault_c;
     Alcotest.test_case "reuse invariant: single-token edit >= 90%" `Quick
       reuse_invariant;
+    Alcotest.test_case "isolation units across ambiguity" `Quick
+      units_across_ambiguity;
   ]

@@ -347,7 +347,84 @@ let test_check_dag_error_rules () =
   e.Node.error <- false;
   Alcotest.(check bool) "unflagged error node flagged" true
     (Check.dag (Session.table s) (Session.root s) <> []);
-  e.Node.error <- true
+  e.Node.error <- true;
+  (* A kid whose parent points elsewhere would hide the region from the
+     leaves scan that finds error spans. *)
+  let kid = e.Node.kids.(Array.length e.Node.kids - 1) in
+  kid.Node.parent <- e.Node.parent;
+  Alcotest.(check bool) "kid with a foreign parent flagged" true
+    (List.exists
+       (fun (v : Check.violation) ->
+         v.Check.rule = "error-node" && v.Check.nid = e.Node.nid)
+       (Check.dag (Session.table s) (Session.root s)));
+  kid.Node.parent <- Some e;
+  Alcotest.(check int) "repaired dag is clean again" 0
+    (List.length (Check.dag (Session.table s) (Session.root s)))
+
+(* Regions as [first token; line; tokens; end byte], compared against
+   figures recorded before isolation stopped walking the whole dag. *)
+let region_summary s =
+  List.map
+    (fun (r : Session.region) ->
+      [ r.Session.r_start.Session.offset_tokens; r.r_start.line; r.r_tokens;
+        r.r_end_byte ])
+    (Session.error_regions s)
+
+let attempts_of s f =
+  let before = Session.metrics s in
+  let r = f () in
+  (r, Metrics.count (Metrics.diff (Session.metrics s) before)
+        "session.isolation_attempts")
+
+let regions = Alcotest.(list (list int))
+
+let test_failures_past_masked_runs () =
+  (* Three broken statements: each failed attempt's error offset is in
+     the masked stream and lies past every earlier masked run. *)
+  let s, _ = make calc base_calc in
+  break_stmt s 1;
+  break_stmt s 5;
+  break_stmt s 9;
+  let r, attempts = attempts_of s (fun () -> recovered (Session.reparse s)) in
+  Alcotest.(check int) "one attempt per statement" 3 attempts;
+  Alcotest.(check int) "three regions" 3 r.isolated;
+  Alcotest.check regions "recorded regions"
+    [ [ 12; 2; 14; 51 ]; [ 62; 6; 14; 151 ]; [ 112; 10; 14; 251 ] ]
+    (region_summary s);
+  assert_sane calc s;
+  (* A dangling "v = (" at the end fails past the last unmasked token:
+     the offset maps back to that token and escalation widens from
+     there. *)
+  let s, _ = make calc base_calc in
+  break_stmt s 1;
+  let len = String.length (Session.text s) in
+  Session.edit s ~pos:len ~del:0 ~insert:"v = ( ";
+  let r, attempts = attempts_of s (fun () -> recovered (Session.reparse s)) in
+  Alcotest.(check int) "escalating attempts" 5 attempts;
+  Alcotest.(check int) "two regions" 2 r.isolated;
+  Alcotest.check regions "recorded regions"
+    [ [ 12; 2; 14; 51 ]; [ 134; 12; 15; 303 ] ]
+    (region_summary s);
+  assert_sane calc s
+
+let test_edited_region_not_seeded () =
+  (* Regions at statements 2 and 9; then statement 2 is repaired while
+     statement 6 breaks.  Only the untouched region (9) is seeded, so one
+     attempt suffices and the repaired statement integrates. *)
+  let s, _ = make calc base_calc in
+  break_stmt s 2;
+  break_stmt s 9;
+  ignore (recovered (Session.reparse s));
+  let p = pos_of (Session.text s) ") (" 0 in
+  Session.edit s ~pos:p ~del:3 ~insert:"";
+  break_stmt s 6;
+  let r, attempts = attempts_of s (fun () -> recovered (Session.reparse s)) in
+  Alcotest.(check int) "one attempt" 1 attempts;
+  Alcotest.(check int) "two regions" 2 r.isolated;
+  Alcotest.check regions "recorded regions"
+    [ [ 72; 7; 14; 172 ]; [ 110; 10; 14; 248 ] ]
+    (region_summary s);
+  assert_sane calc s
 
 let test_gss_validate_max_parsers () =
   let bottom = Iglr.Gss.make_node ~state:0 [] in
@@ -407,6 +484,10 @@ let suite =
     Alcotest.test_case "budget: max parsers" `Quick test_budget_max_parsers;
     Alcotest.test_case "budget: unbounded is invisible" `Quick
       test_budget_unbounded_matches_default;
+    Alcotest.test_case "failures past masked runs" `Quick
+      test_failures_past_masked_runs;
+    Alcotest.test_case "edited region is not seeded" `Quick
+      test_edited_region_not_seeded;
     Alcotest.test_case "sanitizer error-node rules" `Quick
       test_check_dag_error_rules;
     Alcotest.test_case "gss validate max-parsers" `Quick
