@@ -2,35 +2,26 @@
 
    Usage:
      check_regress.exe --baseline DIR --fresh DIR
-         [--tolerance 0.2] [--reuse-tolerance 0.2] [--floor-ms 5.0]
 
-   Both directories must hold BENCH_latency.json, BENCH_reuse.json,
-   BENCH_recovery.json, BENCH_ambig.json, BENCH_filter.json,
-   BENCH_server.json, BENCH_chaos.json and BENCH_semantic.json
-   (iglr-bench/1 schema).
-   Entries are keyed by (experiment, language, case); only entries with
-   "gate": true are compared.
+   The gated set is every BENCH_*.json document in the baseline
+   directory (iglr-bench/1 schema), checked in sorted order against the
+   document of the same name in the fresh directory.  Entries are keyed
+   by (experiment, language, case); only entries with "gate": true are
+   compared.  The rule follows from the baseline entry's fields:
 
-   - Latency: fail when fresh median > baseline median * (1 + tolerance),
-     but entries whose baseline median is below --floor-ms are skipped —
-     sub-millisecond medians on smoke-scale inputs are dominated by
-     clock/alloc noise, not by the parser.
-   - Reuse: fail when any fresh percentage drops below
-     baseline * (1 - reuse-tolerance).  These are deterministic (seeded
-     edit streams), so they are the primary gate.
-   - Recovery: same rule as reuse — the *_pct fields (containment,
-     outside-reuse, convergence, budget survival) are deterministic, so
-     any drop means the error path regressed.
-   - Ambig: mixed — analyze-time entries carry a median and follow the
-     latency rule (with the noise floor) when gated, though the harness
-     ships them informational; coverage entries carry deterministic
-     *_pct fields and follow the reuse rule, so a grammar change that
-     loses a resolved ambiguity class fails the gate.
-   - Filter: same mixed shape as ambig — per-parse filter-cost medians
-     ship informational; the deterministic elimination percentages
-     (empty residual set, zero Syn_filter.apply calls under the
-     compiled table) gate, so a grammar or filter change that pushes a
-     compiled rule back to the dynamic path fails the gate.
+   - "median" (ms): fail when fresh median > baseline * (1 + tolerance),
+     but entries whose baseline median is below the 5 ms noise floor are
+     skipped — sub-millisecond medians on smoke-scale inputs are
+     dominated by clock/alloc noise, not by the parser.
+   - "ratio": fail when fresh ratio > baseline * (1 + tolerance).
+   - otherwise every *_pct field: fail when the fresh percentage drops
+     below baseline * (1 - tolerance).  These are deterministic (seeded
+     edit streams, fixed fault sites, exact coverage counts), so they
+     are the gate that bites at smoke scale.
+
+   The tolerance is 20% for every rule.  When the two runs were made at
+   different --scale factors, medians and ratios compare different
+   workloads and always pass; the percentages still gate.
 
    Every regression is reported as one machine-parseable line naming the
    offending metric with its baseline/current values, so CI logs localize
@@ -38,17 +29,18 @@
 
      FAIL experiment=E language=L case=C metric=M baseline=B current=V limit=T
 
-   (entries missing from the fresh output use metric=M error=missing).
+   A gated entry missing from the fresh output reports metric=KIND
+   error=missing (KIND from the document's file name), a missing *_pct
+   field metric=NAME error=missing, a gated baseline entry with none of
+   the fields above metric=gate error=no-gated-field, and a fresh
+   document with no baseline document=FILE metric=KIND error=no-baseline.
 
    Exit status: 0 clean, 1 on any regression, 2 on usage/IO errors. *)
 
 module Json = Metrics.Json
 
-let tolerance = ref 0.2
-let reuse_tolerance = ref 0.2
-let floor_ms = ref 5.0
-let baseline_dir = ref ""
-let fresh_dir = ref ""
+let tolerance = 0.2
+let floor_ms = 5.0
 let failures = ref 0
 let compared = ref 0
 let skipped = ref 0
@@ -78,11 +70,12 @@ let key entry =
 
 let pp_key (e, l, c) = Printf.sprintf "%s/%s/%s" e l c
 
-let entries file =
-  let doc = try Json.of_file file with
-    | Sys_error msg -> die "%s" msg
-    | Json.Parse msg -> die "%s: %s" file msg
-  in
+let read file =
+  try Json.of_file file with
+  | Sys_error msg -> die "%s" msg
+  | Json.Parse msg -> die "%s: %s" file msg
+
+let entries file doc =
   (match Option.bind (Json.member "schema" doc) Json.to_str with
   | Some "iglr-bench/1" -> ()
   | Some other -> die "%s: unknown schema %S" file other
@@ -90,9 +83,6 @@ let entries file =
   match Option.bind (Json.member "entries" doc) Json.to_list with
   | Some es -> List.map (fun e -> (key e, e)) es
   | None -> die "%s: missing entries array" file
-
-let scale_of file =
-  Option.bind (Json.member "scale" (Json.of_file file)) Json.to_float
 
 (* One offending metric per line, strictly key=value so CI log scrapers
    can localize a regression without re-running the bench. *)
@@ -104,9 +94,9 @@ let fail key ~metric ~baseline ~current ~limit =
   Printf.printf "FAIL %s metric=%s baseline=%g current=%g limit=%g\n"
     (kv_key key) metric baseline current limit
 
-let fail_missing key ~metric =
+let fail_error key ~metric error =
   incr failures;
-  Printf.printf "FAIL %s metric=%s error=missing\n" (kv_key key) metric
+  Printf.printf "FAIL %s metric=%s error=%s\n" (kv_key key) metric error
 
 let ok key fmt =
   Printf.ksprintf
@@ -115,115 +105,126 @@ let ok key fmt =
       Printf.printf "ok   %-40s %s\n" (pp_key key) msg)
     fmt
 
-(* Latency entries carry a median in ms; ratio entries a dimensionless
-   ratio.  Both compare fresh against baseline * (1 + tolerance). *)
-let check_latency key base fresh =
-  match (get_float "median" base, get_float "median" fresh) with
-  | Some bm, Some fm ->
-      if bm < !floor_ms then begin
-        incr skipped;
-        Printf.printf "skip %-40s baseline %.3f ms below noise floor\n"
-          (pp_key key) bm
-      end
-      else if fm > bm *. (1. +. !tolerance) then
-        fail key ~metric:"median_ms" ~baseline:bm ~current:fm
-          ~limit:(bm *. (1. +. !tolerance))
-      else ok key "median %.2f ms vs baseline %.2f ms" fm bm
-  | _ -> (
-      match (get_float "ratio" base, get_float "ratio" fresh) with
-      | Some br, Some fr ->
-          if fr > br *. (1. +. !tolerance) then
-            fail key ~metric:"ratio" ~baseline:br ~current:fr
-              ~limit:(br *. (1. +. !tolerance))
-          else ok key "ratio %.3f vs baseline %.3f" fr br
-      | _ -> die "latency entry %s has neither median nor ratio" (pp_key key))
+let pct_fields entry =
+  match entry with
+  | Json.Obj kvs ->
+      List.filter_map
+        (fun (k, v) ->
+          if String.length k > 4 && Filename.check_suffix k "_pct" then
+            Option.map (fun f -> (k, f)) (Json.to_float v)
+          else None)
+        kvs
+  | _ -> []
 
-(* Reuse entries carry one or more *_pct fields; each must stay within
-   reuse-tolerance of its baseline. *)
-let check_reuse key base fresh =
-  let fields entry =
-    match entry with
-    | Json.Obj kvs ->
-        List.filter_map
-          (fun (k, v) ->
-            if String.length k > 4 && Filename.check_suffix k "_pct" then
-              Option.map (fun f -> (k, f)) (Json.to_float v)
-            else None)
-          kvs
-    | _ -> []
-  in
-  List.iter
-    (fun (name, bv) ->
-      match List.assoc_opt name (fields fresh) with
-      | None -> fail_missing key ~metric:name
-      | Some fv ->
-          if fv < bv *. (1. -. !reuse_tolerance) then
-            fail key ~metric:name ~baseline:bv ~current:fv
-              ~limit:(bv *. (1. -. !reuse_tolerance))
-          else ok key "%s %.2f%% vs baseline %.2f%%" name fv bv)
-    (fields base)
+(* [latency_tolerance] is infinite when the runs' scales differ. *)
+let check_entry ~latency_tolerance key base fresh =
+  let upper = 1. +. latency_tolerance in
+  match (get_float "median" base, get_float "ratio" base, pct_fields base) with
+  | Some bm, _, _ -> (
+      match get_float "median" fresh with
+      | None -> fail_error key ~metric:"median_ms" "missing"
+      | Some _ when bm < floor_ms ->
+          incr skipped;
+          Printf.printf "skip %-40s baseline %.3f ms below noise floor\n"
+            (pp_key key) bm
+      | Some fm when fm > bm *. upper ->
+          fail key ~metric:"median_ms" ~baseline:bm ~current:fm
+            ~limit:(bm *. upper)
+      | Some fm -> ok key "median %.2f ms vs baseline %.2f ms" fm bm)
+  | None, Some br, _ -> (
+      match get_float "ratio" fresh with
+      | None -> fail_error key ~metric:"ratio" "missing"
+      | Some fr when fr > br *. upper ->
+          fail key ~metric:"ratio" ~baseline:br ~current:fr
+            ~limit:(br *. upper)
+      | Some fr -> ok key "ratio %.3f vs baseline %.3f" fr br)
+  | None, None, [] -> fail_error key ~metric:"gate" "no-gated-field"
+  | None, None, pcts ->
+      let fresh_pcts = pct_fields fresh in
+      List.iter
+        (fun (name, bv) ->
+          match List.assoc_opt name fresh_pcts with
+          | None -> fail_error key ~metric:name "missing"
+          | Some fv when fv < bv *. (1. -. tolerance) ->
+              fail key ~metric:name ~baseline:bv ~current:fv
+                ~limit:(bv *. (1. -. tolerance))
+          | Some fv -> ok key "%s %.2f%% vs baseline %.2f%%" name fv bv)
+        pcts
 
-(* Ambig documents mix the two entry shapes: analyze-time medians
-   (noise-floored latency rule) and deterministic coverage percentages
-   (reuse rule).  Dispatch on the fields present. *)
-let check_ambig key base fresh =
-  match get_float "median" base with
-  | Some _ -> check_latency key base fresh
-  | None -> check_reuse key base fresh
+let documents dir =
+  match Sys.readdir dir with
+  | names ->
+      List.sort compare
+        (List.filter
+           (fun f ->
+             String.starts_with ~prefix:"BENCH_" f
+             && Filename.check_suffix f ".json")
+           (Array.to_list names))
+  | exception Sys_error msg -> die "%s" msg
 
-let check kind checker file =
-  let base = entries (Filename.concat !baseline_dir file) in
-  let fresh = entries (Filename.concat !fresh_dir file) in
-  List.iter
-    (fun (k, b) ->
-      if gated b then
-        match List.assoc_opt k fresh with
-        | None -> fail_missing k ~metric:kind
-        | Some f -> checker k b f)
-    base
+(* BENCH_<kind>.json -> kind *)
+let kind_of file =
+  Filename.chop_suffix
+    (String.sub file 6 (String.length file - 6))
+    ".json"
 
 let () =
-  let rec parse = function
-    | [] -> ()
-    | "--baseline" :: d :: rest ->
-        baseline_dir := d;
-        parse rest
-    | "--fresh" :: d :: rest ->
-        fresh_dir := d;
-        parse rest
-    | "--tolerance" :: v :: rest ->
-        tolerance := float_of_string v;
-        parse rest
-    | "--reuse-tolerance" :: v :: rest ->
-        reuse_tolerance := float_of_string v;
-        parse rest
-    | "--floor-ms" :: v :: rest ->
-        floor_ms := float_of_string v;
-        parse rest
+  let rec parse (baseline, fresh) = function
+    | [] -> (baseline, fresh)
+    | "--baseline" :: d :: rest -> parse (d, fresh) rest
+    | "--fresh" :: d :: rest -> parse (baseline, d) rest
     | arg :: _ -> die "unknown argument %S" arg
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  if !baseline_dir = "" || !fresh_dir = "" then
+  let baseline_dir, fresh_dir =
+    parse ("", "") (List.tl (Array.to_list Sys.argv))
+  in
+  if baseline_dir = "" || fresh_dir = "" then
     die "both --baseline and --fresh are required";
-  (* Comparing runs at different scales compares different workloads. *)
-  (let f = Filename.concat !baseline_dir "BENCH_latency.json" in
-   let g = Filename.concat !fresh_dir "BENCH_latency.json" in
-   match (scale_of f, scale_of g) with
-   | Some a, Some b when a <> b ->
-       Printf.printf
-         "note: baseline scale %.3f != fresh scale %.3f; latency entries \
-          are not comparable, gating on reuse only\n"
-         a b;
-       tolerance := infinity
-   | _ -> ());
-  check "latency" check_latency "BENCH_latency.json";
-  check "reuse" check_reuse "BENCH_reuse.json";
-  check "recovery" check_reuse "BENCH_recovery.json";
-  check "ambig" check_ambig "BENCH_ambig.json";
-  check "filter" check_ambig "BENCH_filter.json";
-  check "server" check_ambig "BENCH_server.json";
-  check "chaos" check_ambig "BENCH_chaos.json";
-  check "semantic" check_ambig "BENCH_semantic.json";
+  let docs = documents baseline_dir in
+  List.iter
+    (fun file ->
+      if not (List.mem file docs) then begin
+        incr failures;
+        Printf.printf "FAIL document=%s metric=%s error=no-baseline\n" file
+          (kind_of file)
+      end)
+    (documents fresh_dir);
+  let pairs =
+    List.map
+      (fun file ->
+        ( file,
+          read (Filename.concat baseline_dir file),
+          read (Filename.concat fresh_dir file) ))
+      docs
+  in
+  (* Comparing runs at different scales compares different workloads.
+     One harness run writes every document at one scale, so the first
+     pair decides. *)
+  let scale doc = Option.bind (Json.member "scale" doc) Json.to_float in
+  let latency_tolerance =
+    match pairs with
+    | (_, base, fresh) :: _ -> (
+        match (scale base, scale fresh) with
+        | Some a, Some b when a <> b ->
+            Printf.printf
+              "note: baseline scale %.3f != fresh scale %.3f; latency \
+               entries are not comparable, gating on reuse only\n"
+              a b;
+            infinity
+        | _ -> tolerance)
+    | [] -> tolerance
+  in
+  List.iter
+    (fun (file, b, f) ->
+      let fresh = entries file f in
+      List.iter
+        (fun (k, base) ->
+          if gated base then
+            match List.assoc_opt k fresh with
+            | None -> fail_error k ~metric:(kind_of file) "missing"
+            | Some fe -> check_entry ~latency_tolerance k base fe)
+        (entries file b))
+    pairs;
   Printf.printf "%d compared, %d skipped (noise floor), %d regression%s\n"
     !compared !skipped !failures
     (if !failures = 1 then "" else "s");
