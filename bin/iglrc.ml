@@ -629,15 +629,7 @@ let check_cmd =
     Term.(const run $ lang_arg $ file_arg)
 
 let sem_cmd =
-  let policy =
-    Arg.(
-      value
-      & opt (enum [ ("c", Semantics.Typedefs.Namespace_only);
-                    ("cpp", Semantics.Typedefs.Prefer_decl) ])
-          Semantics.Typedefs.Namespace_only
-      & info [ "policy" ] ~doc:"Disambiguation policy: c or cpp.")
-  in
-  let run lang file policy =
+  let run lang file =
     let text = read_input file in
     let s, _ =
       Iglr.Session.create
@@ -646,7 +638,9 @@ let sem_cmd =
         text
     in
     let sem =
-      Semantics.Typedefs.create ~policy lang.Languages.Language.grammar
+      Semantics.Typedefs.create
+        ?policy:lang.Languages.Language.ambig.Languages.Language.sem_policy
+        lang.Languages.Language.grammar
     in
     let r = Semantics.Typedefs.analyze sem (Iglr.Session.root s) in
     Printf.printf
@@ -660,7 +654,7 @@ let sem_cmd =
   in
   Cmd.v
     (Cmd.info "sem" ~doc:"Parse and semantically disambiguate a C-like file")
-    Term.(const run $ lang_arg $ file_arg $ policy)
+    Term.(const run $ lang_arg $ file_arg)
 
 let diag_cmd =
   let json =
@@ -672,16 +666,7 @@ let diag_cmd =
              $(b,iglr-analysis/1) schema (shared with $(b,iglrc lint), \
              $(b,iglrc ambig) and $(b,iglrc filtcomp)).")
   in
-  let policy =
-    Arg.(
-      value
-      & opt (enum [ ("c", Semantics.Typedefs.Namespace_only);
-                    ("cpp", Semantics.Typedefs.Prefer_decl) ])
-          Semantics.Typedefs.Namespace_only
-      & info [ "policy" ]
-          ~doc:"Typedef disambiguation policy for the C subsets: c or cpp.")
-  in
-  let run lang file json policy =
+  let run lang file json =
     let grammar = lang.Languages.Language.grammar in
     let name =
       match List.find_opt (fun (_, l) -> l == lang) languages with
@@ -711,7 +696,11 @@ let diag_cmd =
     let typedefs =
       match Grammar.Cfg.find_terminal grammar "typedef" with
       | _ ->
-          let tds = Semantics.Typedefs.create ~policy grammar in
+          let tds =
+            Semantics.Typedefs.create
+              ?policy:lang.Languages.Language.ambig.Languages.Language.sem_policy
+              grammar
+          in
           Semantics.Typedefs.on_select tds (Semantics.Diag.touch d);
           ignore (Semantics.Typedefs.analyze tds (Iglr.Session.root s));
           Semantics.Typedefs.global_typedefs tds
@@ -814,7 +803,7 @@ let diag_cmd =
          "Semantic diagnostics from the incremental query engine: name \
           resolution, unused bindings, use-before-declaration, and type \
           mismatches")
-    Term.(const run $ lang_arg $ file_arg $ json $ policy)
+    Term.(const run $ lang_arg $ file_arg $ json)
 
 let gen_cmd =
   let program =
