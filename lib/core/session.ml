@@ -24,7 +24,6 @@ type t = {
       (* registry state at session creation: [metrics] reports the
          activity attributable to this session's lifetime *)
   mutable errors : bool;
-  mutable on_parse : (Node.t -> unit) option;
   mutable on_commit : (watermark:int -> Node.t -> unit) list;
       (* commit subscribers (newest first): invoked after every reparse
          that commits a tree, with the node-allocation watermark captured
@@ -368,9 +367,6 @@ let apply_filters t =
 
 let run_hook t ~watermark =
   t.pending_watermark <- None;
-  (match t.on_parse with
-  | Some hook -> hook (Document.root t.doc)
-  | None -> ());
   List.iter
     (fun hook -> hook ~watermark (Document.root t.doc))
     (List.rev t.on_commit)
@@ -498,7 +494,7 @@ let reparse_owned ?cancel t =
 let reparse ?cancel t = owned t (fun () -> reparse_owned ?cancel t)
 
 let create ?(config = Glr.default_config) ?(budget = Glr.no_budget)
-    ?(syn_filters = []) ?on_parse ~table ~lexer text =
+    ?(syn_filters = []) ~table ~lexer text =
   let baseline = Metrics.snapshot () in
   let doc = Document.create ~lexer text in
   let t =
@@ -510,7 +506,6 @@ let create ?(config = Glr.default_config) ?(budget = Glr.no_budget)
       doc;
       baseline;
       errors = false;
-      on_parse;
       on_commit = [];
       pending_watermark = None;
       owner = Mutex.create ();
@@ -518,7 +513,6 @@ let create ?(config = Glr.default_config) ?(budget = Glr.no_budget)
   in
   (t, reparse t)
 
-let set_on_parse t hook = t.on_parse <- Some hook
 let on_commit t hook = t.on_commit <- hook :: t.on_commit
 let set_budget t budget = t.budget <- budget
 

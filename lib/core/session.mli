@@ -65,38 +65,29 @@ type outcome =
     successful parse; rejected interpretations are discarded.
 
     [budget] bounds every reparse (default {!Glr.no_budget}): exhaustion
-    degrades deterministically instead of raising.
-
-    [on_parse] is a post-parse validation hook, invoked with the committed
-    root after every parse that commits a tree — clean parses {e and}
-    successful isolations (the tree then contains error nodes, which
-    [Analyze.Check.dag] accepts), once any syntactic filters have run.
-    Intended for sanity checking, so dag corruption is detected at the
-    edit that introduces it; an exception it raises propagates to the
-    caller of {!create}/{!reparse}. *)
+    degrades deterministically instead of raising. *)
 val create :
   ?config:Glr.config ->
   ?budget:Glr.budget ->
   ?syn_filters:Syn_filter.rule list ->
-  ?on_parse:(Parsedag.Node.t -> unit) ->
   table:Lrtab.Table.t ->
   lexer:Lexgen.Spec.t ->
   string ->
   t * outcome
 
-(** [set_on_parse t hook] — install or replace the post-parse hook. *)
-val set_on_parse : t -> (Parsedag.Node.t -> unit) -> unit
-
 (** [on_commit t hook] — subscribe to tree commits.  After every reparse
-    that commits a tree (clean parses and successful isolations), each
-    subscriber runs with the committed root and the node-allocation
+    that commits a tree (clean parses and successful isolations, whose
+    tree contains error nodes), once any syntactic filters have run,
+    each subscriber runs with the committed root and the node-allocation
     watermark captured before the parse: retained nodes have
     [nid <= watermark], freshly built structure sits above it.  This is
     the push half of the incremental query engine's invalidation —
     subscribers typically call [Query.commit_tree] to dirty exactly the
-    changed subtrees.  Hooks run in subscription order, inside the
-    session's ownership token (calling {!edit}/{!reparse} from a hook
-    raises {!Busy}). *)
+    changed subtrees; a sanity check such as [Analyze.Check.assert_dag]
+    catches dag corruption at the edit that introduces it.  Hooks run in
+    subscription order, inside the session's ownership token (calling
+    {!edit}/{!reparse} from a hook raises {!Busy}); an exception a hook
+    raises propagates to the caller of {!reparse}. *)
 val on_commit : t -> (watermark:int -> Parsedag.Node.t -> unit) -> unit
 
 (** [set_budget t b] — replace the budget applied to subsequent
@@ -107,7 +98,7 @@ val set_budget : t -> Glr.budget -> unit
 (** A session's document and parse dag are single-owner mutable state:
     {!edit} and {!reparse} take an internal ownership token for their
     whole duration and raise [Busy] when entered concurrently (or
-    re-entrantly, e.g. from an [on_parse] hook).  Callers that multiplex
+    re-entrantly, e.g. from an {!on_commit} hook).  Callers that multiplex
     sessions across domains must serialise requests per session — the
     daemon's scheduler guarantees per-document ordering, so [Busy]
     indicates a scheduling bug rather than a recoverable condition. *)

@@ -310,37 +310,37 @@ let test_assert_dag_raises () =
   | exception Check.Corrupt (_ :: _) -> ()
   | exception Check.Corrupt [] -> Alcotest.fail "empty violation list"
 
-(* The session hook: the sanitizer runs after every successful parse. *)
-let test_session_on_parse_hook () =
+(* The session hook: the sanitizer runs after every parse that commits a
+   tree.  Subscribing happens after [create], so the initial parse is
+   checked explicitly and does not count. *)
+let test_session_on_commit_hook () =
   let table = Language.table calc_lang in
   let calls = ref 0 in
-  let hook root =
-    incr calls;
-    Check.assert_dag table root
-  in
   let s, outcome =
-    Session.create ~table ~lexer:(Language.lexer calc_lang) ~on_parse:hook
-      "a = 1;\n"
+    Session.create ~table ~lexer:(Language.lexer calc_lang) "a = 1;\n"
   in
   (match outcome with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "initial parse failed");
-  Alcotest.(check int) "hook ran on the initial parse" 1 !calls;
+  Check.assert_dag table (Session.root s);
+  Session.on_commit s (fun ~watermark:_ root ->
+      incr calls;
+      Check.assert_dag table root);
   Session.edit s ~pos:4 ~del:1 ~insert:"42";
   (match Session.reparse s with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "reparse failed");
-  Alcotest.(check int) "hook ran on the reparse" 2 !calls;
+  Alcotest.(check int) "hook ran on the reparse" 1 !calls;
   (* A recovered parse that commits a tree (successful isolation) also
      invokes the hook — the sanitizer accepts error subtrees — so dag
      corruption is caught on damaged documents too. *)
   Session.edit s ~pos:6 ~del:1 ~insert:"";
-  (match Session.reparse s with
+  match Session.reparse s with
   | Session.Recovered { isolated; _ } ->
       if isolated > 0 then
-        Alcotest.(check int) "hook ran on isolation" 3 !calls
-      else Alcotest.(check int) "hook skipped on flag-only recovery" 2 !calls
-  | Session.Parsed _ -> Alcotest.fail "expected recovery")
+        Alcotest.(check int) "hook ran on isolation" 2 !calls
+      else Alcotest.(check int) "hook skipped on flag-only recovery" 1 !calls
+  | Session.Parsed _ -> Alcotest.fail "expected recovery"
 
 (* ------------------------------------------------------------------ *)
 (* GSS sanitizer.                                                      *)
@@ -411,8 +411,8 @@ let suite =
       test_sanitizer_rejects_text_drift;
     Alcotest.test_case "sanitizer: assert_dag raises Corrupt" `Quick
       test_assert_dag_raises;
-    Alcotest.test_case "session: on_parse hook wiring" `Quick
-      test_session_on_parse_hook;
+    Alcotest.test_case "session: on_commit hook wiring" `Quick
+      test_session_on_commit_hook;
     Alcotest.test_case "gss: validate ok" `Quick test_gss_validate_ok;
     Alcotest.test_case "gss: duplicate states" `Quick
       test_gss_validate_duplicate_states;

@@ -12,12 +12,19 @@ module Language = Languages.Language
 let session lang text =
   let table = Language.table lang in
   let lexer = Language.lexer lang in
-  (* The dag sanitizer runs after every successful parse — initial and
-     incremental — so any test edit that silently corrupts the dag fails
-     at the edit that introduced the damage. *)
-  Session.create ~table ~lexer
-    ~on_parse:(fun root -> Analyze.Check.assert_dag table root)
-    text
+  (* The dag sanitizer runs after every parse that commits a tree —
+     initial and incremental — so any test edit that silently corrupts
+     the dag fails at the edit that introduced the damage. *)
+  let s, outcome = Session.create ~table ~lexer text in
+  let committed =
+    match outcome with
+    | Session.Parsed _ -> true
+    | Session.Recovered { isolated; _ } -> isolated > 0
+  in
+  if committed then Analyze.Check.assert_dag table (Session.root s);
+  Session.on_commit s (fun ~watermark:_ root ->
+      Analyze.Check.assert_dag table root);
+  (s, outcome)
 
 let batch_sexp lang text =
   let s, outcome = session lang text in

@@ -300,7 +300,7 @@ let session_busy () =
     Session.create ~table:(Language.table lang) ~lexer:(Language.lexer lang)
       "1;"
   in
-  Session.set_on_parse s (fun _ -> ignore (Session.reparse s));
+  Session.on_commit s (fun ~watermark:_ _ -> ignore (Session.reparse s));
   Session.edit s ~pos:0 ~del:1 ~insert:"2";
   match Session.reparse s with
   | exception Session.Busy -> ()
