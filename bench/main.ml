@@ -1777,7 +1777,6 @@ let chaos_bench () =
 let semantic_bench () =
   header "Semantic queries: per-edit diag latency, cell reuse, scratch oracle";
   let module Diag = Semantics.Diag in
-  let module Typedefs = Semantics.Typedefs in
   Printf.printf "%-8s %7s %9s %9s %9s %12s %12s\n" "Lang" "cells" "reuse %"
     "worst %" "agree %" "diag (ms)" "initial (ms)";
   let c_lines = max 200 (int_of_float (4000. *. !scale)) in
@@ -1794,38 +1793,12 @@ let semantic_bench () =
   in
   List.iter
     (fun (name, lang, src) ->
-      let g = lang.Language.grammar in
-      let has_typedef =
-        match Grammar.Cfg.find_terminal g "typedef" with
-        | _ -> true
-        | exception Not_found -> false
-      in
-      let make () =
-        let d = Diag.create g in
-        let tds =
-          if has_typedef then begin
-            let tds =
-              Typedefs.create ?policy:lang.Language.ambig.Language.sem_policy g
-            in
-            Typedefs.on_select tds (Diag.touch d);
-            Some tds
-          end
-          else None
-        in
-        (d, tds)
-      in
-      let analyze (d, tds) root =
-        match tds with
-        | None -> Diag.run d root
-        | Some tds ->
-            ignore (Typedefs.analyze tds root);
-            Diag.run d ~typedefs:(Typedefs.global_typedefs tds) root
-      in
+      let make () = Diag.create lang.Language.grammar in
       let s = session_of lang src in
-      let ((d, _) as inc) = make () in
+      let d = make () in
       Session.on_commit s (fun ~watermark root ->
           Diag.commit d ~watermark root);
-      let _, t_initial = time_once (fun () -> analyze inc (Session.root s)) in
+      let _, t_initial = time_once (fun () -> Diag.run d (Session.root s)) in
       let engine = Diag.engine d in
       let samples = ref [] in
       let reuse_pcts = ref [] in
@@ -1836,7 +1809,7 @@ let semantic_bench () =
           ~insert:e.Edit_gen.e_insert;
         ignore (reparse_exn s);
         let c0 = (Query.stats engine).Query.computes in
-        let r, t = time_once (fun () -> analyze inc (Session.root s)) in
+        let r, t = time_once (fun () -> Diag.run d (Session.root s)) in
         samples := t :: !samples;
         let recomputed = (Query.stats engine).Query.computes - c0 in
         let total = Query.cells engine in
@@ -1847,7 +1820,7 @@ let semantic_bench () =
            tree must produce an identical rendering (the typedef
            decisions are deterministic, so re-deciding them on the same
            dag reselects the same alternatives). *)
-        let r0 = analyze (make ()) (Session.root s) in
+        let r0 = Diag.run (make ()) (Session.root s) in
         incr checks;
         if String.equal (Diag.render r) (Diag.render r0) then incr agree
       in

@@ -691,22 +691,7 @@ let diag_cmd =
           Some (location, error.Iglr.Glr.message)
     in
     let d = Semantics.Diag.create grammar in
-    (* The C subsets need typedef disambiguation before name analysis;
-       its choice flips feed the query layer's push invalidation. *)
-    let typedefs =
-      match Grammar.Cfg.find_terminal grammar "typedef" with
-      | _ ->
-          let tds =
-            Semantics.Typedefs.create
-              ?policy:lang.Languages.Language.ambig.Languages.Language.sem_policy
-              grammar
-          in
-          Semantics.Typedefs.on_select tds (Semantics.Diag.touch d);
-          ignore (Semantics.Typedefs.analyze tds (Iglr.Session.root s));
-          Semantics.Typedefs.global_typedefs tds
-      | exception Not_found -> []
-    in
-    let r = Semantics.Diag.run d ~typedefs (Iglr.Session.root s) in
+    let r = Semantics.Diag.run d (Iglr.Session.root s) in
     let loc tok = Iglr.Session.location_of_token s tok in
     if json then
       print_envelope ~tool:"diag"

@@ -42,6 +42,7 @@ type cell = {
   mutable c_deps : dep array;  (* in read order *)
   mutable c_computing : bool;  (* cycle detection *)
   mutable c_compute_seq : int;  (* engine compute counter at last compute *)
+  mutable c_epoch : int;  (* collection epoch the cell was last used in *)
   c_recompute : recompute;  (* closes over the definition; no-op for inputs *)
 }
 
@@ -52,9 +53,8 @@ and frame = { f_id : cell_id; f_deps : dep list ref }
 and t = {
   cells : (string * int, cell) Hashtbl.t;
   node_rev : (int, int) Hashtbl.t;  (* nid -> revision last marked changed *)
-  roots : (string * int, int) Hashtbl.t;  (* top-level fetches -> epoch *)
   mutable rev : int;
-  mutable epoch : int;  (* collection epoch: roots from older epochs are stale *)
+  mutable epoch : int;  (* collection epoch: cells unused in it are swept *)
   mutable stack : frame list;  (* active computations, innermost first *)
   owner : Mutex.t;
   mutable owner_dom : int;
@@ -72,7 +72,6 @@ let create () =
   {
     cells = Hashtbl.create 256;
     node_rev = Hashtbl.create 256;
-    roots = Hashtbl.create 16;
     rev = 1;
     epoch = 0;
     stack = [];
@@ -213,6 +212,7 @@ let set_locked t (i : 'v input) key v =
           c_deps = [||];
           c_computing = false;
           c_compute_seq = 0;
+          c_epoch = t.epoch;
           c_recompute = no_recompute;
         };
       Metrics.record_peak m_cells_live (Hashtbl.length t.cells)
@@ -225,6 +225,7 @@ let read t (i : 'v input) key =
       match Hashtbl.find_opt t.cells (i.i_name, key) with
       | Some c ->
           if c.c_uid <> i.i_uid then collision "input" i.i_name;
+          c.c_epoch <- t.epoch;
           Some (i.i_proj c.c_value)
       | None -> None)
 
@@ -242,13 +243,28 @@ let node_changed_since t nid since =
   | Some r -> r > since
   | None -> false
 
-(* Validate-or-recompute [c], leaving [c.c_verified_at = t.rev].
-   Dependencies are checked in recorded order and validation stops at
-   the first changed one (later dependencies may only be meaningful
-   given the earlier values, so checking past it could even spuriously
-   compute dead cells). *)
+(* Keep a cell verified at this revision alive for the current epoch,
+   with everything it depends on: validation will not visit them. *)
+let rec keep t c =
+  if c.c_epoch <> t.epoch then begin
+    c.c_epoch <- t.epoch;
+    Array.iter
+      (function
+        | Dcell ck -> Option.iter (keep t) (Hashtbl.find_opt t.cells ck)
+        | Dnode _ -> ())
+      c.c_deps
+  end
+
+(* Validate-or-recompute [c], leaving [c.c_verified_at = t.rev], and
+   mark it used in the current epoch.  Dependencies are checked in
+   recorded order and validation stops at the first changed one (later
+   dependencies may only be meaningful given the earlier values, so
+   checking past it could even spuriously compute dead cells); the
+   recompute then marks the dependencies it actually reads. *)
 let rec ensure t c =
-  if c.c_verified_at <> t.rev then
+  if c.c_verified_at = t.rev then keep t c
+  else begin
+    c.c_epoch <- t.epoch;
     if c.c_computing then
       raise
         (Cycle
@@ -271,12 +287,13 @@ let rec ensure t c =
                    to re-establish it. *)
                 changed := true
             | Some dc ->
-                if not dc.c_input then ensure t dc;
+                if dc.c_input then dc.c_epoch <- t.epoch else ensure t dc;
                 if dc.c_changed_at > c.c_verified_at then changed := true));
         incr i
       done;
       if !changed then run c t else c.c_verified_at <- t.rev
     end
+  end
 
 and run c t = (match c.c_recompute with R f -> f t c)
 
@@ -344,6 +361,7 @@ let fetch_locked t (d : 'v def) key : 'v =
             c_deps = [||];
             c_computing = false;
             c_compute_seq = 0;
+            c_epoch = t.epoch;
             c_recompute = R (run_compute d);
           }
         in
@@ -359,10 +377,6 @@ let fetch_locked t (d : 'v def) key : 'v =
     t.s_hits <- t.s_hits + 1;
     Metrics.incr m_hits
   end;
-  (* A top-level fetch marks a live root for [collect]. *)
-  (match t.stack with
-  | [] -> Hashtbl.replace t.roots ck t.epoch
-  | _ :: _ -> ());
   d.d_proj c.c_value
 
 let fetch t d key = enter t (fun () -> fetch_locked t d key)
@@ -409,49 +423,30 @@ let collect t =
   enter t (fun () ->
       if t.stack <> [] then
         invalid_arg "Query.collect: called from inside a computation";
-      (* Mark from the roots fetched in the current epoch (i.e. since the
-         previous collect), through recorded dependency edges. *)
-      let live = Hashtbl.create (Hashtbl.length t.cells) in
-      let rec mark ck =
-        if not (Hashtbl.mem live ck) then
-          match Hashtbl.find_opt t.cells ck with
-          | None -> ()
-          | Some c ->
-              Hashtbl.replace live ck ();
-              Array.iter
-                (function Dcell d -> mark d | Dnode _ -> ())
-                c.c_deps
-      in
-      let stale_roots = ref [] in
-      Hashtbl.iter
-        (fun ck r ->
-          if r = t.epoch then mark ck else stale_roots := ck :: !stale_roots)
-        t.roots;
-      List.iter (Hashtbl.remove t.roots) !stale_roots;
-      let dead = ref [] in
-      Hashtbl.iter
-        (fun ck _ -> if not (Hashtbl.mem live ck) then dead := ck :: !dead)
-        t.cells;
-      List.iter (Hashtbl.remove t.cells) !dead;
-      let n = List.length !dead in
-      (* Node marks only matter to surviving cells' Dnode edges. *)
-      let live_nids = Hashtbl.create 64 in
-      Hashtbl.iter
+      (* Every fetch, validation and read since the previous collect
+         marked the cells it used with the current epoch; the rest are
+         unreachable from this epoch's computations. *)
+      let epoch = t.epoch in
+      let n = ref 0 and floor = ref max_int in
+      Hashtbl.filter_map_inplace
         (fun _ c ->
-          Array.iter
-            (function
-              | Dnode nid -> Hashtbl.replace live_nids nid ()
-              | Dcell _ -> ())
-            c.c_deps)
+          if c.c_epoch = epoch then begin
+            if not c.c_input then floor := min !floor c.c_verified_at;
+            Some c
+          end
+          else begin
+            incr n;
+            None
+          end)
         t.cells;
-      let dead_nids =
-        Hashtbl.fold
-          (fun nid _ acc ->
-            if Hashtbl.mem live_nids nid then acc else nid :: acc)
-          t.node_rev []
-      in
-      List.iter (Hashtbl.remove t.node_rev) dead_nids;
-      t.epoch <- t.epoch + 1;
+      (* A node mark dirties only cells verified before it, so marks no
+         newer than every surviving cell's verification are spent (and
+         cells created later verify later still). *)
+      Hashtbl.filter_map_inplace
+        (fun _ r -> if r > !floor then Some r else None)
+        t.node_rev;
+      let n = !n in
+      t.epoch <- epoch + 1;
       t.s_collected <- t.s_collected + n;
       Metrics.add m_collected n;
       if Trace.enabled () then
@@ -465,6 +460,5 @@ let clear t =
         invalid_arg "Query.clear: called from inside a computation";
       Hashtbl.reset t.cells;
       Hashtbl.reset t.node_rev;
-      Hashtbl.reset t.roots;
       t.rev <- t.rev + 1;
       t.epoch <- t.epoch + 1)

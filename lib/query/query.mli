@@ -24,8 +24,8 @@
       value;
     - a recursive fetch of a cell already being computed raises the
       typed {!Cycle} error carrying the dependency path;
-    - {!collect} sweeps cells unreachable from the roots fetched since
-      the previous sweep (dead keys accumulate as the dag rebuilds
+    - {!collect} sweeps the cells no fetch, validation or read used
+      since the previous sweep (dead keys accumulate as the dag rebuilds
       nodes under fresh ids).
 
     Dag integration: cells keyed by a {e retained} node's id never go
@@ -81,8 +81,8 @@ val define : name:string -> ?equal:('v -> 'v -> bool) -> (t -> int -> 'v) -> 'v 
 val fetch : t -> 'v def -> int -> 'v
 (** Demand the query's value for a key: validate the cached cell or
     (re)compute it, recording a dependency when called from inside
-    another computation.  A top-level fetch additionally marks the cell
-    as a live root for {!collect}. *)
+    another computation.  The cell, and every cell its validation
+    visits, stays live until the next {!collect}. *)
 
 (** {1 Inputs} *)
 
@@ -127,16 +127,18 @@ val commit_tree : t -> watermark:int -> Parsedag.Node.t -> unit
 (** {1 Lifecycle} *)
 
 val collect : t -> int
-(** Sweep cells unreachable from the live roots — the cells fetched at
-    top level since the previous {!collect} — following recorded
-    dependency edges.  Returns the number of cells dropped. *)
+(** Sweep the cells not used since the previous {!collect}: neither
+    fetched (at top level or from a computation), nor validated as a
+    dependency of a fetched cell, nor read.  A computation that runs
+    every epoch therefore keeps exactly what it reaches.  Returns the
+    number of cells dropped. *)
 
 val cells : t -> int
 (** Live cells (derived and input). *)
 
 val clear : t -> unit
-(** Drop every cell and root (but keep the revision monotone) — the
-    big hammer behind [Attrs.reset]. *)
+(** Drop every cell (but keep the revision monotone) — the big hammer
+    behind [Attrs.reset]. *)
 
 (** {1 Statistics} *)
 

@@ -2,9 +2,13 @@
 
    The unit of incrementality is the top-level item — a [calc]
    statement, a C-subset external declaration: the elements of the
-   start symbol's sequence spine.  Each item carries three cells keyed
-   by its dag node id:
+   start symbol's sequence spine.  Each item carries up to four cells
+   keyed by its dag node id:
 
+     diag.decide   C subsets: the item's typedef decisions (§4.2) —
+                   every choice node in the item selected against the
+                   typedef-names input, block-local contours resolved
+                   inside the cell
      diag.scope    env-free summary: exported defs, free uses, local
                    diagnostics, and a typing skeleton (a small
                    expression IR with item-local names already bound)
@@ -14,11 +18,11 @@
    A reparse gives a rebuilt item a fresh node id, so its cells are
    recomputed from scratch while every retained item's cells validate
    clean — the engine's dependency check sees an unchanged node, an
-   unchanged environment restriction, and stops.  Choice-node flips by
-   the semantic disambiguator arrive through [touch] (every walk
-   records a node dependency on the choices it crosses).  Cross-item
-   aggregation is plain per-run code over the cell values: linear in
-   the item count and free of tree walks. *)
+   unchanged environment restriction, and stops.  The scope walk reads
+   the selections [diag.decide] made, so a decision that flips reaches
+   it as a changed dependency.  Cross-item aggregation is plain per-run
+   code over the cell values: linear in the item count and free of tree
+   walks. *)
 
 module Cfg = Grammar.Cfg
 module Node = Parsedag.Node
@@ -100,8 +104,10 @@ type tctx = {
 type summary = {
   sm_defs : sdef array;
   sm_uses : suse list;  (* free uses, source order *)
+  sm_names : (string * ns) list;  (* the free uses' names, sorted, unique *)
   sm_ctxs : tctx list;  (* source order *)
-  sm_diags : (int * string * string) list;  (* rel token, code, message *)
+  sm_diags : (int * string * string) list;
+      (* rel token, code, message; sorted, unique *)
 }
 
 type resolution = { rv_unresolved : suse list }
@@ -115,8 +121,36 @@ type tyres = {
   tr_exports : (string * ty) list;  (* value exports, for the running env *)
   tr_typedefs : (string * ty) list;  (* typedef exports, resolved to base *)
   tr_bindings : ty list;  (* display type per exported def, in order *)
-  tr_types : (int * ty) list;  (* rel token, computed type *)
-  tr_diags : (int * string * string) list;
+  tr_types : (int * ty) list;  (* rel token, computed type; sorted *)
+  tr_diags : (int * string * string) list;  (* sorted, unique *)
+}
+
+(* An item's typedef decisions: the [diag.decide] value.  [dc_sels]
+   lists the selections in walk order, so a flip changes the value and
+   the item's scope cell (which depends on it) re-walks. *)
+type item_decisions = {
+  dc_exports : string list;  (* file-scope typedefs declared, in order *)
+  dc_sels : int list;  (* -1: unresolved *)
+  dc_typedefs : int;  (* typedef declarations walked *)
+  dc_errors : (string * string) list;  (* (kind, name), walk order *)
+}
+
+(* The [diag.decide] input: the typedef names visible at file scope
+   before the item, restricted to the leading identifiers of its
+   choices ([tv_leads], a function of the item's structure alone, kept
+   here so later runs need not re-walk the item to find them). *)
+type typedef_vis = { tv_leads : string list; tv_vis : string list }
+
+(* The per-run summary of every decision in the document. *)
+type decisions = {
+  typedef_names : string list;
+  typedef_decls : int;
+  choices : int;
+  decided : int;
+  reinterpreted : int;
+  unresolved : int;
+  prefer_candidates : int;
+  sem_errors : (string * string) list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -129,6 +163,7 @@ type ids = {
   num_t : int;
   expr_nt : int;
   type_spec_nt : int;  (* clike only; -1 for calc *)
+  decl_nt : int;  (* clike only; -1 for calc *)
 }
 
 (* Per-production dispatch, precomputed at [create]. *)
@@ -153,12 +188,20 @@ type t = {
   ids : ids;
   shapes : shape array;
   engine : Query.t;
+  decide_q : item_decisions Query.def;
   scope_q : summary Query.def;
   resolve_q : resolution Query.def;
   types_q : tyres Query.def;
+  tdvis_in : typedef_vis Query.input;
   envnames_in : (string * ns) list Query.input;
   envty_in : tenv Query.input;
   nodes : (int, Node.t) Hashtbl.t;  (* item nid -> node, per run *)
+  (* Decision counters of the current run: they move only where a
+     choice is actually (re)decided, so a validated cell adds nothing. *)
+  mutable n_decided : int;
+  mutable n_reinterp : int;
+  mutable n_prefer : int;
+  mutable on_flip : Node.t -> unit;  (* a selection changed *)
 }
 
 let find_nt g n = try Cfg.find_nonterminal g n with Not_found -> -1
@@ -216,6 +259,185 @@ let classify g mode ids (pr : Cfg.production) =
     | _ -> S_other
 
 (* ------------------------------------------------------------------ *)
+(* Typedef decisions (§4.2).  Typedef declarations are gathered into
+   binding contours in document order; the contour in force at a choice
+   node decides the namespace of the region's leading identifier, which
+   selects the declaration or the expression reading.  Unselected
+   alternatives stay in the dag (a distant typedef change may flip the
+   choice back), and regions that cannot be resolved keep every reading
+   (§4.3).  Only typedef names count: a non-typedef binding of the same
+   name does not shadow one.
+
+   One walker serves two masters: [diag.decide] runs it over one item,
+   with the file-scope typedefs before the item given as its restricted
+   input, and the per-run frame walk ([frame], below) runs it over
+   everything outside the items — the root, the path down to the item
+   spine and the spine itself — with the running file scope. *)
+
+let choice_alt (n : Node.t) ci =
+  let i =
+    if ci.Node.selected >= 0 && ci.Node.selected < Array.length n.Node.kids then
+      ci.Node.selected
+    else 0
+  in
+  n.Node.kids.(i)
+
+type dwalker = {
+  da : t;
+  vis : string -> bool;  (* a file-scope typedef visible to the walk *)
+  add_global : string -> unit;  (* declare a file-scope typedef *)
+  hook : dwalker -> Node.t -> bool;  (* true: the node was handled *)
+  mutable blocks : string list list;  (* block contours, innermost first *)
+  mutable d_typedefs : int;
+  mutable d_errors : (string * string) list;  (* reversed *)
+  mutable d_sels : int list;  (* reversed *)
+}
+
+let dwalker a ~vis ~add_global ~hook =
+  { da = a; vis; add_global; hook; blocks = []; d_typedefs = 0; d_errors = []; d_sels = [] }
+
+let dlookup w name = List.exists (List.mem name) w.blocks || w.vis name
+
+let declare w name =
+  match w.blocks with
+  | b :: rest -> w.blocks <- (name :: b) :: rest
+  | [] -> w.add_global name
+
+(* The identifier a region starts with (its first terminal, through
+   first alternatives), or [None] when it starts otherwise. *)
+let leading_id a (n : Node.t) =
+  match Node.first_terminal n with
+  | Some { Node.kind = Node.Term i; _ } when i.Node.term = a.ids.id_t ->
+      Some i.Node.text
+  | _ -> None
+
+(* Leading identifiers of every choice in an item, under any
+   alternative: the names whose typedef status its decisions can read. *)
+let leads_of a (n : Node.t) =
+  let acc = ref [] and seen = ref [] in
+  let rec go (n : Node.t) =
+    match n.Node.kind with
+    | Node.Choice _ ->
+        if not (List.memq n !seen) then begin
+          seen := n :: !seen;
+          (match leading_id a n with
+          | Some x when not (List.mem x !acc) -> acc := x :: !acc
+          | _ -> ());
+          Array.iter go n.Node.kids
+        end
+    | Node.Term _ | Node.Bos | Node.Eos _ -> ()
+    | Node.Prod _ | Node.Error _ | Node.Root -> Array.iter go n.Node.kids
+  in
+  go n;
+  List.sort compare !acc
+
+(* Classify an alternative by its first child's nonterminal. *)
+let alt_kind a (alt : Node.t) =
+  match alt.Node.kind with
+  | Node.Prod _ when Array.length alt.Node.kids > 0 -> (
+      match Node.symbol a.g alt.Node.kids.(0) with
+      | `N nt when nt = a.ids.decl_nt -> `Decl
+      | `N nt when nt = a.ids.expr_nt -> `Expr
+      | _ -> `Other)
+  | _ -> `Other
+
+(* Decide one choice node.  A choice whose new selection equals the one
+   it holds is not re-decided (it counts nothing); a fresh or unresolved
+   choice always is.  The prefer-declaration count records decisions
+   where both readings exist and the name is a type: the C++ policy
+   applies there, and both policies select the declaration. *)
+let decide_choice w (n : Node.t) ci =
+  let a = w.da in
+  Query.depend_node a.engine n;
+  let find kind =
+    let rec scan i =
+      if i >= Array.length n.Node.kids then None
+      else if alt_kind a n.Node.kids.(i) = kind then Some i
+      else scan (i + 1)
+    in
+    scan 0
+  in
+  let both = ref false in
+  let sel =
+    match leading_id a n with
+    | None ->
+        (* Not rooted in the typedef problem: left to other filters. *)
+        -1
+    | Some x -> (
+        let error kind =
+          w.d_errors <- (kind, x) :: w.d_errors;
+          -1
+        in
+        if dlookup w x then (
+          match find `Decl with
+          | Some i ->
+              both := find `Expr <> None;
+              i
+          | None -> error "type-in-expression-position")
+        else
+          match find `Expr with
+          | Some i -> i
+          | None ->
+              (* Only a declaration reading, and the name is not a type:
+                 a program error; keep the interpretations. *)
+              error "unknown-type-name")
+  in
+  let prev = ci.Node.selected in
+  if prev < 0 || prev <> sel then begin
+    a.n_decided <- a.n_decided + 1;
+    if !both then a.n_prefer <- a.n_prefer + 1;
+    if prev >= 0 && sel >= 0 then a.n_reinterp <- a.n_reinterp + 1
+  end;
+  ci.Node.selected <- sel;
+  w.d_sels <- sel :: w.d_sels;
+  if sel <> prev then a.on_flip n
+
+let term_text (n : Node.t) =
+  match n.Node.kind with Node.Term i -> i.Node.text | _ -> ""
+
+(* Walk in document order, deciding every choice on the selected path
+   — error regions included — before descending into the selection. *)
+let rec dwalk w (n : Node.t) =
+  if not (w.hook w n) then
+    match n.Node.kind with
+    | Node.Choice ci ->
+        if w.da.mode = Clike then decide_choice w n ci;
+        dwalk w (choice_alt n ci)
+    | Node.Term _ | Node.Bos | Node.Eos _ -> ()
+    | Node.Prod p when w.da.shapes.(p) = S_compound ->
+        w.blocks <- [] :: w.blocks;
+        Array.iter (dwalk w) n.Node.kids;
+        w.blocks <- List.tl w.blocks
+    | Node.Prod p ->
+        if w.da.shapes.(p) = S_typedef_decl then begin
+          (* typedef type_spec id ; *)
+          w.d_typedefs <- w.d_typedefs + 1;
+          declare w (term_text n.Node.kids.(2))
+        end;
+        Array.iter (dwalk w) n.Node.kids
+    | Node.Error _ | Node.Root -> Array.iter (dwalk w) n.Node.kids
+
+let decide_compute a e nid =
+  let n = Hashtbl.find a.nodes nid in
+  let vis =
+    match Query.read e a.tdvis_in nid with Some v -> v.tv_vis | None -> []
+  in
+  let globals = ref [] in
+  let w =
+    dwalker a
+      ~vis:(fun x -> List.mem x vis || List.mem x !globals)
+      ~add_global:(fun x -> globals := x :: !globals)
+      ~hook:(fun _ _ -> false)
+  in
+  dwalk w n;
+  {
+    dc_exports = List.rev !globals;
+    dc_sels = List.rev w.d_sels;
+    dc_typedefs = w.d_typedefs;
+    dc_errors = List.rev w.d_errors;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* The item walker (scope pass).  One traversal per item produces the
    full env-free summary: everything later layers need is distilled
    into plain data here, so the resolve and types cells never touch
@@ -243,20 +465,13 @@ type wst = {
   mutable cur_ts : sts;  (* decl's type_spec, for its init_decls *)
 }
 
-let term_text (n : Node.t) =
-  match n.Node.kind with Node.Term i -> i.Node.text | _ -> ""
-
 (* Descend a choice along its selected (or first) alternative,
-   recording the node dependency: a semantic-filter flip arrives as
-   [touch] and re-runs every cell whose walk crossed this node. *)
+   recording the node dependency: a selection flipped from outside
+   arrives as [touch] and re-runs every cell whose walk crossed this
+   node. *)
 let alt w (n : Node.t) ci =
   Query.depend_node w.e n;
-  let i =
-    if ci.Node.selected >= 0 && ci.Node.selected < Array.length n.Node.kids then
-      ci.Node.selected
-    else 0
-  in
-  n.Node.kids.(i)
+  choice_alt n ci
 
 let lookup w ns name =
   let rec go = function
@@ -488,6 +703,8 @@ let rec walk w (n : Node.t) =
 let scope_compute a e nid =
   let n = Hashtbl.find a.nodes nid in
   Query.depend_node e n;
+  (* The walk follows the selections the item's decisions made. *)
+  if a.mode = Clike then ignore (Query.fetch e a.decide_q nid);
   let w =
     {
       a;
@@ -557,8 +774,10 @@ let scope_compute a e nid =
           })
         defs;
     sm_uses = uses;
+    sm_names =
+      List.sort_uniq compare (List.map (fun u -> (u.su_name, u.su_ns)) uses);
     sm_ctxs = List.rev w.rctxs;
-    sm_diags = List.rev w.rdiags;
+    sm_diags = List.sort_uniq compare w.rdiags;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -670,8 +889,8 @@ let types_compute a e nid =
     tr_exports = List.rev !exports;
     tr_typedefs = List.rev !tdefs;
     tr_bindings = List.rev !binds;
-    tr_types = List.rev !rtypes;
-    tr_diags = List.rev !rdiags;
+    tr_types = List.sort compare !rtypes;
+    tr_diags = List.sort_uniq compare !rdiags;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -689,6 +908,7 @@ let create g =
       num_t = find_t g "num";
       expr_nt = find_nt g "expr";
       type_spec_nt = find_nt g "type_spec";
+      decl_nt = (match mode with Clike -> find_nt g "decl" | Calc -> -1);
     }
   in
   let shapes =
@@ -706,12 +926,18 @@ let create g =
       ids;
       shapes;
       engine = Query.create ();
+      decide_q = force "diag.decide" decide_compute;
       scope_q = force "diag.scope" scope_compute;
       resolve_q = force "diag.resolve" resolve_compute;
       types_q = force "diag.types" types_compute;
+      tdvis_in = Query.input ~name:"diag.typedefs" ();
       envnames_in = Query.input ~name:"diag.envnames" ();
       envty_in = Query.input ~name:"diag.envty" ();
       nodes = Hashtbl.create 64;
+      n_decided = 0;
+      n_reinterp = 0;
+      n_prefer = 0;
+      on_flip = ignore;
     }
   in
   aref := Some a;
@@ -722,60 +948,141 @@ let commit a ~watermark root = Query.commit_tree a.engine ~watermark root
 let touch a n = Query.touch_node a.engine n
 
 (* ------------------------------------------------------------------ *)
-(* Item enumeration: the elements of the start symbol's sequence
-   spine.                                                              *)
+(* The frame walk: the items are the elements of the start symbol's
+   sequence spine.  One pass in document order finds them and, for the
+   C subsets, decides the choices outside them and fetches each item's
+   decision cell with the file-scope typedefs declared before it.      *)
 
-let choice_alt (n : Node.t) ci =
-  let i =
-    if ci.Node.selected >= 0 && ci.Node.selected < Array.length n.Node.kids then
-      ci.Node.selected
-    else 0
+(* The spine is left-recursive: descend its cons chain first.  Every
+   spine node covers a prefix of the items, so a choice on the chain is
+   decided before any item has been walked, as document order has it. *)
+let spine ~item w (top : Node.t) =
+  let a = w.da in
+  let rec down (n : Node.t) conses =
+    match n.Node.kind with
+    | Node.Choice ci ->
+        if a.mode = Clike then decide_choice w n ci;
+        down (choice_alt n ci) conses
+    | Node.Prod p when (Cfg.production a.g p).Cfg.role = Cfg.Seq_cons ->
+        down n.Node.kids.(0) (n :: conses)
+    | _ -> (n, conses)
   in
-  n.Node.kids.(i)
-
-let rec find_spine g (n : Node.t) =
-  match n.Node.kind with
-  | Node.Prod p ->
-      let pr = Cfg.production g p in
-      if Cfg.seq_kind g pr.Cfg.lhs = Cfg.Seq then Some n
-      else
-        Array.fold_left
-          (fun acc k -> match acc with Some _ -> acc | None -> find_spine g k)
-          None n.Node.kids
-  | Node.Choice ci -> find_spine g (choice_alt n ci)
-  | Node.Root ->
-      Array.fold_left
-        (fun acc k -> match acc with Some _ -> acc | None -> find_spine g k)
-        None n.Node.kids
-  | _ -> None
-
-let rec spine_items g (n : Node.t) acc =
-  match n.Node.kind with
+  let bottom, conses = down top [] in
+  let elements first (n : Node.t) =
+    let kids = n.Node.kids in
+    let last = Array.length kids - 1 in
+    for i = first to last - 1 do
+      dwalk w kids.(i)
+    done;
+    item w kids.(last)
+  in
+  (match bottom.Node.kind with
   | Node.Prod p -> (
-      let pr = Cfg.production g p in
-      let kids = n.Node.kids in
-      let last () = kids.(Array.length kids - 1) in
-      match pr.Cfg.role with
-      | Cfg.Seq_empty -> acc
-      | Cfg.Seq_one -> last () :: acc
-      | Cfg.Seq_cons -> spine_items g kids.(0) (last () :: acc)
-      | Cfg.Plain -> acc)
-  | Node.Choice ci -> spine_items g (choice_alt n ci) acc
-  | Node.Error _ -> n :: acc
-  | _ -> acc
+      match (Cfg.production a.g p).Cfg.role with
+      | Cfg.Seq_one -> elements 0 bottom
+      | Cfg.Seq_empty | Cfg.Seq_cons -> ()
+      | Cfg.Plain -> Array.iter (dwalk w) bottom.Node.kids)
+  | Node.Error _ -> item w bottom
+  | _ -> dwalk w bottom);
+  List.iter (elements 1) conses
 
-let items_of a root =
-  match find_spine a.g root with
-  | Some spine -> spine_items a.g spine []
-  | None -> []
+(* Fetch an item's decisions, setting their input from the frame walk's
+   view of the file scope, and declare its exports there. *)
+let decide_item a w (it : Node.t) =
+  let nid = it.Node.nid in
+  let leads =
+    match Query.peek a.engine a.tdvis_in nid with
+    | Some v -> v.tv_leads
+    | None -> leads_of a it
+  in
+  Query.set a.engine a.tdvis_in nid
+    { tv_leads = leads; tv_vis = List.filter (dlookup w) leads };
+  let d = Query.fetch a.engine a.decide_q nid in
+  List.iter (declare w) d.dc_exports;
+  w.d_typedefs <- w.d_typedefs + d.dc_typedefs;
+  w.d_sels <- List.rev_append d.dc_sels w.d_sels;
+  w.d_errors <- List.rev_append d.dc_errors w.d_errors
+
+(* Returns the items in document order, the frame walker (its counters
+   total the document's decisions) and the file-scope typedef names in
+   force at the end, sorted. *)
+let frame a root =
+  Hashtbl.reset a.nodes;
+  a.n_decided <- 0;
+  a.n_reinterp <- 0;
+  a.n_prefer <- 0;
+  let items = ref [] in
+  let item w (it : Node.t) =
+    Hashtbl.replace a.nodes it.Node.nid it;
+    items := it :: !items;
+    if a.mode = Clike then decide_item a w it
+  in
+  (* The spine is the first sequence node on the selected path. *)
+  let pending = ref true in
+  let hook w (n : Node.t) =
+    !pending
+    &&
+    match n.Node.kind with
+    | Node.Prod p when Cfg.seq_kind a.g (Cfg.production a.g p).Cfg.lhs = Cfg.Seq ->
+        pending := false;
+        spine ~item w n;
+        true
+    | _ -> false
+  in
+  let running = Hashtbl.create 16 in
+  let w =
+    dwalker a ~vis:(Hashtbl.mem running)
+      ~add_global:(fun x -> Hashtbl.replace running x ())
+      ~hook
+  in
+  dwalk w root;
+  let names = Hashtbl.fold (fun x () acc -> x :: acc) running [] in
+  (List.rev !items, w, List.sort compare names)
+
+let decide a ?(on_select = ignore) root =
+  a.on_flip <- on_select;
+  let _, w, names =
+    Fun.protect ~finally:(fun () -> a.on_flip <- ignore) (fun () -> frame a root)
+  in
+  ignore (Query.collect a.engine);
+  {
+    typedef_names = names;
+    typedef_decls = w.d_typedefs;
+    choices = List.length w.d_sels;
+    decided = a.n_decided;
+    reinterpreted = a.n_reinterp;
+    unresolved = List.length (List.filter (fun i -> i < 0) w.d_sels);
+    prefer_candidates = a.n_prefer;
+    sem_errors = List.rev w.d_errors;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* The per-run driver: fetch cells, thread the environment, aggregate. *)
+(* The per-run pass: fetch cells, thread the environment, aggregate.
+   Every per-item list is sorted (the cells sort their own output) and
+   the items are disjoint and in token order, so the document's lists
+   are concatenations plus a linear merge — no global sort.            *)
 
-let run a ?(typedefs = []) root =
-  Hashtbl.reset a.nodes;
-  let items = items_of a root in
-  List.iter (fun (it : Node.t) -> Hashtbl.replace a.nodes it.Node.nid it) items;
+let cmp_diag x y =
+  compare (x.d_token, x.d_code, x.d_message) (y.d_token, y.d_code, y.d_message)
+
+(* Merge two sorted lists, dropping duplicates. *)
+let merge_uniq cmp xs ys =
+  let push x = function y :: _ as acc when cmp x y = 0 -> acc | acc -> x :: acc in
+  let rec go xs ys acc =
+    match (xs, ys) with
+    | [], [] -> List.rev acc
+    | x :: xs', [] | [], x :: xs' -> go xs' [] (push x acc)
+    | x :: xs', y :: ys' ->
+        if cmp x y <= 0 then go xs' ys (push x acc) else go xs ys' (push y acc)
+  in
+  go xs ys []
+
+let run a ?typedefs root =
+  let items, _, typedef_names = frame a root in
+  (match typedefs with
+  | Some l when List.sort_uniq compare l <> typedef_names ->
+      invalid_arg "Diag.run: ~typedefs disagrees with the computed typedef names"
+  | _ -> ());
   let summaries =
     List.map (fun (it : Node.t) -> (it, Query.fetch a.engine a.scope_q it.Node.nid)) items
   in
@@ -794,15 +1101,11 @@ let run a ?(typedefs = []) root =
   let visible = Hashtbl.create 64 in
   let usedname = Hashtbl.create 64 in
   let rbindings = ref [] and rdiags = ref [] and rtypes = ref [] in
-  let pending = ref [] in
   let off = ref 0 in
   List.iter
     (fun ((it : Node.t), s) ->
       let abs tok = !off + tok in
-      let use_names =
-        List.sort_uniq compare
-          (List.map (fun u -> (u.su_name, u.su_ns)) s.sm_uses)
-      in
+      let use_names = s.sm_names in
       (* Environment restrictions: only what this item mentions. *)
       let envnames =
         List.filter (fun k -> Hashtbl.mem visible k) use_names
@@ -856,36 +1159,40 @@ let run a ?(typedefs = []) root =
       List.iter
         (fun u -> Hashtbl.replace usedname (u.su_name, u.su_ns) ())
         s.sm_uses;
-      List.iter
-        (fun (tok, code, msg) ->
-          rdiags := { d_code = code; d_token = abs tok; d_message = msg } :: !rdiags)
-        (s.sm_diags @ tr.tr_diags);
+      let local l =
+        List.map
+          (fun (tok, code, msg) -> { d_code = code; d_token = abs tok; d_message = msg })
+          l
+      in
+      (* Unresolved names: declared somewhere -> used before its
+         declaration; never declared -> unbound. *)
+      let unresolved =
+        List.map
+          (fun u ->
+            let tok = abs u.su_tok and name = u.su_name in
+            if Hashtbl.mem all_defs (name, u.su_ns) then
+              {
+                d_code = "use-before-decl";
+                d_token = tok;
+                d_message = Printf.sprintf "%s is used before its declaration" name;
+              }
+            else
+              {
+                d_code = "unbound-name";
+                d_token = tok;
+                d_message = Printf.sprintf "%s is not defined" name;
+              })
+          r.rv_unresolved
+      in
+      let item_diags =
+        merge_uniq cmp_diag
+          (merge_uniq cmp_diag (local s.sm_diags) (local tr.tr_diags))
+          unresolved
+      in
+      rdiags := List.rev_append item_diags !rdiags;
       List.iter (fun (tok, ty) -> rtypes := (abs tok, ty) :: !rtypes) tr.tr_types;
-      List.iter
-        (fun u -> pending := (u.su_name, u.su_ns, abs u.su_tok) :: !pending)
-        r.rv_unresolved;
       off := !off + Node.token_count it)
     summaries;
-  (* Unresolved names: declared later somewhere -> used before its
-     declaration; never declared -> unbound. *)
-  List.iter
-    (fun (name, ns, tok) ->
-      let d =
-        if Hashtbl.mem all_defs (name, ns) then
-          {
-            d_code = "use-before-decl";
-            d_token = tok;
-            d_message = Printf.sprintf "%s is used before its declaration" name;
-          }
-        else
-          {
-            d_code = "unbound-name";
-            d_token = tok;
-            d_message = Printf.sprintf "%s is not defined" name;
-          }
-      in
-      rdiags := d :: !rdiags)
-    !pending;
   (* Unused exported bindings: no use anywhere, in any item. *)
   let bindings =
     let seen = Hashtbl.create 32 in
@@ -899,28 +1206,26 @@ let run a ?(typedefs = []) root =
         end)
       (List.rev !rbindings)
   in
-  List.iter
-    (fun b ->
-      if not (Hashtbl.mem usedname (b.b_name, ns_of_kind b.b_kind)) then
-        rdiags :=
-          {
-            d_code = "unused-binding";
-            d_token = b.b_token;
-            d_message =
-              Printf.sprintf "%s %s is never used" (kind_name b.b_kind) b.b_name;
-          }
-          :: !rdiags)
-    bindings;
+  let unused =
+    List.filter_map
+      (fun b ->
+        if Hashtbl.mem usedname (b.b_name, ns_of_kind b.b_kind) then None
+        else
+          Some
+            {
+              d_code = "unused-binding";
+              d_token = b.b_token;
+              d_message =
+                Printf.sprintf "%s %s is never used" (kind_name b.b_kind) b.b_name;
+            })
+      bindings
+  in
   ignore (Query.collect a.engine);
   {
     bindings;
-    diags =
-      List.sort_uniq
-        (fun a b ->
-          compare (a.d_token, a.d_code, a.d_message) (b.d_token, b.d_code, b.d_message))
-        !rdiags;
-    types = List.sort compare !rtypes;
-    typedefs = List.sort_uniq compare typedefs;
+    diags = merge_uniq cmp_diag (List.rev !rdiags) unused;
+    types = List.rev !rtypes;
+    typedefs = typedef_names;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -1,12 +1,20 @@
-(** Incremental semantic diagnostics: three static analyses layered on
-    the {!Query} engine.
+(** Incremental semantic diagnostics: typedef disambiguation and three
+    static analyses layered on the {!Query} engine.
 
+    + {e Typedef decisions} (C subsets, §4.2) — per top-level item, a
+      decision cell selects every choice node's interpretation from the
+      namespace of its leading identifier.  Its one input is the item's
+      {e visible-typedef restriction}: the file-scope typedef names
+      declared before the item, restricted to the leading identifiers of
+      its choices.  Typedefs local to a block are resolved inside the
+      cell.  A keystroke re-decides the rebuilt item and any item whose
+      restriction changed; every other decision validates clean.
     + {e Scope graph construction} — per top-level item (a statement of
-      [calc], an external declaration of the C-like subsets), an
-      environment-independent summary cell records the bindings the item
-      exports, the free names it references, and the diagnostics decidable
-      without looking outside the item (a local variable never read, a
-      local read before its declaration).
+      [calc], an external declaration of the C-like subsets), a summary
+      cell that reads no environment (only the item's decisions) records
+      the bindings the item exports, the free names it references, and
+      the diagnostics decidable without looking outside the item (a
+      local variable never read, a local read before its declaration).
     + {e Name resolution} — a second cell per item resolves the free
       names against an {e environment restriction} input: only the
       visible bindings whose names the item actually mentions.  An edit
@@ -26,10 +34,12 @@
     item's dag node, so a reparse that rebuilds one statement recomputes
     that statement's cells and validates everything else clean.
 
-    The analyzer is wired to a session from outside this library (the
-    layering keeps [semantics] below the parser runtime): subscribe
-    {!commit} via [Session.on_commit], and bridge semantic
-    disambiguation flips via [Typedefs.on_select] into {!touch}. *)
+    The scope cell of an item fetches its decision cell before walking
+    the selected alternatives, so one engine and one walk per keystroke
+    serve both disambiguation and diagnostics.  The analyzer is wired to
+    a session from outside this library (the layering keeps [semantics]
+    below the parser runtime): subscribe {!commit} via
+    [Session.on_commit]. *)
 
 (** Types of the simple checker.  [Named] is the display type of a
     variable declared through a typedef (checking is structural, against
@@ -62,7 +72,24 @@ type result = {
   types : (int * ty) list;
       (** computed types of statement expressions and initializers,
           keyed by the expression's first token offset *)
-  typedefs : string list;  (** typedef names in force, sorted *)
+  typedefs : string list;  (** file-scope typedef names in force, sorted *)
+}
+
+(** Every typedef decision of one run, totalled over the document
+    ({!decide}; [Typedefs.report] is a view of it). *)
+type decisions = {
+  typedef_names : string list;  (** file-scope typedef names, sorted *)
+  typedef_decls : int;  (** typedef declarations walked, any scope *)
+  choices : int;  (** choice nodes on the selected path *)
+  decided : int;  (** choices (re)decided this run; validated ones count 0 *)
+  reinterpreted : int;  (** decisions that flipped an earlier selection *)
+  unresolved : int;  (** choices left with every interpretation *)
+  prefer_candidates : int;
+      (** decisions this run where the name is a type and both readings
+          exist — where C++'s prefer-declaration rule applies *)
+  sem_errors : (string * string) list;
+      (** (kind, name) in walk order: ["type-in-expression-position"],
+          ["unknown-type-name"] *)
 }
 
 type t
@@ -84,17 +111,28 @@ val commit : t -> watermark:int -> Parsedag.Node.t -> unit
     [Session.on_commit s (fun ~watermark root -> Diag.commit d ~watermark root)]. *)
 
 val touch : t -> Parsedag.Node.t -> unit
-(** Dirty cells that read [n] (a choice node whose selection a semantic
-    filter flipped in place).  Bridge as
-    [Typedefs.on_select tds (Diag.touch d)]. *)
+(** Dirty cells that read [n]: a choice node whose selection something
+    outside this analyzer flipped in place.  Its item re-decides it on
+    the next run. *)
+
+val decide : t -> ?on_select:(Parsedag.Node.t -> unit) -> Parsedag.Node.t -> decisions
+(** Run the typedef decisions alone over the tree rooted at [root]:
+    fetch every item's decision cell, collect dead cells, and total the
+    counters.  [on_select] sees each choice node whose selection a
+    decision changed.  On a grammar without a typedef namespace nothing
+    is decided. *)
 
 val run : t -> ?typedefs:string list -> Parsedag.Node.t -> result
 (** Analyze the committed tree rooted at [root] (pass the session
-    root).  Fetches the per-item cells — recomputing only what the
-    edits since the last run invalidated — aggregates, and garbage
-    collects cells for items no longer in the tree.  [typedefs] embeds
-    the semantic-disambiguation layer's view (e.g.
-    [Typedefs.global_typedefs]) in the result. *)
+    root).  Makes the typedef decisions, fetches the per-item cells —
+    recomputing only what the edits since the last run invalidated —
+    aggregates, and garbage collects cells for items no longer in the
+    tree.
+
+    [typedefs] is deprecated: the result computes its own [typedefs].
+    When given, it must equal them up to order and duplicates (a
+    cross-check of an external view), otherwise [Invalid_argument] is
+    raised. *)
 
 val render : result -> string
 (** Deterministic s-expression rendering: equal results render equal —

@@ -1,15 +1,8 @@
-(* Semantic disambiguation of the C-like subsets (§4.2), reimplemented
-   as the first consumer of the incremental query engine: each choice
-   node's decision is a query cell whose inputs are the namespace
-   status of the region's leading identifier (an input cell, set
-   during the scope walk) — so a distant edit that adds or removes a
-   typedef re-decides exactly the choices whose status actually
-   changed, and everything else validates clean.  The report counters
-   keep their historical meaning: [decided] counts cells the engine
-   recomputed this run, [reinterpreted] the decisions that flipped an
-   earlier selection. *)
+(* Semantic disambiguation of the C-like subsets (§4.2), as a view of
+   [Diag]'s decision cells: an analyzer owns a [Diag] analyzer whose
+   engine holds only decision cells, runs [Diag.decide], and reports its
+   counters under their historical names. *)
 
-module Cfg = Grammar.Cfg
 module Node = Parsedag.Node
 
 type policy = Namespace_only | Prefer_decl
@@ -24,51 +17,19 @@ type report = {
   errors : (string * string) list;
 }
 
-type decision = {
-  dec_name : string option;  (* leading identifier the decision used *)
-  dec_was_type : bool;
-  dec_selected : int;
-}
-
-(* The decision cell's input: the facts the walk establishes that the
-   decision depends on.  [x_force] is a nonce the walk bumps to force a
-   re-decision (unresolved choices re-decide every run, §4.3, and an
-   externally flipped selection invalidates the stored decision). *)
-type ctx = { x_name : string option; x_was_type : bool; x_force : int }
-
-type counters = {
-  mutable c_typedefs : int;
-  mutable c_choices : int;
-  mutable c_reinterp : int;
-  mutable c_unresolved : int;
-  mutable c_prefer : int;
-  mutable c_errors : (string * string) list;
-}
-
-type run_state = {
-  rs_c : counters;
-  rs_nodes : (int, Node.t) Hashtbl.t;  (* nid -> choice node, this walk *)
-}
-
 type t = {
-  g : Cfg.t;
+  diag : Diag.t;
   policy : policy;
-  id_term : int;
-  typedef_term : int;
-  decl_nt : int;
-  expr_nt : int;
-  compound_nt : int;
-  engine : Query.t;
-  ctx_in : ctx Query.input;
-  decide_q : decision Query.def;
-  decisions : (int, decision) Hashtbl.t;
-      (* mirror of the cells' current values, for the walk's memo
-         check; the engine owns caching and invalidation *)
-  mutable force_ctr : int;
   mutable globals : string list;
-  mutable cur : run_state option;
-  mutable on_select : (Node.t -> unit) option;
+  mutable on_select : Node.t -> unit;
 }
+
+let create ?(policy = Namespace_only) g =
+  { diag = Diag.create g; policy; globals = []; on_select = ignore }
+
+let engine t = Diag.engine t.diag
+let on_select t f = t.on_select <- f
+let global_typedefs t = t.globals
 
 let chosen (n : Node.t) =
   match n.Node.kind with
@@ -77,267 +38,19 @@ let chosen (n : Node.t) =
       Some n.Node.kids.(c.selected)
   | _ -> None
 
-let global_typedefs t = t.globals
-let engine t = t.engine
-let on_select t f = t.on_select <- Some f
-
-(* Environment: a stack of mutable scope tables. *)
-type env = (string, unit) Hashtbl.t list
-
-let lookup (env : env) name = List.exists (fun s -> Hashtbl.mem s name) env
-
-let declare (env : env) name =
-  match env with
-  | scope :: _ -> Hashtbl.replace scope name ()
-  | [] -> assert false
-
-(* First identifier terminal in a subtree (descending first alternatives
-   of nested choices). *)
-let rec leading_id t (n : Node.t) =
-  match n.Node.kind with
-  | Node.Term i -> if i.Node.term = t.id_term then Some i.Node.text else None
-  | Node.Bos | Node.Eos _ -> None
-  | Node.Choice _ -> leading_id t n.Node.kids.(0)
-  | Node.Prod _ | Node.Error _ | Node.Root ->
-      let rec scan i =
-        if i >= Array.length n.Node.kids then None
-        else
-          match leading_id t n.Node.kids.(i) with
-          | Some x -> Some x
-          | None ->
-              if Node.token_count n.Node.kids.(i) > 0 then None
-              else scan (i + 1)
-      in
-      scan 0
-
-(* Leading terminal (any kind): used to check whether the region starts
-   with an identifier at all. *)
-let leading_term (n : Node.t) =
-  match Node.first_terminal n with
-  | Some { Node.kind = Node.Term i; _ } -> Some i.Node.term
-  | _ -> None
-
-let alt_symbol t (alt : Node.t) =
-  (* Classify a stmt alternative by its first child's nonterminal. *)
-  match alt.Node.kind with
-  | Node.Prod _ when Array.length alt.Node.kids > 0 -> (
-      match Node.symbol t.g alt.Node.kids.(0) with
-      | `N nt ->
-          if nt = t.decl_nt then `Decl
-          else if nt = t.expr_nt then `Expr
-          else `Other
-      | `T _ | `Other -> `Other)
-  | _ -> `Other
-
-let is_typedef_decl t (n : Node.t) =
-  match n.Node.kind with
-  | Node.Prod p ->
-      let prod = Cfg.production t.g p in
-      prod.Cfg.lhs = t.decl_nt
-      && Array.length prod.Cfg.rhs > 0
-      && prod.Cfg.rhs.(0) = Cfg.T t.typedef_term
-  | _ -> false
-
-let typedef_name t (n : Node.t) =
-  (* decl -> typedef type_spec id ; — the declared name is the id child. *)
-  let result = ref None in
-  Array.iter
-    (fun (k : Node.t) ->
-      match k.Node.kind with
-      | Node.Term i when i.Node.term = t.id_term -> result := Some i.Node.text
-      | _ -> ())
-    n.Node.kids;
-  !result
-
-(* The decision computation, run by the engine when the cell is new or
-   its context input changed.  Mirrors the historical decide logic:
-   counters beyond [choices]/[typedefs] move only here, so a memoized
-   (validated-clean) choice contributes nothing to the run's report. *)
-let decide_compute t e nid =
-  let rs = match t.cur with Some rs -> rs | None -> assert false in
-  let n = Hashtbl.find rs.rs_nodes nid in
-  let ci =
-    match n.Node.kind with Node.Choice ci -> ci | _ -> assert false
-  in
-  let ctx =
-    match Query.read e t.ctx_in nid with Some c -> c | None -> assert false
-  in
-  let c = rs.rs_c in
-  let name = ctx.x_name in
-  let is_type = ctx.x_was_type in
-  let starts_with_id = leading_term n = Some t.id_term in
-  let find_alt kind =
-    let rec scan i =
-      if i >= Array.length n.Node.kids then None
-      else if alt_symbol t n.Node.kids.(i) = kind then Some i
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  let target =
-    if not starts_with_id then
-      (* Ambiguity not rooted in the typedef problem: leave it to other
-         filters. *)
-      None
-    else if is_type then begin
-      match find_alt `Decl with
-      | Some i ->
-          if t.policy = Prefer_decl && find_alt `Expr <> None then
-            c.c_prefer <- c.c_prefer + 1;
-          Some i
-      | None ->
-          c.c_errors <-
-            ("type-in-expression-position", Option.value ~default:"?" name)
-            :: c.c_errors;
-          None
-    end
-    else begin
-      match find_alt `Expr with
-      | Some i -> Some i
-      | None ->
-          (* Only a declaration reading exists but the leading name is
-             not a type: a program error; retain interpretations. *)
-          c.c_errors <-
-            ("unknown-type-name", Option.value ~default:"?" name) :: c.c_errors;
-          None
-    end
-  in
-  let prev = ci.Node.selected in
-  (match target with
-  | Some i ->
-      ci.Node.selected <- i;
-      if prev >= 0 && prev <> i then c.c_reinterp <- c.c_reinterp + 1
-  | None ->
-      ci.Node.selected <- -1;
-      c.c_unresolved <- c.c_unresolved + 1);
-  let d =
-    { dec_name = name; dec_was_type = is_type; dec_selected = ci.Node.selected }
-  in
-  Hashtbl.replace t.decisions nid d;
-  if ci.Node.selected <> prev then
-    (match t.on_select with Some f -> f n | None -> ());
-  d
-
-let create ?(policy = Namespace_only) g =
-  (* The decision query's compute closure needs the analyzer record,
-     which itself stores the definition: tie the knot through a ref. *)
-  let tref = ref None in
-  let decide_q =
-    Query.define ~name:"typedefs.decide" (fun e nid ->
-        match !tref with
-        | Some t -> decide_compute t e nid
-        | None -> assert false)
-  in
-  let t =
-    {
-      g;
-      policy;
-      id_term = Cfg.find_terminal g "id";
-      typedef_term = Cfg.find_terminal g "typedef";
-      decl_nt = Cfg.find_nonterminal g "decl";
-      expr_nt = Cfg.find_nonterminal g "expr";
-      compound_nt = Cfg.find_nonterminal g "compound";
-      engine = Query.create ();
-      ctx_in = Query.input ~name:"typedefs.ctx" ();
-      decide_q;
-      decisions = Hashtbl.create 64;
-      force_ctr = 0;
-      globals = [];
-      cur = None;
-      on_select = None;
-    }
-  in
-  tref := Some t;
-  t
-
-(* Decide a choice node: establish its context input, then demand the
-   decision cell.  The cell recomputes exactly when the leading name's
-   namespace status changed, the selection was externally flipped, or
-   the choice is still unresolved (which re-decides every run so
-   semantic errors are re-reported, §4.3). *)
-let decide t (c : counters) (env : env) (n : Node.t) ci =
-  c.c_choices <- c.c_choices + 1;
-  let rs = match t.cur with Some rs -> rs | None -> assert false in
-  Hashtbl.replace rs.rs_nodes n.Node.nid n;
-  let name = leading_id t n in
-  let is_type = match name with Some x -> lookup env x | None -> false in
-  let need_force =
-    match Hashtbl.find_opt t.decisions n.Node.nid with
-    | Some d -> not (d.dec_selected >= 0 && d.dec_selected = ci.Node.selected)
-    | None -> false  (* no cell yet: the first fetch computes anyway *)
-  in
-  let force =
-    match (need_force, Query.peek t.engine t.ctx_in n.Node.nid) with
-    | false, Some prev -> prev.x_force
-    | false, None -> 0
-    | true, prev ->
-        t.force_ctr <-
-          (max t.force_ctr (match prev with Some p -> p.x_force | None -> 0))
-          + 1;
-        t.force_ctr
-  in
-  Query.set t.engine t.ctx_in n.Node.nid
-    { x_name = name; x_was_type = is_type; x_force = force };
-  ignore (Query.fetch t.engine t.decide_q n.Node.nid)
-
 let analyze t root =
-  let c =
-    {
-      c_typedefs = 0;
-      c_choices = 0;
-      c_reinterp = 0;
-      c_unresolved = 0;
-      c_prefer = 0;
-      c_errors = [];
-    }
-  in
-  let computes0 = (Query.stats t.engine).Query.computes in
-  t.cur <- Some { rs_c = c; rs_nodes = Hashtbl.create 64 };
-  let is_compound (n : Node.t) =
-    match n.Node.kind with
-    | Node.Prod p -> (Cfg.production t.g p).Cfg.lhs = t.compound_nt
-    | _ -> false
-  in
-  let rec walk env (n : Node.t) =
-    (if is_typedef_decl t n then
-       match typedef_name t n with
-       | Some name ->
-           c.c_typedefs <- c.c_typedefs + 1;
-           declare env name
-       | None -> ());
-    match n.Node.kind with
-    | Node.Choice ci ->
-        decide t c env n ci;
-        (* Continue into the chosen interpretation (or the first while
-           unresolved) so nested structure is processed once. *)
-        let pick = if ci.Node.selected >= 0 then ci.Node.selected else 0 in
-        walk env n.Node.kids.(pick)
-    | Node.Term _ | Node.Bos | Node.Eos _ -> ()
-    | Node.Prod _ | Node.Error _ | Node.Root ->
-        let env = if is_compound n then Hashtbl.create 8 :: env else env in
-        Array.iter (walk env) n.Node.kids
-  in
-  let global_scope = Hashtbl.create 16 in
-  let finish () = t.cur <- None in
-  (try walk [ global_scope ] root with e -> finish (); raise e);
-  finish ();
-  t.globals <- Hashtbl.fold (fun k () acc -> k :: acc) global_scope [];
-  (* Sweep cells for choice nodes no longer in the tree (the engine's
-     dead-cell GC), and their mirror entries. *)
-  ignore (Query.collect t.engine);
-  let dead =
-    Hashtbl.fold
-      (fun nid _ acc ->
-        if Query.peek t.engine t.ctx_in nid = None then nid :: acc else acc)
-      t.decisions []
-  in
-  List.iter (Hashtbl.remove t.decisions) dead;
+  let d = Diag.decide t.diag ~on_select:t.on_select root in
+  t.globals <- d.Diag.typedef_names;
   {
-    typedefs = c.c_typedefs;
-    choices = c.c_choices;
-    decided = (Query.stats t.engine).Query.computes - computes0;
-    reinterpreted = c.c_reinterp;
-    unresolved = c.c_unresolved;
-    prefer_decl_applied = c.c_prefer;
-    errors = List.rev c.c_errors;
+    typedefs = d.Diag.typedef_decls;
+    choices = d.Diag.choices;
+    decided = d.Diag.decided;
+    reinterpreted = d.Diag.reinterpreted;
+    unresolved = d.Diag.unresolved;
+    (* Both policies select the declaration; only C++ counts the rule. *)
+    prefer_decl_applied =
+      (match t.policy with
+      | Prefer_decl -> d.Diag.prefer_candidates
+      | Namespace_only -> 0);
+    errors = d.Diag.sem_errors;
   }

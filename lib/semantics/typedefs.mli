@@ -10,10 +10,13 @@
     resolved (unknown names, missing interpretations) keep all their
     interpretations indefinitely (§4.3).
 
-    Decisions are memoized per choice node: a re-run after an edit
-    re-decides only choices that are new, structurally changed, or whose
-    leading identifier's typedef-status changed — the incremental
-    behaviour of the paper's semantic filters. *)
+    The decisions are {!Diag}'s: one cell per top-level item, whose
+    input is the file-scope typedef names declared before the item,
+    restricted to the leading identifiers of its choices.  This module
+    is a view of them — an analyzer owns a [Diag] analyzer that runs only
+    those cells, and reports their counters.  A re-run after an edit
+    re-decides only rebuilt items and items whose restriction changed —
+    the incremental behaviour of the paper's semantic filters. *)
 
 type policy =
   | Namespace_only
@@ -36,7 +39,9 @@ type report = {
 
 type t
 (** Analyzer with memoized decisions; reuse across runs on the same
-    document for incremental behaviour. *)
+    document for incremental behaviour.  The policy only decides whether
+    [prefer_decl_applied] counts: both policies select the same
+    alternative. *)
 
 val create : ?policy:policy -> Grammar.Cfg.t -> t
 val analyze : t -> Parsedag.Node.t -> report
@@ -46,9 +51,9 @@ val engine : t -> Query.t
 
 val on_select : t -> (Parsedag.Node.t -> unit) -> unit
 (** Install a hook invoked with each choice node whose selection a
-    decision actually changed — the push-invalidation bridge for
-    downstream analyses whose cells read selections of retained nodes
-    (they [Query.touch_node] the flipped choice on their own engine). *)
+    decision actually changed.  A [Diag] analyzer makes the same
+    decisions itself and needs no bridge; the hook serves observers of
+    the flips. *)
 
 (** The selected interpretation of a disambiguated choice node ([None]
     while unresolved).  After selection, tools can treat choice nodes as

@@ -609,10 +609,10 @@ let do_errors t ~req ~id ~doc () =
          ("regions", P.regions_to_json (Session.error_regions e.Pool.session));
        ])
 
-(* Semantic diagnostics: the analyzers live on the pool entry and stay
+(* Semantic diagnostics: the analyzer lives on the pool entry and stays
    commit-subscribed to its session, so consecutive diag requests after
-   small edits validate cached query cells instead of re-analysing the
-   whole document.  Runs under the scheduler's per-document ordering
+   small edits validate cached query cells (typedef decisions included)
+   instead of re-analysing the whole document.  Runs under the scheduler's per-document ordering
    (it mutates the dag's choice selections and the query store). *)
 let do_diag t ~req ~id ~doc ~metrics () =
   with_entry t ~req ~id doc @@ fun e ->
@@ -633,40 +633,19 @@ let do_diag t ~req ~id ~doc ~metrics () =
       | Some a -> a
       | None ->
           let d = Semantics.Diag.create grammar in
-          let tds =
-            match Grammar.Cfg.find_terminal grammar "typedef" with
-            | _ ->
-                let tds =
-                  Semantics.Typedefs.create
-                    ?policy:e.Pool.lang.Language.ambig.Language.sem_policy
-                    grammar
-                in
-                Semantics.Typedefs.on_select tds (Semantics.Diag.touch d);
-                Some tds
-            | exception Not_found -> None
-          in
           Session.on_commit s (fun ~watermark root ->
               Semantics.Diag.commit d ~watermark root);
-          let a = { Pool.a_diag = d; a_tds = tds } in
-          e.Pool.analysis <- Some a;
-          a
+          e.Pool.analysis <- Some d;
+          d
     in
     (* [Session.measure] scopes the delta to this domain: the query.*
        counters in it are exactly this request's compute/hit/backdate
        activity. *)
     let r, d =
-      Session.measure (fun () ->
-          let typedefs =
-            match analysis.Pool.a_tds with
-            | Some tds ->
-                ignore (Semantics.Typedefs.analyze tds (Session.root s));
-                Semantics.Typedefs.global_typedefs tds
-            | None -> []
-          in
-          Semantics.Diag.run analysis.Pool.a_diag ~typedefs (Session.root s))
+      Session.measure (fun () -> Semantics.Diag.run analysis (Session.root s))
     in
     let loc tok = Session.location_of_token s tok in
-    let engine = Semantics.Diag.engine analysis.Pool.a_diag in
+    let engine = Semantics.Diag.engine analysis in
     let qs = Query.stats engine in
     P.ok ~req ~id
       (Json.Obj

@@ -1,8 +1,3 @@
-type analysis = {
-  a_diag : Semantics.Diag.t;
-  a_tds : Semantics.Typedefs.t option;
-}
-
 type entry = {
   doc : string;
   lang_name : string;
@@ -10,7 +5,7 @@ type entry = {
   mutable session : Iglr.Session.t;
   mutable committed_text : string;
   mutable poisoned : bool;
-  mutable analysis : analysis option;
+  mutable analysis : Semantics.Diag.t option;
 }
 
 type t = { m : Mutex.t; tbl : (string, entry) Hashtbl.t }

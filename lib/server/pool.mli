@@ -17,16 +17,6 @@
     entry's last committed text — the document survives the incident
     with at worst the uncommitted edits of the crashed request lost. *)
 
-type analysis = {
-  a_diag : Semantics.Diag.t;
-      (** incremental semantic query analyzer, commit-subscribed to the
-          entry's session *)
-  a_tds : Semantics.Typedefs.t option;
-      (** typedef disambiguator for the C subsets ([None] for languages
-          without a typedef namespace), with its choice flips bridged to
-          [a_diag]'s push invalidation *)
-}
-
 type entry = {
   doc : string;
   lang_name : string;
@@ -36,9 +26,10 @@ type entry = {
       (** text as of the last request that completed cleanly — the
           rebuild point after {!poison} *)
   mutable poisoned : bool;
-  mutable analysis : analysis option;
-      (** lazily-built semantic analyzers ({!analysis}); reset by
-          {!heal} because their commit subscription dies with the old
+  mutable analysis : Semantics.Diag.t option;
+      (** lazily-built incremental semantic analyzer, commit-subscribed
+          to the entry's session (typedef decisions included); reset by
+          {!heal} because its commit subscription dies with the old
           session *)
 }
 

@@ -29,6 +29,22 @@ let base_calc =
 
 let base_c = Workload.Spec_gen.plain ~lines:30 ~seed:7
 
+(* Typedef-ambiguous statements under file-scope and block-local
+   typedefs, with leading names out of scope or not types at all: edits
+   to it flip typedef decisions. *)
+let base_typedefs =
+  String.concat "\n"
+    [
+      "typedef int t ;";
+      "typedef char u ;";
+      "int g ;";
+      "int f ( int x ) { t ( y ) ; u * p ; g ( x ) ; return x ; }";
+      "int h ( ) { typedef int v ; v ( w ) ; v * q ; t * r ; return 0 ; }";
+      "int k ( ) { v ( z ) ; g * g ; u ( m ) ; return 1 ; }";
+      "typedef int g2 ;";
+      "int m ( ) { g2 ( a ) ; { typedef char w2 ; w2 ( b ) ; } w2 ( c ) ; }";
+    ]
+
 (* From-scratch oracle: Some sexp when the text parses, None when it is
    rejected.  Every accepted batch parse also runs the dag sanitizer. *)
 let batch lang text =
@@ -237,6 +253,197 @@ let check_recovery_spans ~rng s =
           k (fst got) (snd got) (fst want) (snd want) text
     done
 
+(* The typedef half of "incremental query = scratch query": after every
+   committed reparse, the selections that the incremental [Diag]'s
+   per-item decision cells made must equal those of the whole-dag walk
+   below on a batch parse of the same text, and the typedef names must
+   agree. *)
+
+(* The whole-dag typedef walk that the per-item decision cells
+   replaced, kept as their oracle: binding contours as a stack of scope
+   tables, every choice on the selected path decided from scratch, error
+   regions included.  Sets the selections in place; returns the
+   file-scope typedef names, sorted. *)
+let reference_decisions g root =
+  let module Cfg = Grammar.Cfg in
+  let id_t = Cfg.find_terminal g "id" in
+  let typedef_t = Cfg.find_terminal g "typedef" in
+  let decl_nt = Cfg.find_nonterminal g "decl" in
+  let expr_nt = Cfg.find_nonterminal g "expr" in
+  let compound_nt = Cfg.find_nonterminal g "compound" in
+  let rec leading_id (n : Node.t) =
+    match n.Node.kind with
+    | Node.Term i -> if i.Node.term = id_t then Some i.Node.text else None
+    | Node.Bos | Node.Eos _ -> None
+    | Node.Choice _ -> leading_id n.Node.kids.(0)
+    | Node.Prod _ | Node.Error _ | Node.Root ->
+        let rec scan i =
+          if i >= Array.length n.Node.kids then None
+          else
+            match leading_id n.Node.kids.(i) with
+            | Some x -> Some x
+            | None ->
+                if Node.token_count n.Node.kids.(i) > 0 then None
+                else scan (i + 1)
+        in
+        scan 0
+  in
+  let alt_symbol (alt : Node.t) =
+    match alt.Node.kind with
+    | Node.Prod _ when Array.length alt.Node.kids > 0 -> (
+        match Node.symbol g alt.Node.kids.(0) with
+        | `N nt when nt = decl_nt -> `Decl
+        | `N nt when nt = expr_nt -> `Expr
+        | _ -> `Other)
+    | _ -> `Other
+  in
+  let lhs p = (Cfg.production g p).Cfg.lhs in
+  let is_typedef_decl (n : Node.t) =
+    match n.Node.kind with
+    | Node.Prod p ->
+        let prod = Cfg.production g p in
+        prod.Cfg.lhs = decl_nt
+        && Array.length prod.Cfg.rhs > 0
+        && prod.Cfg.rhs.(0) = Cfg.T typedef_t
+    | _ -> false
+  in
+  let typedef_name (n : Node.t) =
+    Array.fold_left
+      (fun acc (k : Node.t) ->
+        match k.Node.kind with
+        | Node.Term i when i.Node.term = id_t -> Some i.Node.text
+        | _ -> acc)
+      None n.Node.kids
+  in
+  let decide env (n : Node.t) ci =
+    let name = leading_id n in
+    let is_type =
+      match name with
+      | Some x -> List.exists (fun s -> Hashtbl.mem s x) env
+      | None -> false
+    in
+    let find kind =
+      let rec scan i =
+        if i >= Array.length n.Node.kids then None
+        else if alt_symbol n.Node.kids.(i) = kind then Some i
+        else scan (i + 1)
+      in
+      scan 0
+    in
+    let starts_with_id =
+      match Node.first_terminal n with
+      | Some { Node.kind = Node.Term i; _ } -> i.Node.term = id_t
+      | _ -> false
+    in
+    let target =
+      if not starts_with_id then None
+      else if is_type then find `Decl
+      else find `Expr
+    in
+    ci.Node.selected <- Option.value ~default:(-1) target
+  in
+  let rec walk env (n : Node.t) =
+    (if is_typedef_decl n then
+       match (typedef_name n, env) with
+       | Some x, scope :: _ -> Hashtbl.replace scope x ()
+       | _ -> ());
+    match n.Node.kind with
+    | Node.Choice ci ->
+        decide env n ci;
+        walk env n.Node.kids.(max 0 ci.Node.selected)
+    | Node.Term _ | Node.Bos | Node.Eos _ -> ()
+    | Node.Prod p when lhs p = compound_nt ->
+        let env = Hashtbl.create 8 :: env in
+        Array.iter (walk env) n.Node.kids
+    | Node.Prod _ | Node.Error _ | Node.Root ->
+        Array.iter (walk env) n.Node.kids
+  in
+  let global = Hashtbl.create 16 in
+  walk [ global ] root;
+  List.sort compare (Hashtbl.fold (fun x () acc -> x :: acc) global [])
+
+(* The selections along the selected path, in document order. *)
+let selections root =
+  let acc = ref [] in
+  let rec go (n : Node.t) =
+    match n.Node.kind with
+    | Node.Choice ci ->
+        acc := ci.Node.selected :: !acc;
+        go n.Node.kids.(max 0 ci.Node.selected)
+    | _ -> Array.iter go n.Node.kids
+  in
+  go root;
+  List.rev !acc
+
+(* A structural copy with the selections, for recovered trees whose
+   error isolation a batch parse does not reproduce. *)
+let rec copy_dag (n : Node.t) =
+  let kids = Array.map copy_dag n.Node.kids in
+  match n.Node.kind with
+  | Node.Term i ->
+      Node.make_term ~term:i.Node.term ~text:i.Node.text ~trivia:i.Node.trivia
+        ~lex_la:i.Node.lex_la
+  | Node.Prod p -> Node.make_prod ~prod:p ~state:n.Node.state kids
+  | Node.Choice ci ->
+      let c = Node.make_choice ~nt:ci.Node.nt kids in
+      (match c.Node.kind with
+      | Node.Choice ci' -> ci'.Node.selected <- ci.Node.selected
+      | _ -> ());
+      c
+  | Node.Error e -> Node.make_error ~message:e.Node.message kids
+  | Node.Bos -> Node.make_bos ()
+  | Node.Eos e -> Node.make_eos ~trailing:e.Node.trailing
+  | Node.Root -> Node.make_root kids
+
+let committed = function
+  | Session.Parsed _ -> true
+  | Session.Recovered { isolated; _ } -> isolated > 0
+
+let decides_typedefs lang =
+  let g = lang.Language.grammar in
+  Semantics.Diag.supported g
+  && match Grammar.Cfg.find_terminal g "typedef" with
+     | _ -> true
+     | exception Not_found -> false
+
+(* A commit-subscribed [Diag] for languages with typedef decisions. *)
+let decision_analyzer lang s =
+  if decides_typedefs lang then begin
+    let d = Semantics.Diag.create lang.Language.grammar in
+    Session.on_commit s (fun ~watermark root ->
+        Semantics.Diag.commit d ~watermark root);
+    Some d
+  end
+  else None
+
+let check_decisions lang d s =
+  let g = lang.Language.grammar in
+  let r = Semantics.Diag.run d (Session.root s) in
+  let got = selections (Session.root s) in
+  let text = Session.text s in
+  let batch, _ =
+    Session.create ~table:(Language.table lang) ~lexer:(Language.lexer lang)
+      text
+  in
+  let root =
+    if
+      String.equal
+        (Parsedag.Pp.to_sexp g (Session.root batch))
+        (Parsedag.Pp.to_sexp g (Session.root s))
+    then Session.root batch
+    else copy_dag (Session.root s)
+  in
+  let names = reference_decisions g root in
+  if selections root <> got then
+    QCheck.Test.fail_reportf
+      "incremental typedef decisions diverged from the reference walk on %S"
+      text;
+  if names <> r.Semantics.Diag.typedefs then
+    QCheck.Test.fail_reportf
+      "typedef names [%s] diverged from the reference walk's [%s] on %S"
+      (String.concat " " r.Semantics.Diag.typedefs)
+      (String.concat " " names) text
+
 let replay lang base (seed, count) =
   let table = Language.table lang in
   let script = Edit_gen.random_script ~seed ~count base in
@@ -251,6 +458,7 @@ let replay lang base (seed, count) =
   (match outcome0 with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> QCheck.Test.fail_report "base program rejected");
+  let decisions = decision_analyzer lang s in
   let rng = Random.State.make [| seed |] in
   let text = ref base in
   List.for_all
@@ -270,6 +478,9 @@ let replay lang base (seed, count) =
          | faults ->
              QCheck.Test.fail_reportf "malformed trace after edit:\n %s"
                (String.concat "\n " faults));
+      (match decisions with
+      | Some d when committed outcome -> check_decisions lang d s
+      | _ -> ());
       match (batch lang !text, outcome) with
       | Some expected, Session.Parsed _ ->
           Analyze.Check.assert_dag table (Session.root s);
@@ -321,6 +532,7 @@ let fault_replay lang base (seed, count) =
   (match outcome0 with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> QCheck.Test.fail_report "base program rejected");
+  let decisions = decision_analyzer lang s in
   let text = ref base in
   let step () =
     (* Half the edits inject an invalid token run at a random position;
@@ -355,6 +567,9 @@ let fault_replay lang base (seed, count) =
     let outcome = Session.reparse s in
     check_positions ~rng:index_rng (Language.lexer lang) s;
     check_recovery_spans ~rng:index_rng s;
+    (match decisions with
+    | Some d when committed outcome -> check_decisions lang d s
+    | _ -> ());
     match (batch lang !text, outcome) with
     | Some expected, Session.Parsed _ ->
         Analyze.Check.assert_dag ~expect_text:!text table (Session.root s);
@@ -707,6 +922,7 @@ let index_replay (seed, count) =
       in
       check_positions ~rng lexer s;
       check_recovery_spans ~rng:unit_rng s;
+      let decisions = decision_analyzer lang s in
       for _ = 1 to count do
         let len = String.length (Session.text s) in
         let pos = Random.State.int rng (len + 1) in
@@ -717,8 +933,11 @@ let index_replay (seed, count) =
         | () -> ()
         | exception Lexgen.Scanner.Lex_error _ -> ());
         if Random.State.bool rng then begin
-          ignore (Session.reparse s);
-          check_recovery_spans ~rng:unit_rng s
+          let outcome = Session.reparse s in
+          check_recovery_spans ~rng:unit_rng s;
+          match decisions with
+          | Some d when committed outcome -> check_decisions lang d s
+          | _ -> ()
         end;
         check_positions ~rng lexer s
       done)
@@ -737,6 +956,16 @@ let prop_c =
   QCheck.Test.make ~count:60 ~name:"edit fuzz: C incremental = batch"
     arb_script
     (replay Languages.C_subset.language base_c)
+
+let prop_c_typedefs =
+  QCheck.Test.make ~count:40
+    ~name:"edit fuzz: C typedef decisions = reference walk" arb_script
+    (replay Languages.C_subset.language base_typedefs)
+
+let prop_cpp_typedefs =
+  QCheck.Test.make ~count:40
+    ~name:"edit fuzz: C++ typedef decisions = reference walk" arb_script
+    (replay Languages.Cpp_subset.language base_typedefs)
 
 let prop_index =
   QCheck.Test.make ~count:40
@@ -794,6 +1023,16 @@ let prop_fault_c =
     ~name:"fault injection: C isolation + budget + convergence"
     arb_script
     (fault_replay Languages.C_subset.language base_c)
+
+let prop_fault_c_typedefs =
+  QCheck.Test.make ~count:30
+    ~name:"fault injection: C typedef decisions = reference walk" arb_script
+    (fault_replay Languages.C_subset.language base_typedefs)
+
+let prop_fault_cpp_typedefs =
+  QCheck.Test.make ~count:30
+    ~name:"fault injection: C++ typedef decisions = reference walk" arb_script
+    (fault_replay Languages.Cpp_subset.language base_typedefs)
 
 (* The §5 reuse invariant, asserted via the metrics layer: one token edit
    deep inside a balanced program must rebuild only the spine — under 10%
@@ -874,6 +1113,8 @@ let suite =
   [
     Test_seed.to_alcotest prop_calc;
     Test_seed.to_alcotest prop_c;
+    Test_seed.to_alcotest prop_c_typedefs;
+    Test_seed.to_alcotest prop_cpp_typedefs;
     Test_seed.to_alcotest prop_index;
     Test_seed.to_alcotest prop_compiled_calc;
     Test_seed.to_alcotest prop_compiled_c;
@@ -885,6 +1126,8 @@ let suite =
     Test_seed.to_alcotest prop_query_reuse_c;
     Test_seed.to_alcotest prop_fault_calc;
     Test_seed.to_alcotest prop_fault_c;
+    Test_seed.to_alcotest prop_fault_c_typedefs;
+    Test_seed.to_alcotest prop_fault_cpp_typedefs;
     Alcotest.test_case "reuse invariant: single-token edit >= 90%" `Quick
       reuse_invariant;
     Alcotest.test_case "isolation units across ambiguity" `Quick

@@ -236,12 +236,8 @@ let test_diag_calc_use_before () =
 
 let c_lang () = Languages.Registry.find "c" |> Option.get
 
-(* Run the C subset's semantic disambiguation before analysing:
-   typedef-induced choices must be selected for the walker. *)
-let analyze_c s d tds =
-  Typedefs.on_select tds (Diag.touch d);
-  ignore (Typedefs.analyze tds (Session.root s));
-  Diag.run d ~typedefs:(Typedefs.global_typedefs tds) (Session.root s)
+(* [Diag.run] makes the C subset's typedef decisions itself. *)
+let analyze_c s d = Diag.run d (Session.root s)
 
 let test_diag_clike () =
   let lang = c_lang () in
@@ -252,8 +248,7 @@ let test_diag_clike () =
   in
   let s = parse_session lang text in
   let d = Diag.create lang.Language.grammar in
-  let tds = Typedefs.create ~policy:Semantics.Typedefs.Namespace_only lang.Language.grammar in
-  let r = analyze_c s d tds in
+  let r = analyze_c s d in
   let unused =
     List.filter (fun dg -> dg.Diag.d_code = "unused-binding") r.Diag.diags
   in
@@ -282,8 +277,7 @@ let test_diag_clike_mismatch_and_ubd () =
   in
   let s = parse_session lang text in
   let d = Diag.create lang.Language.grammar in
-  let tds = Typedefs.create ~policy:Semantics.Typedefs.Namespace_only lang.Language.grammar in
-  let r = analyze_c s d tds in
+  let r = analyze_c s d in
   Alcotest.(check bool) "char/int mismatch" true
     (List.mem "type-mismatch" (codes r));
   Alcotest.(check bool) "use before decl across items" true
@@ -323,6 +317,43 @@ let test_diag_incremental_reuse () =
     (Diag.render r0 <> Diag.render r1
     || String.length (Diag.render r0) = String.length (Diag.render r1))
 
+(* One engine per document: a token edit inside one function recomputes
+   that function's four cells (decisions, scope, resolution, types) and
+   nothing else. *)
+let test_diag_clike_one_item () =
+  let lang = c_lang () in
+  let text =
+    "typedef int t ; int f1 ( ) { t ( a ) ; return 1 ; } \
+     int f2 ( ) { t ( b ) ; return 2 ; } int f3 ( ) { t ( c ) ; return 3 ; }"
+  in
+  let s = parse_session lang text in
+  let d = Diag.create lang.Language.grammar in
+  Session.on_commit s (fun ~watermark root -> Diag.commit d ~watermark root);
+  let r0 = analyze_c s d in
+  let pos = Str.search_forward (Str.regexp_string "return 2") text 0 + 7 in
+  Session.edit s ~pos ~del:1 ~insert:"7";
+  (match Session.reparse s with
+  | Session.Parsed _ -> ()
+  | Session.Recovered _ -> Alcotest.fail "edit broke the parse");
+  let st0 = Query.stats (Diag.engine d) in
+  let r1 = analyze_c s d in
+  let st1 = Query.stats (Diag.engine d) in
+  Alcotest.(check int) "four cells of f2 recompute" 4
+    (st1.Query.computes - st0.Query.computes);
+  Alcotest.(check string) "same analysis" (Diag.render r0) (Diag.render r1);
+  Alcotest.(check (list string)) "typedefs" [ "t" ] r1.Diag.typedefs
+
+(* [?typedefs] survives as a cross-check of an outside view. *)
+let test_diag_typedefs_crosscheck () =
+  let lang = c_lang () in
+  let s = parse_session lang "typedef int t ; int f ( ) { t ( x ) ; return 0 ; }" in
+  let d = Diag.create lang.Language.grammar in
+  let r = Diag.run d ~typedefs:[ "t"; "t" ] (Session.root s) in
+  Alcotest.(check (list string)) "agreeing view accepted" [ "t" ] r.Diag.typedefs;
+  match Diag.run d ~typedefs:[ "u" ] (Session.root s) with
+  | _ -> Alcotest.fail "a disagreeing view must raise"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "revision stamps" `Quick test_revision_stamps;
@@ -340,4 +371,8 @@ let suite =
       test_diag_clike_mismatch_and_ubd;
     Alcotest.test_case "incremental reuse across edits" `Quick
       test_diag_incremental_reuse;
+    Alcotest.test_case "clike token edit recomputes one item" `Quick
+      test_diag_clike_one_item;
+    Alcotest.test_case "typedefs cross-check" `Quick
+      test_diag_typedefs_crosscheck;
   ]

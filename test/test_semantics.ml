@@ -159,6 +159,75 @@ let test_typedef_addition_reinterprets () =
         (selected_kind c amb = `Decl)
   | _ -> Alcotest.fail "expected one choice node"
 
+(* Decision cells are per top-level item: count the engine's computes
+   and hits across one re-analysis. *)
+let recount sem s f =
+  let st0 = Query.stats (Typedefs.engine sem) in
+  f ();
+  (match Session.reparse s with
+  | Session.Parsed _ -> ()
+  | Session.Recovered _ -> Alcotest.fail "reparse failed");
+  let r = Typedefs.analyze sem (Session.root s) in
+  let st1 = Query.stats (Typedefs.engine sem) in
+  (r, st1.Query.computes - st0.Query.computes, st1.Query.hits - st0.Query.hits)
+
+let test_token_edit_redecides_one_item () =
+  let text =
+    "typedef int t ;
+\
+     int f1 ( ) { t ( a ) ; return 1 ; }
+\
+     int f2 ( ) { t ( b ) ; return 2 ; }
+\
+     int f3 ( ) { t ( c ) ; return 3 ; }
+\
+     int f4 ( ) { t ( d ) ; return 4 ; }
+"
+  in
+  let s = session c text in
+  let sem = Typedefs.create c.Language.grammar in
+  ignore (Typedefs.analyze sem (Session.root s));
+  let r, computes, hits =
+    recount sem s (fun () ->
+        let pos = Str.search_forward (Str.regexp_string "return 3") text 0 in
+        Session.edit s ~pos:(pos + 7) ~del:1 ~insert:"7")
+  in
+  Alcotest.(check int) "only f3's decision cell recomputes" 1 computes;
+  Alcotest.(check int) "the other four items hit" 4 hits;
+  (* f3's choice node is rebuilt with it (an ambiguous region is never
+     state-matched, §3.3), so its one choice is decided afresh. *)
+  Alcotest.(check int) "f3's choice decided" 1 r.Typedefs.decided;
+  Alcotest.(check int) "still four choices" 4 r.Typedefs.choices
+
+let test_typedef_deletion_redecides_dependents () =
+  let text =
+    "typedef int a ;
+\
+     typedef int b ;
+\
+     int f1 ( ) { a ( x ) ; return 0 ; }
+\
+     int f2 ( ) { b ( y ) ; return 0 ; }
+\
+     int f3 ( ) { a * z ; return 0 ; }
+\
+     int f4 ( ) { c ( w ) ; return 0 ; }
+"
+  in
+  let s = session c text in
+  let sem = Typedefs.create c.Language.grammar in
+  ignore (Typedefs.analyze sem (Session.root s));
+  let r, computes, hits =
+    recount sem s (fun () ->
+        (* Keep the newline: it is the next token's trivia. *)
+        Session.edit s ~pos:0 ~del:(String.index text '\n') ~insert:"")
+  in
+  Alcotest.(check int) "f1 and f3 recompute" 2 computes;
+  Alcotest.(check int) "b's item, f2 and f4 hit" 3 hits;
+  Alcotest.(check int) "two choices re-decided" 2 r.Typedefs.decided;
+  Alcotest.(check int) "both flipped" 2 r.Typedefs.reinterpreted;
+  Alcotest.(check (list string)) "typedefs" [ "b" ] (Typedefs.global_typedefs sem)
+
 let test_error_retention () =
   (* "a b;" forces the declaration reading even when "a" is unknown: the
      analysis reports an unknown type name but the structure is retained
@@ -219,6 +288,10 @@ let suite =
       test_typedef_removal_reinterprets;
     Alcotest.test_case "typedef addition flips" `Quick
       test_typedef_addition_reinterprets;
+    Alcotest.test_case "token edit re-decides one item" `Quick
+      test_token_edit_redecides_one_item;
+    Alcotest.test_case "typedef deletion re-decides its dependents" `Quick
+      test_typedef_deletion_redecides_dependents;
     Alcotest.test_case "errors retained" `Quick test_error_retention;
     Alcotest.test_case "global typedefs" `Quick test_global_typedefs;
     Alcotest.test_case "workload fully resolvable" `Quick
