@@ -18,7 +18,6 @@ type t = {
   table : Lrtab.Table.t;
   config : Glr.config;
   mutable budget : Glr.budget;
-  syn_filters : Syn_filter.rule list;
   doc : Document.t;
   baseline : Metrics.snapshot;
       (* registry state at session creation: [metrics] reports the
@@ -347,24 +346,6 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
 
 (* ------------------------------------------------------------------ *)
 
-(* The single residual-filter branch of static filter compilation: a
-   language whose filters all compiled into the table passes an empty
-   [syn_filters] list and the hot path skips the dag walk entirely —
-   [session.filter_skip] counts the savings, [session.filter_pass] the
-   walks still paid for. *)
-let m_filter_pass = Metrics.counter "session.filter_pass"
-let m_filter_skip = Metrics.counter "session.filter_skip"
-
-let apply_filters t =
-  if t.syn_filters <> [] then begin
-    Metrics.incr m_filter_pass;
-    ignore
-      (Syn_filter.apply
-         (Lrtab.Table.grammar t.table)
-         t.syn_filters (Document.root t.doc))
-  end
-  else Metrics.incr m_filter_skip
-
 let run_hook t ~watermark =
   t.pending_watermark <- None;
   List.iter
@@ -384,7 +365,6 @@ let recover t ~t0 ~deadline ~cancel ~degraded ~watermark (error : Glr.error) =
       let degraded = degraded || stats.Glr.degraded in
       if degraded then Metrics.incr m_degraded;
       t.errors <- true;
-      apply_filters t;
       Metrics.observe_since m_reparse_ms t0;
       run_hook t ~watermark;
       if Trace.enabled () then
@@ -467,7 +447,6 @@ let reparse_owned ?cancel t =
   with
   | stats ->
       Metrics.observe_since m_reparse_ms t0;
-      apply_filters t;
       t.errors <- false;
       (* Error nodes cannot survive a clean parse (their spine never
          state-matches and they always decompose), but flag-only
@@ -493,8 +472,8 @@ let reparse_owned ?cancel t =
 
 let reparse ?cancel t = owned t (fun () -> reparse_owned ?cancel t)
 
-let create ?(config = Glr.default_config) ?(budget = Glr.no_budget)
-    ?(syn_filters = []) ~table ~lexer text =
+let create ?(config = Glr.default_config) ?(budget = Glr.no_budget) ~table
+    ~lexer text =
   let baseline = Metrics.snapshot () in
   let doc = Document.create ~lexer text in
   let t =
@@ -502,7 +481,6 @@ let create ?(config = Glr.default_config) ?(budget = Glr.no_budget)
       table;
       config;
       budget;
-      syn_filters;
       doc;
       baseline;
       errors = false;

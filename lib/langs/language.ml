@@ -21,19 +21,14 @@ let default_ambig =
     max_residual = 0;
   }
 
-type compiled = {
-  c_table : Lrtab.Table.t;
-  c_result : Lrtab.Compile.result;
-  c_residual : Iglr.Syn_filter.rule list;
-}
-
 type t = {
   name : string;
   grammar : Grammar.Cfg.t;
+  conflict_table : Lrtab.Table.t Lazy.t;
+  compiled : Lrtab.Compile.result Lazy.t;
   table : Lrtab.Table.t Lazy.t;
   lexer : Lexgen.Spec.t Lazy.t;
   ambig : ambig_spec;
-  compiled : compiled Lazy.t;
 }
 
 let spec_of_rule = function
@@ -45,32 +40,37 @@ let spec_of_rule = function
 
 let make ~name ~grammar ?(algo = Lrtab.Table.LALR) ?(ambig = default_ambig)
     ~rules () =
-  let table = lazy (Lrtab.Table.build ~algo grammar) in
+  let conflict_table = lazy (Lrtab.Table.build ~algo grammar) in
+  let compiled =
+    lazy
+      (Lrtab.Compile.compile
+         (Lazy.force conflict_table)
+         (List.map spec_of_rule ambig.syn_filters))
+  in
+  let table =
+    lazy
+      (let r = Lazy.force compiled in
+       if r.Lrtab.Compile.residual <> [] then
+         invalid_arg
+           (Printf.sprintf
+              "Language.table: %s leaves %d disambiguation rule(s) residual"
+              name (List.length r.Lrtab.Compile.residual));
+       r.Lrtab.Compile.table)
+  in
   {
     name;
     grammar;
+    conflict_table;
+    compiled;
     table;
     lexer =
       lazy
         (Lexgen.Spec.compile rules
            ~resolve:(Grammar.Cfg.find_terminal grammar));
     ambig;
-    compiled =
-      lazy
-        (let tbl = Lazy.force table in
-         let specs = List.map spec_of_rule ambig.syn_filters in
-         let result = Lrtab.Compile.compile tbl specs in
-         let residual =
-           List.filteri
-             (fun i _ -> List.mem i result.Lrtab.Compile.residual)
-             ambig.syn_filters
-         in
-         { c_table = result.Lrtab.Compile.table; c_result = result;
-           c_residual = residual });
   }
 
 let table t = Lazy.force t.table
+let conflict_table t = Lazy.force t.conflict_table
 let lexer t = Lazy.force t.lexer
 let compiled t = Lazy.force t.compiled
-let compiled_table t = (Lazy.force t.compiled).c_table
-let residual_filters t = (Lazy.force t.compiled).c_residual

@@ -1,12 +1,21 @@
-(** A language bundle: grammar + parse table + lexer + disambiguation
+(** A language bundle: grammar + parse tables + lexer + disambiguation
     annotations.
 
-    Tables and lexers are built lazily (LALR construction and DFA subset
-    construction are not free) and are shared by tests, examples and
-    benchmarks.  Each bundle also carries its {e filter-compiled} table
-    ({!compiled}): the LALR table with every statically decidable
-    disambiguation rule rewritten into it ([Lrtab.Compile]), plus the
-    residual rules that must stay dynamic. *)
+    A bundle carries two LALR tables, built lazily (LALR construction and
+    DFA subset construction are not free) and shared by tests, examples,
+    tools and the daemon:
+
+    - {!table}, the table every parse runs on: the conflict-retaining
+      table with every declared syntactic filter compiled into it
+      ([Lrtab.Compile]).  All bundled languages compile to an empty
+      residual set, so a parse on it is already syntactically
+      disambiguated and no filter runs at parse time;
+    - {!conflict_table}, the table before compilation, with every
+      conflict the grammar retains.  Only the tools that analyse raw
+      conflicts use it (table statistics, lint, the ambiguity analyzer,
+      filter compilation and its certification), and so do the oracles
+      that replay the dynamic filter pipeline ([Syn_filter.apply] on a
+      parse of this table). *)
 
 (** Per-language ambiguity annotations: how the ambiguity analyzer
     ({!Analyze.Ambig}) should replay witnesses through this language's
@@ -14,7 +23,8 @@
     build enforces ([iglrc ambig --check]). *)
 type ambig_spec = {
   syn_filters : Iglr.Syn_filter.rule list;
-      (** dynamic syntactic filters the language's tooling applies *)
+      (** the syntactic filters the language declares: compiled into
+          {!table}, replayed dynamically by the analyzers and oracles *)
   sem_policy : Semantics.Typedefs.policy option;
       (** semantic disambiguation policy, when the language has one *)
   sem_preamble : string list;
@@ -39,22 +49,14 @@ val default_ambig : ambig_spec
 (** No filters, no policy, zero unresolved classes and zero residual
     rules allowed. *)
 
-(** The filter-compiled view of a language: the rewritten table, the
-    compilation result (decisions, per-rule verdicts), and the rules the
-    analysis could not compile away. *)
-type compiled = {
-  c_table : Lrtab.Table.t;
-  c_result : Lrtab.Compile.result;
-  c_residual : Iglr.Syn_filter.rule list;
-}
-
 type t = {
   name : string;
   grammar : Grammar.Cfg.t;
+  conflict_table : Lrtab.Table.t Lazy.t;
+  compiled : Lrtab.Compile.result Lazy.t;
   table : Lrtab.Table.t Lazy.t;
   lexer : Lexgen.Spec.t Lazy.t;
   ambig : ambig_spec;
-  compiled : compiled Lazy.t;
 }
 
 val spec_of_rule : Iglr.Syn_filter.rule -> Lrtab.Compile.spec
@@ -71,10 +73,15 @@ val make :
   t
 
 val table : t -> Lrtab.Table.t
+(** The filter-compiled table every parse runs on.  Forcing it raises
+    [Invalid_argument] when some declared filter stays residual, which
+    [max_residual = 0] and the committed certificates forbid. *)
+
+val conflict_table : t -> Lrtab.Table.t
+(** The conflict-retaining table, before filter compilation. *)
+
 val lexer : t -> Lexgen.Spec.t
 
-val compiled : t -> compiled
-(** Forces the filter compilation (and hence the table). *)
-
-val compiled_table : t -> Lrtab.Table.t
-val residual_filters : t -> Iglr.Syn_filter.rule list
+val compiled : t -> Lrtab.Compile.result
+(** The filter compilation of {!conflict_table}: decisions, per-rule
+    verdicts, residual rules and the rewritten table. *)

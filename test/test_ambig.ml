@@ -23,7 +23,7 @@ let analyze_lang lang =
     Ambig.config ~syn_filters:spec.Language.syn_filters
       ?sem_policy:spec.Language.sem_policy
       ~sem_preamble:spec.Language.sem_preamble ~lexemes:spec.Language.lexemes
-      (Language.table lang)
+      (Language.conflict_table lang)
   in
   (Ambig.analyze config, spec)
 
@@ -245,7 +245,7 @@ let test_json_envelopes () =
   Alcotest.(check (option string))
     "ambig tool" (Some "ambig")
     (member_string "tool" (Some j));
-  let table = Language.table Languages.C_subset.language in
+  let table = Language.conflict_table Languages.C_subset.language in
   let lj = Analyze.Lint.to_json table (Analyze.Lint.run table) in
   Alcotest.(check (option string))
     "lint schema" (Some "iglr-analysis/1")

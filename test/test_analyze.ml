@@ -92,7 +92,7 @@ let test_clean_grammar_has_no_diagnostics () =
 let test_bundled_languages_lint_clean () =
   List.iter
     (fun (name, lang) ->
-      let table = Language.table lang in
+      let table = Language.conflict_table lang in
       let ds = Lint.run table in
       Alcotest.(check int)
         (name ^ ": no lint errors")
@@ -121,7 +121,7 @@ let test_c_conflicts_explained () =
      reduce/reduce pair (type_spec -> id vs expr -> id) plus the
      call-vs-operator shift/reduce family on '('.  Every one must carry an
      example sentence reaching it and the items involved. *)
-  let table = Language.table Languages.C_subset.language in
+  let table = Language.conflict_table Languages.C_subset.language in
   let infos = Lint.conflict_diagnostics table in
   Alcotest.(check int) "nine retained conflicts" 9 (List.length infos);
   let lexical =
@@ -147,7 +147,7 @@ let test_c_conflicts_explained () =
 
 let test_lr2_conflict_is_lexical () =
   (* Figure 7's U -> x / V -> x conflict: identical right-hand sides. *)
-  let table = Language.table Languages.Lr2.language in
+  let table = Language.conflict_table Languages.Lr2.language in
   match Lint.conflict_diagnostics table with
   | [ i ] ->
       Alcotest.(check bool) "lexical class" true
@@ -179,7 +179,7 @@ let test_ambig_expr_conflicts_prec_resolvable () =
 let test_shortest_sentence_minimal () =
   (* For lr2 the conflict state is entered after exactly "x"; no shorter
      sentence can reach it. *)
-  let table = Language.table Languages.Lr2.language in
+  let table = Language.conflict_table Languages.Lr2.language in
   match Table.conflicts table with
   | [ c ] -> (
       match

@@ -413,7 +413,7 @@ let ambig_matches_analyzer () =
       ?sem_policy:spec.Languages.Language.sem_policy
       ~sem_preamble:spec.Languages.Language.sem_preamble
       ~lexemes:spec.Languages.Language.lexemes ~max_len:4
-      (Languages.Language.table lang)
+      (Languages.Language.conflict_table lang)
   in
   let expected =
     Analyze.Ambig.to_json ~language:"calc" (Analyze.Ambig.analyze config)
