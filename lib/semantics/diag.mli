@@ -138,3 +138,9 @@ val render : result -> string
 (** Deterministic s-expression rendering: equal results render equal —
     the differential oracle's comparison key and the CLI's [--sexp]
     output. *)
+
+val json_fields :
+  loc:(int -> int * int) -> result -> (string * Metrics.Json.t) list
+(** The [diagnostics], [bindings] and [typedefs] fields of the
+    [iglrc diag --json] document and of the daemon's [diag] response.
+    [loc] maps a token offset to its 1-based (line, column). *)
