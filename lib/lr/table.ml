@@ -236,25 +236,27 @@ let build ?(algo = LALR) ?(resolve_prec = true) g =
     goto_nt; nt_actions; conflicts }
 
 let with_overrides t overrides =
-  let actions = Array.map Array.copy t.actions in
-  List.iter
-    (fun ((state, term), action) ->
-      let entry = actions.(state).(term) in
-      if not (List.exists (equal_action action) entry) then
-        invalid_arg
-          (Printf.sprintf
-             "Table.with_overrides: state %d on %s: chosen action absent \
-              from entry"
-             state
-             (Cfg.terminal_name t.grammar term));
-      actions.(state).(term) <- [ action ])
-    overrides;
-  let conflicts = collect_conflicts actions in
-  let nt_actions =
-    compute_nt_actions t.analysis actions ~num_states:t.num_states
-      ~num_nts:(Cfg.num_nonterminals t.grammar)
-  in
-  { t with actions; nt_actions; conflicts }
+  if overrides = [] then t
+  else
+    let actions = Array.map Array.copy t.actions in
+    List.iter
+      (fun ((state, term), action) ->
+        let entry = actions.(state).(term) in
+        if not (List.exists (equal_action action) entry) then
+          invalid_arg
+            (Printf.sprintf
+               "Table.with_overrides: state %d on %s: chosen action absent \
+                from entry"
+               state
+               (Cfg.terminal_name t.grammar term));
+        actions.(state).(term) <- [ action ])
+      overrides;
+    let conflicts = collect_conflicts actions in
+    let nt_actions =
+      compute_nt_actions t.analysis actions ~num_states:t.num_states
+        ~num_nts:(Cfg.num_nonterminals t.grammar)
+    in
+    { t with actions; nt_actions; conflicts }
 
 let conflict_items t c =
   match t.algo with

@@ -43,7 +43,8 @@ val with_overrides : t -> ((int * int) * action) list -> t
     having proved the choice sound).  The conflict list and the
     precomputed nonterminal reductions are recomputed, so entries made
     deterministic here also become eligible for subtree-lookahead
-    reduction and sentential-form parsing.
+    reduction and sentential-form parsing.  With no overrides, [t]
+    itself is returned.
     @raise Invalid_argument if a chosen action is not a member of the
     existing entry. *)
 
