@@ -95,20 +95,13 @@ let test_self_cancelling_edit_reuses () =
 
 let fig1_source = "int foo () { int i; int j; a (b); c (d); i = 1; j = 2; }"
 
-let count_choices root =
-  let c = ref 0 in
-  Node.iter
-    (fun n -> match n.Node.kind with Node.Choice _ -> incr c | _ -> ())
-    root;
-  !c
-
 let test_c_fig1_ambiguity () =
   let s, outcome = session c fig1_source in
   (match outcome with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "figure 1 parse failed");
   Alcotest.(check int) "two ambiguous statements" 2
-    (count_choices (Session.root s));
+    (Fixtures.count_choices (Session.root s));
   (* Terminals are shared between interpretations (Figure 3): token count
      equals the number of lexed tokens. *)
   let expected_tokens =
@@ -135,7 +128,7 @@ let test_c_appendix_b_scenario () =
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "reparse after re-insertion failed");
   Alcotest.(check int) "ambiguity reconstructed" 2
-    (count_choices (Session.root s));
+    (Fixtures.count_choices (Session.root s));
   let batch = batch_sexp c fig1_source in
   Alcotest.(check string) "round trip = batch" batch
     (Pp.to_sexp c.Language.grammar (Session.root s))
@@ -150,7 +143,8 @@ let test_c_edit_outside_ambiguity () =
   (match Session.reparse s with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "reparse failed");
-  Alcotest.(check int) "still two ambiguities" 2 (count_choices (Session.root s));
+  Alcotest.(check int) "still two ambiguities" 2
+    (Fixtures.count_choices (Session.root s));
   let batch = batch_sexp c (Session.text s) in
   Alcotest.(check string) "incremental = batch" batch
     (Pp.to_sexp c.Language.grammar (Session.root s))
