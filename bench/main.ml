@@ -1617,7 +1617,15 @@ let server_bench () =
   in
   let health = Server.Engine.health engine in
   let flight_depth = health_int d "flight_depth" in
-  let flight_cap = 32 (* Engine.create default *) in
+  let flight_cap =
+    match
+      Option.bind
+        (Json.member "capacity" (Server.Engine.flight engine))
+        Json.to_int
+    with
+    | Some c -> c
+    | None -> failwith "server bench: flight recorder lacks capacity"
+  in
   let flight_depth_pct =
     100. *. float_of_int flight_depth
     /. float_of_int (min flight_cap (n_docs * rounds))

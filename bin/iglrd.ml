@@ -45,9 +45,11 @@ let dump_telemetry engine =
 
 let should_stop () = !shutdown_requested
 
-let serve_fd engine ~max_line fd_in fd_out =
+let serve_fd engine fd_in fd_out =
   Server.Engine.set_emit engine (fun line -> Server.Rio.write_all fd_out (line ^ "\n"));
-  let r = Server.Rio.reader ~max_line fd_in in
+  let r =
+    Server.Rio.reader ~max_line:(Server.Engine.max_payload engine) fd_in
+  in
   (* Service SIGUSR1 while blocked in read: without this, a dump
      requested on an idle daemon would wait for the next request line. *)
   let on_intr () = if !dump_requested then dump_telemetry engine in
@@ -70,7 +72,7 @@ let serve_fd engine ~max_line fd_in fd_out =
   Server.Engine.drain engine;
   if !dump_requested then dump_telemetry engine
 
-let serve_socket engine ~max_line path =
+let serve_socket engine path =
   (* A stale socket file from a previous run would make [bind] fail. *)
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -86,7 +88,7 @@ let serve_socket engine ~max_line path =
         match Server.Rio.accept ~should_stop ~on_intr sock with
         | None -> ()
         | Some (fd, _) ->
-            (try serve_fd engine ~max_line fd fd
+            (try serve_fd engine fd fd
              with Unix.Unix_error _ | Sys_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ());
             if !shutdown_requested then () else loop ()
@@ -108,7 +110,6 @@ let run serial jobs socket max_payload log_file fault_plan drain_ms
           prerr_endline ("iglrd: invalid --fault-plan: " ^ e);
           exit 2));
   let jobs = if serial then Some 0 else jobs in
-  let max_line = Option.value max_payload ~default:(8 * 1024 * 1024) in
   let log_oc =
     Option.map
       (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path)
@@ -140,8 +141,8 @@ let run serial jobs socket max_payload log_file fault_plan drain_ms
     (fun () ->
       if !shutdown_requested then Server.Engine.begin_shutdown engine;
       match socket with
-      | None -> serve_fd engine ~max_line Unix.stdin Unix.stdout
-      | Some path -> serve_socket engine ~max_line path)
+      | None -> serve_fd engine Unix.stdin Unix.stdout
+      | Some path -> serve_socket engine path)
 
 let serial_arg =
   Arg.(

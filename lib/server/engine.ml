@@ -113,23 +113,23 @@ module Flight = struct
     f_rejects : (string * int) list;  (* reuse-reject counts by reason *)
   }
 
+  let cap = 32
+
   type t = {
     m : Mutex.t;
-    cap : int;
     recent : entry Queue.t;
     mutable slowest : entry list;  (* sorted by f_ms descending *)
     mutable seen : int;
   }
 
-  let create cap =
-    { m = Mutex.create (); cap = max 1 cap; recent = Queue.create ();
-      slowest = []; seen = 0 }
+  let create () =
+    { m = Mutex.create (); recent = Queue.create (); slowest = []; seen = 0 }
 
   let record t e =
     Mutex.lock t.m;
     t.seen <- t.seen + 1;
     Queue.push e t.recent;
-    if Queue.length t.recent > t.cap then ignore (Queue.pop t.recent);
+    if Queue.length t.recent > cap then ignore (Queue.pop t.recent);
     let rec insert = function
       | [] -> [ e ]
       | x :: _ as l when e.f_ms >= x.f_ms -> e :: l
@@ -140,7 +140,7 @@ module Flight = struct
       | _ when n = 0 -> []
       | x :: rest -> x :: take (n - 1) rest
     in
-    t.slowest <- take t.cap (insert t.slowest);
+    t.slowest <- take cap (insert t.slowest);
     Mutex.unlock t.m
 
   let depth t =
@@ -169,7 +169,7 @@ module Flight = struct
     Mutex.unlock t.m;
     Json.Obj
       [
-        ("capacity", Json.Int t.cap);
+        ("capacity", Json.Int cap);
         ("recorded", Json.Int seen);
         ("recent", Json.List (List.map entry_to_json recent));
         ("slowest", Json.List (List.map entry_to_json slowest));
@@ -177,70 +177,17 @@ module Flight = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Cancellation wheel: one slot per in-flight parse, holding its cancel
-   flag and (when the request carries a deadline) the accept-relative
-   instant after which it is overdue.  The dispatcher [tick]s the wheel
-   on every accepted line; graceful drain [fire_all]s it so in-flight
-   parses fall back to the degradation ladder instead of holding the
-   process open.  The flags are plain [Atomic.t]s — a parse polls its
-   own flag from inside the GLR budget check without taking the wheel
-   mutex.                                                              *)
-
-module Wheel = struct
-  type entry = { w_deadline : float option; w_flag : bool Atomic.t }
-  type t = { m : Mutex.t; tbl : (int, entry) Hashtbl.t }
-
-  let create () = { m = Mutex.create (); tbl = Hashtbl.create 16 }
-
-  let register t seq ~deadline flag =
-    Mutex.lock t.m;
-    Hashtbl.replace t.tbl seq { w_deadline = deadline; w_flag = flag };
-    Mutex.unlock t.m
-
-  let unregister t seq =
-    Mutex.lock t.m;
-    Hashtbl.remove t.tbl seq;
-    Mutex.unlock t.m
-
-  (* Mark overdue entries; returns how many were newly marked. *)
-  let tick t ~now =
-    Mutex.lock t.m;
-    let fired = ref 0 in
-    Hashtbl.iter
-      (fun _ e ->
-        match e.w_deadline with
-        | Some d when d < now && not (Atomic.get e.w_flag) ->
-            Atomic.set e.w_flag true;
-            incr fired
-        | _ -> ())
-      t.tbl;
-    Mutex.unlock t.m;
-    !fired
-
-  let fire_all t =
-    Mutex.lock t.m;
-    let fired = ref 0 in
-    Hashtbl.iter
-      (fun _ e ->
-        if not (Atomic.get e.w_flag) then begin
-          Atomic.set e.w_flag true;
-          incr fired
-        end)
-      t.tbl;
-    Mutex.unlock t.m;
-    !fired
-end
-
-(* Per-request bookkeeping for correlation: method, doc and accept
-   timestamp, keyed by the dispatcher-assigned sequence number.  The
-   dispatcher writes it before submitting; the parse handler reads the
-   accept time for end-to-end latency; the access-log thunk consumes
-   (and removes) the record when the response line is emitted. *)
-type meta = {
-  m_meth : string;
-  m_doc : string option;
-  m_id : Json.t;
-  m_t0 : float;
+(* The request record: [accept] builds it and it travels with the
+   request — through admission, the shed queue, the scheduled handler,
+   quarantine and [respond] to the access-log line.  It is the only
+   per-request state the engine keeps. *)
+type req = {
+  seq : int;  (* dispatcher-assigned: the response order *)
+  id : Json.t;  (* the client's id, echoed in the response *)
+  meth : string;  (* ["?"] when the line did not decode *)
+  doc : string option;
+  t0 : float;  (* accept instant: deadlines and latencies count from here *)
+  slot : int Atomic.t;
 }
 
 (* Response-slot state for a submitted job: exactly one of the normal
@@ -259,21 +206,19 @@ type t = {
   writer : Writer.t;
   live : Live.t;
   flight : Flight.t;
-  wheel : Wheel.t;
   log : (string -> unit) option;
-  meta_m : Mutex.t;
-  meta : (int, meta) Hashtbl.t;
   max_payload : int;
   max_doc_queue : int;  (* 0 = unbounded *)
   max_inflight : int;  (* 0 = unbounded *)
   stopping : bool Atomic.t;
+  overrun : bool Atomic.t;  (* a deadline drain overran: cancel every parse *)
+  inflight : int Atomic.t;  (* accepted, not yet responded *)
   shed : int Atomic.t;
   retried : int Atomic.t;
   cancelled : int Atomic.t;
-  mutable seq : int;  (* dispatcher-only *)
-  mutable served : int;  (* dispatcher-only: requests accepted *)
+  mutable accepted : int;  (* dispatcher-only: the next sequence number *)
   mutable loaded : string list;  (* dispatcher-only: languages forced *)
-  pending : (int * Json.t * int Atomic.t) Queue.t;
+  pending : req Queue.t;
       (* dispatcher-only: queued parse requests in accept order, for
          oldest-first shedding under global pressure *)
   ambig_m : Mutex.t;
@@ -281,12 +226,13 @@ type t = {
 }
 
 let pool t = t.pool
-let requests t = t.served
+let requests t = t.accepted
 let jobs t = Scheduler.jobs t.sched
 let stopping t = Atomic.get t.stopping
+let max_payload t = t.max_payload
 
-let create ?jobs ?(max_payload = 8 * 1024 * 1024) ?(flight_cap = 32)
-    ?(max_doc_queue = 0) ?(max_inflight = 0) ?log ~emit () =
+let create ?jobs ?(max_payload = 8 * 1024 * 1024) ?(max_doc_queue = 0)
+    ?(max_inflight = 0) ?log ~emit () =
   let jobs =
     match jobs with
     | Some j -> j
@@ -297,20 +243,18 @@ let create ?jobs ?(max_payload = 8 * 1024 * 1024) ?(flight_cap = 32)
     sched = Scheduler.create ~jobs;
     writer = Writer.create emit;
     live = Live.create ();
-    flight = Flight.create flight_cap;
-    wheel = Wheel.create ();
+    flight = Flight.create ();
     log;
-    meta_m = Mutex.create ();
-    meta = Hashtbl.create 64;
     max_payload;
     max_doc_queue;
     max_inflight;
     stopping = Atomic.make false;
+    overrun = Atomic.make false;
+    inflight = Atomic.make 0;
     shed = Atomic.make 0;
     retried = Atomic.make 0;
     cancelled = Atomic.make 0;
-    seq = 0;
-    served = 0;
+    accepted = 0;
     loaded = [];
     pending = Queue.create ();
     ambig_m = Mutex.create ();
@@ -323,10 +267,11 @@ let drain ?deadline_ms t =
   match deadline_ms with
   | None -> Scheduler.drain t.sched
   | Some ms ->
-      (* Watchdog: if the drain overruns the hard deadline, fire every
-         in-flight cancel flag — parses abort through the degradation
-         ladder and still produce (degraded) responses, so the drain
-         completes without dropping anything. *)
+      (* Watchdog: if the drain overruns the hard deadline, raise the
+         overrun flag every parse's cancel hook reads — parses abort
+         through the degradation ladder and still produce (degraded)
+         responses, so the drain completes without dropping anything.
+         The flag lowers again once the drain is over. *)
       let stop = Atomic.make false in
       let wd =
         Domain.spawn (fun () ->
@@ -334,17 +279,14 @@ let drain ?deadline_ms t =
             while (not (Atomic.get stop)) && Unix.gettimeofday () < t_end do
               Unix.sleepf 0.002
             done;
-            if not (Atomic.get stop) then begin
-              let n = Wheel.fire_all t.wheel in
-              if n > 0 then begin
-                Atomic.fetch_and_add t.cancelled n |> ignore;
-                for _ = 1 to n do Metrics.incr m_cancelled done
-              end
-            end)
+            if not (Atomic.get stop) then Atomic.set t.overrun true)
       in
-      Scheduler.drain t.sched;
-      Atomic.set stop true;
-      Domain.join wd
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          Domain.join wd;
+          Atomic.set t.overrun false)
+        (fun () -> Scheduler.drain t.sched)
 
 let shutdown ?deadline_ms t =
   begin_shutdown t;
@@ -356,87 +298,53 @@ let set_emit t emit =
   t.writer.Writer.emit <- emit;
   Mutex.unlock t.writer.Writer.m
 
-let put_meta t seq m =
-  Mutex.lock t.meta_m;
-  Hashtbl.replace t.meta seq m;
-  Mutex.unlock t.meta_m
-
-let find_meta t seq =
-  Mutex.lock t.meta_m;
-  let m = Hashtbl.find_opt t.meta seq in
-  Mutex.unlock t.meta_m;
-  m
-
-let take_meta t seq =
-  Mutex.lock t.meta_m;
-  let m = Hashtbl.find_opt t.meta seq in
-  Hashtbl.remove t.meta seq;
-  Mutex.unlock t.meta_m;
-  m
-
-let inflight t =
-  Mutex.lock t.meta_m;
-  let n = Hashtbl.length t.meta in
-  Mutex.unlock t.meta_m;
-  n
-
 (* One structured access-log line per response, emitted in response
    order by the writer's [after] hook.  The line re-parses the response
    envelope to classify ok/error — cheap, and only when logging. *)
-let log_line seq line meta =
+let log_line r line =
   let status =
     match Json.of_string line with
     | Json.Obj _ as j -> (
         match Json.member "error" j with Some _ -> "error" | None -> "ok")
     | _ | (exception _) -> "ok"
   in
-  let base =
-    match meta with
-    | Some m ->
-        [
-          ("req", Json.Int seq);
-          ("id", m.m_id);
-          ("method", Json.String m.m_meth);
+  Json.to_line
+    (Json.Obj
+       ([
+          ("req", Json.Int r.seq); ("id", r.id); ("method", Json.String r.meth);
         ]
-        @ (match m.m_doc with
-          | Some d -> [ ("doc", Json.String d) ]
-          | None -> [])
-        @ [
-            ("status", Json.String status);
-            ("ms", Json.Float (Metrics.now_ms () -. m.m_t0));
-          ]
-    | None -> [ ("req", Json.Int seq); ("status", Json.String status) ]
-  in
-  Json.to_line (Json.Obj base)
+       @ (match r.doc with Some d -> [ ("doc", Json.String d) ] | None -> [])
+       @ [
+           ("status", Json.String status);
+           ("ms", Json.Float (Metrics.now_ms () -. r.t0));
+         ]))
 
-let respond t seq line =
-  match t.log with
-  | None ->
-      ignore (take_meta t seq);
-      Writer.complete t.writer seq line
-  | Some log ->
-      let after () =
-        let meta = take_meta t seq in
-        log (log_line seq line meta)
-      in
-      Writer.complete ~after t.writer seq line
+let respond t r line =
+  Atomic.decr t.inflight;
+  let after = Option.map (fun log () -> log (log_line r line)) t.log in
+  Writer.complete ?after t.writer r.seq line
 
-let respond_err t seq ~id e =
+let ok r result = P.ok ~req:r.seq ~id:r.id result
+let err r e = P.err ~req:r.seq ~id:r.id e
+
+let respond_err t r e =
   Metrics.incr m_errors;
-  respond t seq (P.err ~req:seq ~id e)
+  respond t r (err r e)
+
+(* The document of a document-keyed request (accepted with it). *)
+let doc_id r = Option.get r.doc
 
 (* Quarantine: the session let an exception escape a mutating entry
    point, so the document can no longer be trusted.  Mark it (the next
    request that touches it rebuilds from the last committed text) and
    log the incident on the flight recorder. *)
-let quarantine t ~req ~doc =
-  Pool.poison t.pool doc;
-  let t0 = match find_meta t req with Some m -> m.m_t0 | None -> now_ms () in
+let quarantine t r =
+  Pool.poison t.pool (doc_id r);
   Flight.record t.flight
     {
-      Flight.f_req = req;
-      f_doc = doc;
-      f_ms = Metrics.now_ms () -. t0;
+      Flight.f_req = r.seq;
+      f_doc = doc_id r;
+      f_ms = Metrics.now_ms () -. r.t0;
       f_reuse_pct = 0.;
       f_degraded = true;
       f_rejects = [ ("incident", 1) ];
@@ -445,10 +353,12 @@ let quarantine t ~req ~doc =
 (* ------------------------------------------------------------------ *)
 (* Document handlers — run on worker domains under per-doc ordering.   *)
 
-let with_entry t ~req ~id doc f =
-  match Pool.find t.pool doc with
-  | None ->
-      P.err ~req ~id { P.code = P.e_unknown_doc; message = "unknown doc " ^ doc }
+let unknown_doc r =
+  err r { P.code = P.e_unknown_doc; message = "unknown doc " ^ doc_id r }
+
+let with_entry t r f =
+  match Pool.find t.pool (doc_id r) with
+  | None -> unknown_doc r
   | Some e ->
       (* Heal-on-touch: a quarantined session is rebuilt from its last
          committed text before the request runs.  We are under the
@@ -457,7 +367,8 @@ let with_entry t ~req ~id doc f =
       if e.Pool.poisoned then Pool.heal e;
       f e
 
-let do_open t ~req ~id ~doc ~lang_name lang ~text ~budget () =
+let do_open t r ~lang_name lang ~text ~budget () =
+  let doc = doc_id r in
   match
     Session.create ?budget ~table:(Language.table lang)
       ~lexer:(Language.lexer lang) text
@@ -474,7 +385,7 @@ let do_open t ~req ~id ~doc ~lang_name lang ~text ~budget () =
           analysis = None;
         };
       Metrics.incr m_opens;
-      P.ok ~req ~id
+      ok r
         (Json.Obj
            [
              ("doc", Json.String doc);
@@ -485,7 +396,7 @@ let do_open t ~req ~id ~doc ~lang_name lang ~text ~budget () =
       (* The document never existed: roll back the dispatcher's
          optimistic registration so the id can be reused. *)
       Live.remove t.live doc;
-      P.err ~req ~id
+      err r
         {
           P.code = P.e_lex;
           message =
@@ -493,8 +404,8 @@ let do_open t ~req ~id ~doc ~lang_name lang ~text ~budget () =
               e.Lexgen.Scanner.error_pos;
         }
 
-let do_edit t ~req ~id ~doc edits () =
-  with_entry t ~req ~id doc @@ fun e ->
+let do_edit t r edits () =
+  with_entry t r @@ fun e ->
   let applied = ref 0 in
   match
     List.iter
@@ -507,15 +418,15 @@ let do_edit t ~req ~id ~doc edits () =
   | () ->
       (* All edits landed: this text is the new rebuild point. *)
       Pool.commit_text e (Session.text e.Pool.session);
-      P.ok ~req ~id
+      ok r
         (Json.Obj
-           [ ("doc", Json.String doc); ("applied", Json.Int !applied) ])
+           [ ("doc", Json.String e.Pool.doc); ("applied", Json.Int !applied) ])
   | exception Lexgen.Scanner.Lex_error le ->
       (* Edits before the offender stay applied (each is atomic); the
          offender itself was rejected with the document unchanged.  The
          rebuild point is NOT advanced — a later quarantine rolls the
          partial batch back too. *)
-      P.err ~req ~id
+      err r
         {
           P.code = P.e_lex;
           message =
@@ -526,7 +437,7 @@ let do_edit t ~req ~id ~doc edits () =
               le.Lexgen.Scanner.error_pos !applied;
         }
   | exception Invalid_argument msg ->
-      P.err ~req ~id
+      err r
         {
           P.code = P.e_params;
           message =
@@ -535,53 +446,50 @@ let do_edit t ~req ~id ~doc edits () =
               (!applied + 1) (List.length edits) msg !applied;
         }
 
-let do_parse ~req ~id ~doc ~budget ~timing ~metrics t () =
-  with_entry t ~req ~id doc @@ fun e ->
+let do_parse t r ~budget ~timing ~metrics () =
+  with_entry t r @@ fun e ->
   Metrics.incr m_parses;
-  Fault.point Fault.Kill_mid;
-  Fault.point Fault.Worker_raise;
   let s = e.Pool.session in
   let saved = Session.budget s in
-  (match budget with Some b -> Session.set_budget s b | None -> ());
+  Option.iter (Session.set_budget s) budget;
+  (* The request's budget never outlives it — not even when the parse
+     raises, so a quarantine rebuild keeps the document's own budget. *)
+  Fun.protect ~finally:(fun () -> Session.set_budget s saved) @@ fun () ->
+  Fault.point Fault.Kill_mid;
+  Fault.point Fault.Worker_raise;
   (* Deadline cancellation: the deadline counts from ACCEPT, not parse
      start — a request that sat in the queue past its deadline aborts
      (degraded, through the recovery ladder) on its first budget check.
-     The wheel flag covers the same request from the dispatcher side
-     (tick on traffic, fire_all on drain); the local clock comparison
-     makes cancellation work even when the dispatcher is idle. *)
-  let accept_t0 =
-    match find_meta t req with Some m -> m.m_t0 | None -> now_ms ()
-  in
-  let dl = (Option.value budget ~default:saved).Glr.deadline_ms in
-  let flag = Atomic.make false in
-  Wheel.register t.wheel req
-    ~deadline:(if dl < infinity then Some (accept_t0 +. dl) else None)
-    flag;
+     A drain that overran its hard deadline cancels every parse the same
+     way.  A cancelled request counts once in [cancelled]. *)
+  let dl = (Session.budget s).Glr.deadline_ms in
+  let counted = ref false in
   let cancel () =
-    Atomic.get flag || (dl < infinity && now_ms () > accept_t0 +. dl)
+    let c =
+      Atomic.get t.overrun || (dl < infinity && now_ms () > r.t0 +. dl)
+    in
+    if c && not !counted then begin
+      counted := true;
+      Atomic.incr t.cancelled;
+      Metrics.incr m_cancelled
+    end;
+    c
   in
-  Fun.protect ~finally:(fun () -> Wheel.unregister t.wheel req) @@ fun () ->
   let t0 = Metrics.now_ms () in
   (* [Session.measure] reads only this domain's metric shard, so [d] is
      exactly this request's activity even while sibling domains parse. *)
   let outcome, d = Session.measure (fun () -> Session.reparse ~cancel s) in
   let ms = Metrics.now_ms () -. t0 in
-  (match budget with Some _ -> Session.set_budget s saved | None -> ());
   let degraded =
     match outcome with
     | Session.Parsed st -> st.Glr.degraded
     | Session.Recovered { degraded; _ } -> degraded
   in
-  let end_to_end =
-    match find_meta t req with
-    | Some m -> Metrics.now_ms () -. m.m_t0
-    | None -> ms
-  in
   Flight.record t.flight
     {
-      Flight.f_req = req;
-      f_doc = doc;
-      f_ms = end_to_end;
+      Flight.f_req = r.seq;
+      f_doc = e.Pool.doc;
+      f_ms = Metrics.now_ms () -. r.t0;
       f_reuse_pct =
         Metrics.share d "glr.shifted_subtrees" "glr.shifted_terminals";
       f_degraded = degraded;
@@ -592,20 +500,21 @@ let do_parse ~req ~id ~doc ~budget ~timing ~metrics t () =
           ("breakdown", Metrics.count d "glr.breakdowns");
         ];
     };
-  P.ok ~req ~id
+  ok r
     (Json.Obj
        ([
-          ("doc", Json.String doc); ("outcome", P.outcome_to_json outcome);
+          ("doc", Json.String e.Pool.doc);
+          ("outcome", P.outcome_to_json outcome);
         ]
        @ (if timing then [ ("ms", Json.Float ms) ] else [])
        @ if metrics then [ ("metrics", Metrics.to_json d) ] else []))
 
-let do_errors t ~req ~id ~doc () =
-  with_entry t ~req ~id doc @@ fun e ->
-  P.ok ~req ~id
+let do_errors t r () =
+  with_entry t r @@ fun e ->
+  ok r
     (Json.Obj
        [
-         ("doc", Json.String doc);
+         ("doc", Json.String e.Pool.doc);
          ("regions", P.regions_to_json (Session.error_regions e.Pool.session));
        ])
 
@@ -614,13 +523,13 @@ let do_errors t ~req ~id ~doc () =
    small edits validate cached query cells (typedef decisions included)
    instead of re-analysing the whole document.  Runs under the scheduler's per-document ordering
    (it mutates the dag's choice selections and the query store). *)
-let do_diag t ~req ~id ~doc ~metrics () =
-  with_entry t ~req ~id doc @@ fun e ->
+let do_diag t r ~metrics () =
+  with_entry t r @@ fun e ->
   Metrics.incr m_diags;
   let s = e.Pool.session in
   let grammar = e.Pool.lang.Language.grammar in
   if not (Semantics.Diag.supported grammar) then
-    P.err ~req ~id
+    err r
       {
         P.code = P.e_unsupported;
         message =
@@ -641,7 +550,7 @@ let do_diag t ~req ~id ~doc ~metrics () =
     (* [Session.measure] scopes the delta to this domain: the query.*
        counters in it are exactly this request's compute/hit/backdate
        activity. *)
-    let r, d =
+    let res, d =
       Session.measure (fun () -> Semantics.Diag.run analysis (Session.root s))
     in
     let loc tok =
@@ -650,9 +559,10 @@ let do_diag t ~req ~id ~doc ~metrics () =
     in
     let engine = Semantics.Diag.engine analysis in
     let qs = Query.stats engine in
-    P.ok ~req ~id
+    ok r
       (Json.Obj
-         ((("doc", Json.String doc) :: Semantics.Diag.json_fields ~loc r)
+         ((("doc", Json.String e.Pool.doc)
+          :: Semantics.Diag.json_fields ~loc res)
          @ [
              ( "query",
                Json.Obj
@@ -694,22 +604,22 @@ let ambig_report t lang_name lang max_len =
       Mutex.unlock t.ambig_m;
       j
 
-let do_ambig t ~req ~id ~doc ~max_len () =
-  with_entry t ~req ~id doc @@ fun e ->
-  P.ok ~req ~id
+let do_ambig t r ~max_len () =
+  with_entry t r @@ fun e ->
+  ok r
     (Json.Obj
        [
-         ("doc", Json.String doc);
+         ("doc", Json.String e.Pool.doc);
          ("report", ambig_report t e.Pool.lang_name e.Pool.lang max_len);
        ])
 
-let do_doc_stats t ~req ~id ~doc ~metrics () =
-  with_entry t ~req ~id doc @@ fun e ->
+let do_doc_stats t r ~metrics () =
+  with_entry t r @@ fun e ->
   let s = e.Pool.session in
-  P.ok ~req ~id
+  ok r
     (Json.Obj
        ([
-          ("doc", Json.String doc);
+          ("doc", Json.String e.Pool.doc);
           ("lang", Json.String e.Pool.lang_name);
           ("tokens", Json.Int (Parsedag.Node.token_count (Session.root s)));
           ("has_errors", Json.Bool (Session.has_errors s));
@@ -720,14 +630,14 @@ let do_doc_stats t ~req ~id ~doc ~metrics () =
 
 (* Close skips heal-on-touch deliberately: rebuilding a session only to
    discard it would waste a full parse. *)
-let do_close t ~req ~id ~doc () =
-  match Pool.find t.pool doc with
-  | None ->
-      P.err ~req ~id { P.code = P.e_unknown_doc; message = "unknown doc " ^ doc }
-  | Some _ ->
-      Pool.remove t.pool doc;
-      P.ok ~req ~id
-        (Json.Obj [ ("doc", Json.String doc); ("closed", Json.Bool true) ])
+let do_close t r () =
+  match Pool.find t.pool (doc_id r) with
+  | None -> unknown_doc r
+  | Some e ->
+      Pool.remove t.pool e.Pool.doc;
+      ok r
+        (Json.Obj
+           [ ("doc", Json.String e.Pool.doc); ("closed", Json.Bool true) ])
 
 (* ------------------------------------------------------------------ *)
 (* Server-scoped introspection — runs inline on the dispatcher.        *)
@@ -736,7 +646,7 @@ let health t =
   Json.Obj
     [
       ("docs", Json.List (List.map (fun d -> Json.String d) (Pool.ids t.pool)));
-      ("requests", Json.Int t.served);
+      ("requests", Json.Int t.accepted);
       ("jobs", Json.Int (jobs t));
       ("busy", Json.Int (Scheduler.busy t.sched));
       ("executed", Json.Int (Scheduler.executed t.sched));
@@ -746,7 +656,7 @@ let health t =
              (fun (k, n) -> (k, Json.Int n))
              (Scheduler.depths t.sched)) );
       ("reorder_depth", Json.Int (Writer.depth t.writer));
-      ("inflight", Json.Int (inflight t));
+      ("inflight", Json.Int (Atomic.get t.inflight));
       ("flight_depth", Json.Int (Flight.depth t.flight));
       ("stopping", Json.Bool (Atomic.get t.stopping));
       ("shed", Json.Int (Atomic.get t.shed));
@@ -768,9 +678,9 @@ let health t =
 
 let flight t = Flight.to_json t.flight
 
-let telemetry t ~req ~id ~view =
-  let body =
-    match view with
+let telemetry t r ~view =
+  ok r
+    (match view with
     | "metrics" ->
         Json.Obj
           [
@@ -779,16 +689,14 @@ let telemetry t ~req ~id ~view =
                 (Metrics.Openmetrics.render (Metrics.snapshot ())) );
           ]
     | "flight" -> flight t
-    | _ -> health t
-  in
-  P.ok ~req ~id body
+    | _ -> health t)
 
-let server_stats t ~req ~id ~metrics =
-  P.ok ~req ~id
+let server_stats t r ~metrics =
+  ok r
     (Json.Obj
        ([
           ("docs", Json.List (List.map (fun d -> Json.String d) (Pool.ids t.pool)));
-          ("requests", Json.Int t.served);
+          ("requests", Json.Int t.accepted);
           ( "languages",
             Json.List
               (List.map (fun l -> Json.String l) (List.sort compare t.loaded))
@@ -811,9 +719,8 @@ let server_stats t ~req ~id ~metrics =
    exactly one of those wins.  The scheduled job runs under the
    request's correlation id, so every trace event it emits carries
    [rid]. *)
-let submit ?(sheddable = false) ?(mutates = false) t ~seq ~key ~id handler =
-  let slot = Atomic.make slot_pending in
-  if sheddable then Queue.push (seq, id, slot) t.pending;
+let submit ?(sheddable = false) ?(mutates = false) t r handler =
+  if sheddable then Queue.push r t.pending;
   let on_crash ~started ~attempt =
     if (not started) && attempt = 0 then begin
       (* The job never began: nothing observable happened, so one
@@ -824,13 +731,13 @@ let submit ?(sheddable = false) ?(mutates = false) t ~seq ~key ~id handler =
       `Retry
     end
     else begin
-      if started && mutates then quarantine t ~req:seq ~doc:key;
+      if started && mutates then quarantine t r;
       let claimed =
-        Atomic.compare_and_set slot slot_pending slot_running
-        || Atomic.get slot = slot_running
+        Atomic.compare_and_set r.slot slot_pending slot_running
+        || Atomic.get r.slot = slot_running
       in
       if claimed then
-        respond_err t seq ~id
+        respond_err t r
           {
             P.code = P.e_worker;
             message =
@@ -841,10 +748,10 @@ let submit ?(sheddable = false) ?(mutates = false) t ~seq ~key ~id handler =
       `Give_up
     end
   in
-  Scheduler.submit t.sched ~key ~on_crash (fun () ->
-      if Atomic.compare_and_set slot slot_pending slot_running then begin
+  Scheduler.submit t.sched ~key:(doc_id r) ~on_crash (fun () ->
+      if Atomic.compare_and_set r.slot slot_pending slot_running then begin
         let line =
-          Trace.with_request (string_of_int seq) (fun () ->
+          Trace.with_request (string_of_int r.seq) (fun () ->
               try handler () with
               | Fault.Domain_killed as e ->
                   (* Not ours to absorb: the scheduler's supervisor
@@ -852,11 +759,10 @@ let submit ?(sheddable = false) ?(mutates = false) t ~seq ~key ~id handler =
                   raise e
               | exn ->
                   Metrics.incr m_errors;
-                  if mutates then quarantine t ~req:seq ~doc:key;
-                  P.err ~req:seq ~id
-                    { P.code = P.e_internal; message = Printexc.to_string exn })
+                  if mutates then quarantine t r;
+                  err r { P.code = P.e_internal; message = Printexc.to_string exn })
         in
-        respond t seq line
+        respond t r line
       end)
 
 let meth_name = function
@@ -875,77 +781,82 @@ let meth_name = function
    likely stale (its client may have moved on to a newer revision) and
    freeing it helps every request behind it in its document's queue. *)
 
-let shed_response t seq ~id message =
+let shed_response t r message =
   Atomic.incr t.shed;
   Metrics.incr m_shed;
-  respond_err t seq ~id { P.code = P.e_overloaded; message }
+  respond_err t r { P.code = P.e_overloaded; message }
 
 (* Entries whose slot already settled (ran or shed) are dead weight;
    dropping them from the front keeps the queue bounded by the number
    of genuinely pending parses. *)
 let rec prune_pending t =
   match Queue.peek_opt t.pending with
-  | Some (_, _, slot) when Atomic.get slot <> slot_pending ->
+  | Some r when Atomic.get r.slot <> slot_pending ->
       ignore (Queue.pop t.pending);
       prune_pending t
   | _ -> ()
 
-let try_shed_oldest t =
-  let rec go () =
-    match Queue.take_opt t.pending with
-    | None -> false
-    | Some (seq, id, slot) ->
-        if Atomic.compare_and_set slot slot_pending slot_shed then begin
-          shed_response t seq ~id "shed under overload (oldest queued parse)";
-          true
-        end
-        else go ()  (* already running or settled: stale entry, drop *)
-  in
-  go ()
+let rec try_shed_oldest t =
+  match Queue.take_opt t.pending with
+  | None -> false
+  | Some r ->
+      if Atomic.compare_and_set r.slot slot_pending slot_shed then begin
+        shed_response t r "shed under overload (oldest queued parse)";
+        true
+      end
+      else try_shed_oldest t  (* already running or settled: stale entry *)
 
 (* Admission control for a document-keyed request.  [Close] is always
    admitted — under overload a client must still be able to release
    documents.  Returns [true] when the request may be enqueued. *)
-let admit t ~seq ~id req ~doc =
+let admit t r req =
   match req with
   | P.Close _ -> true
   | _ ->
+      let doc = doc_id r in
       if
         t.max_doc_queue > 0
         && Scheduler.depth t.sched ~key:doc >= t.max_doc_queue
       then begin
-        shed_response t seq ~id
+        shed_response t r
           (Printf.sprintf "queue full for doc %s (cap %d)" doc t.max_doc_queue);
         false
       end
       else if
         t.max_inflight > 0
-        && inflight t > t.max_inflight
+        && Atomic.get t.inflight > t.max_inflight
         && not (try_shed_oldest t)
       then begin
-        shed_response t seq ~id
+        shed_response t r
           (Printf.sprintf "server overloaded (%d requests in flight)"
-             (inflight t));
+             (Atomic.get t.inflight));
         false
       end
       else true
 
-(* Accept one request: assign its sequence slot and meta record.  Every
-   accepted sequence number MUST eventually reach [respond]. *)
+(* Accept one request: assign its sequence slot and build its record.
+   Every accepted request MUST eventually reach [respond]. *)
 let accept t ?(meth = "?") ?doc ?(id = Json.Null) () =
-  let seq = t.seq in
-  t.seq <- t.seq + 1;
-  t.served <- t.served + 1;
+  let r =
+    {
+      seq = t.accepted;
+      id;
+      meth;
+      doc;
+      t0 = now_ms ();
+      slot = Atomic.make slot_pending;
+    }
+  in
+  t.accepted <- t.accepted + 1;
+  Atomic.incr t.inflight;
   Metrics.incr m_requests;
-  put_meta t seq { m_meth = meth; m_doc = doc; m_id = id; m_t0 = now_ms () };
-  seq
+  r
 
 (* The daemon's line reader discards oversized lines without
    materialising them; it reports them here so the client still gets
    its [-32005] and the access log its entry. *)
 let reject_oversized t ~bytes =
-  let seq = accept t () in
-  respond_err t seq ~id:Json.Null
+  respond_err t (accept t ())
     {
       P.code = P.e_payload;
       message =
@@ -956,11 +867,6 @@ let reject_oversized t ~bytes =
 let handle_line t line =
   if String.trim line <> "" then begin
     prune_pending t;
-    let fired = Wheel.tick t.wheel ~now:(now_ms ()) in
-    if fired > 0 then begin
-      Atomic.fetch_and_add t.cancelled fired |> ignore;
-      for _ = 1 to fired do Metrics.incr m_cancelled done
-    end;
     if Atomic.get t.stopping then begin
       (* Draining: admission is closed.  Decode just enough to echo the
          client's id (skipping oversized lines). *)
@@ -969,33 +875,21 @@ let handle_line t line =
         else
           match P.decode line with Ok (id, _) | Error (id, _) -> id
       in
-      let seq = accept t ~id () in
-      respond_err t seq ~id
+      respond_err t (accept t ~id ())
         { P.code = P.e_shutting_down; message = "server is shutting down" }
     end
     else if String.length line > t.max_payload then
-      let seq = accept t () in
-      respond_err t seq ~id:Json.Null
-        {
-          P.code = P.e_payload;
-          message =
-            Printf.sprintf "request of %d bytes exceeds the %d-byte cap"
-              (String.length line) t.max_payload;
-        }
+      reject_oversized t ~bytes:(String.length line)
     else
       match P.decode line with
-      | Error (id, e) ->
-          let seq = accept t ~id () in
-          respond_err t seq ~id e
+      | Error (id, e) -> respond_err t (accept t ~id ()) e
       | Ok (id, req) -> (
-          let seq = accept t ~meth:(meth_name req) ?doc:(P.doc_of req) ~id () in
-          let reject code message =
-            respond_err t seq ~id { P.code = code; message }
-          in
+          let r = accept t ~meth:(meth_name req) ?doc:(P.doc_of req) ~id () in
+          let reject code message = respond_err t r { P.code = code; message } in
           match req with
           | P.Stats { doc = None; metrics } ->
-              respond t seq (server_stats t ~req:seq ~id ~metrics)
-          | P.Telemetry { view } -> respond t seq (telemetry t ~req:seq ~id ~view)
+              respond t r (server_stats t r ~metrics)
+          | P.Telemetry { view } -> respond t r (telemetry t r ~view)
           | P.Open { doc; lang; text; budget } -> (
               if Live.mem t.live doc then
                 reject P.e_doc_exists ("doc already open: " ^ doc)
@@ -1003,26 +897,25 @@ let handle_line t line =
                 match Registry.find lang with
                 | None -> reject P.e_unknown_lang ("unknown language " ^ lang)
                 | Some l ->
-                    if admit t ~seq ~id req ~doc then begin
+                    if admit t r req then begin
                       (* Force the shared lazies HERE, on the single
                          dispatcher thread: Lazy.force is not safe
                          against concurrent forcing from worker domains,
                          and this is also what guarantees one table
                          build per language per process. *)
-                      Trace.with_request (string_of_int seq) (fun () ->
+                      Trace.with_request (string_of_int r.seq) (fun () ->
                           Registry.force l);
                       if not (List.mem lang t.loaded) then
                         t.loaded <- lang :: t.loaded;
                       Live.add t.live doc;
-                      submit ~mutates:true t ~seq ~key:doc ~id
-                        (do_open t ~req:seq ~id ~doc ~lang_name:lang l ~text
-                           ~budget)
+                      submit ~mutates:true t r
+                        (do_open t r ~lang_name:lang l ~text ~budget)
                     end)
           | _ -> (
-              let doc = Option.get (P.doc_of req) in
+              let doc = doc_id r in
               if not (Live.mem t.live doc) then
                 reject P.e_unknown_doc ("unknown doc " ^ doc)
-              else if admit t ~seq ~id req ~doc then begin
+              else if admit t r req then begin
                 (match req with
                 | P.Close _ ->
                     (* Unregister synchronously: a request sent after the
@@ -1032,24 +925,16 @@ let handle_line t line =
                 | _ -> ());
                 match req with
                 | P.Edit { edits; _ } ->
-                    submit ~mutates:true t ~seq ~key:doc ~id
-                      (do_edit t ~req:seq ~id ~doc edits)
+                    submit ~mutates:true t r (do_edit t r edits)
                 | P.Parse { budget; timing; metrics; _ } ->
-                    submit ~sheddable:true ~mutates:true t ~seq ~key:doc ~id
-                      (do_parse ~req:seq ~id ~doc ~budget ~timing ~metrics t)
-                | P.Errors _ ->
-                    submit t ~seq ~key:doc ~id (do_errors t ~req:seq ~id ~doc)
+                    submit ~sheddable:true ~mutates:true t r
+                      (do_parse t r ~budget ~timing ~metrics)
+                | P.Errors _ -> submit t r (do_errors t r)
                 | P.Diag { metrics; _ } ->
-                    submit ~mutates:true t ~seq ~key:doc ~id
-                      (do_diag t ~req:seq ~id ~doc ~metrics)
-                | P.Ambig { max_len; _ } ->
-                    submit t ~seq ~key:doc ~id
-                      (do_ambig t ~req:seq ~id ~doc ~max_len)
-                | P.Stats { metrics; _ } ->
-                    submit t ~seq ~key:doc ~id
-                      (do_doc_stats t ~req:seq ~id ~doc ~metrics)
-                | P.Close _ ->
-                    submit t ~seq ~key:doc ~id (do_close t ~req:seq ~id ~doc)
+                    submit ~mutates:true t r (do_diag t r ~metrics)
+                | P.Ambig { max_len; _ } -> submit t r (do_ambig t r ~max_len)
+                | P.Stats { metrics; _ } -> submit t r (do_doc_stats t r ~metrics)
+                | P.Close _ -> submit t r (do_close t r)
                 | P.Open _ | P.Telemetry _ -> assert false
               end))
   end

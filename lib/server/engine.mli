@@ -29,17 +29,17 @@
     [budget.deadline_ms] is cancelled — through the same degradation
     ladder as an in-parse deadline, answering [degraded:true] — once
     that many milliseconds have passed since the request was ACCEPTED,
-    queueing time included.  A dispatcher-side wheel marks overdue
-    requests on every accepted line; the parse also compares the clock
-    itself at each budget check, so cancellation needs no concurrent
-    traffic. *)
+    queueing time included.  The parse compares the clock with that
+    accept-relative instant at each of its budget checks, so
+    cancellation needs neither a timer nor concurrent traffic.  A
+    {!drain} that overruns its hard deadline cancels every running
+    parse the same way. *)
 
 type t
 
 val create :
   ?jobs:int ->
   ?max_payload:int ->
-  ?flight_cap:int ->
   ?max_doc_queue:int ->
   ?max_inflight:int ->
   ?log:(string -> unit) ->
@@ -55,14 +55,16 @@ val create :
     [max_doc_queue] (default 0 = unbounded) caps one document's queued +
     running jobs: a request for a document at its cap is shed with
     [e_overloaded] ([close] is always admitted).  [max_inflight]
-    (default 0 = unbounded) caps globally accepted-but-unanswered
-    requests: past it, the OLDEST queued parse is shed to make room, or
-    the incoming request itself when no parse is sheddable.
+    (default 0 = unbounded) caps the requests in flight — accepted
+    but not yet answered: a request counts from its acceptance until
+    its handler (or the shedder, or the supervisor) hands the response
+    to the writer, with or without [log].  Past the cap, the OLDEST
+    queued parse is shed to make room, or the incoming request itself
+    when no parse is sheddable.
 
-    [flight_cap] (default 32) bounds the slow-request flight recorder:
-    the engine keeps the [flight_cap] most recent and [flight_cap]
-    slowest parses with latency, subtree-reuse percentage, degraded bit
-    and reuse-reject counts ([telemetry view:"flight"], or the
+    The slow-request flight recorder keeps the 32 most recent and the
+    32 slowest parses with latency, subtree-reuse percentage, degraded
+    bit and reuse-reject counts ([telemetry view:"flight"], or the
     daemon's SIGUSR1 dump).  Quarantine incidents are recorded there
     too, marked by an ["incident"] reject entry.
 
@@ -94,10 +96,11 @@ val stopping : t -> bool
 
 val drain : ?deadline_ms:float -> t -> unit
 (** Block until every in-flight document job has completed and its
-    response has been emitted.  With [deadline_ms], a watchdog fires
-    every in-flight cancel flag once the deadline passes: parses abort
-    through the degradation ladder and still answer (degraded), so the
-    drain completes without dropping a response. *)
+    response has been emitted.  With [deadline_ms], a watchdog raises
+    one engine-wide overrun flag once the deadline passes; every parse
+    polls it at its budget checks, aborts through the degradation
+    ladder and still answers (degraded), so the drain completes without
+    dropping a response.  The flag lowers when [drain] returns. *)
 
 val shutdown : ?deadline_ms:float -> t -> unit
 (** {!begin_shutdown}, {!drain} (under [deadline_ms] if given), then
@@ -107,17 +110,26 @@ val shutdown : ?deadline_ms:float -> t -> unit
     health surface. *)
 
 val pool : t -> Pool.t
+
 val requests : t -> int
+(** Requests accepted so far (each answered exactly once). *)
+
 val jobs : t -> int
+
+val max_payload : t -> int
+(** The request-line cap in bytes: the daemon sizes its line reader
+    with it, so reader and engine agree on what is oversized. *)
 
 val health : t -> Metrics.Json.t
 (** Live-service snapshot: open docs, worker/busy counts, per-doc queue
     depths, reorder-buffer depth, in-flight requests, flight-recorder
     depth, trace ring counters, and the hardening counters — [shed],
     [retried], [cancelled], [supervised_restarts], [sink_errors],
-    [quarantined] (doc list) and [stopping].  The same object the
-    [telemetry] method's ["health"] view returns; also the daemon's
-    SIGUSR1 dump.  Call from the dispatcher thread. *)
+    [quarantined] (doc list) and [stopping].  [cancelled] counts the
+    parses whose cancel hook fired — an accept-relative deadline that
+    expired, or an overrunning drain — once per request.  The same
+    object the [telemetry] method's ["health"] view returns; also the
+    daemon's SIGUSR1 dump.  Call from the dispatcher thread. *)
 
 val flight : t -> Metrics.Json.t
 (** The flight recorder as JSON ([telemetry view:"flight"]): capacity,

@@ -52,6 +52,7 @@ let commit_text e text = e.committed_text <- text
 let heal e =
   let session, _ =
     Iglr.Session.create
+      ~budget:(Iglr.Session.budget e.session)
       ~table:(Languages.Language.table e.lang)
       ~lexer:(Languages.Language.lexer e.lang)
       e.committed_text

@@ -59,6 +59,7 @@ val commit_text : entry -> string -> unit
 
 val heal : entry -> unit
 (** Replace the entry's session with a fresh one parsed from
-    [committed_text] and clear the poison flag.  Must run under the
+    [committed_text], under the poisoned session's budget, and clear
+    the poison flag.  Must run under the
     scheduler's per-document ordering (it mutates the entry).  Counts
     [server.rebuilt]. *)

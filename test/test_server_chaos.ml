@@ -288,12 +288,15 @@ let deadline_counts_queueing () =
       (Option.bind (member "result" (Json.of_string tiny_parse))
          (member "outcome"))
   in
-  match member "degraded" outcome with
+  (match member "degraded" outcome with
   | Some (Json.Bool true) -> ()
   | j ->
       Alcotest.failf "queued parse was not cancelled: degraded=%s in %s"
         (match j with Some j -> Json.to_line j | None -> "<absent>")
-        tiny_parse
+        tiny_parse);
+  (* The deadline expired after the last request line: the parse's own
+     cancel hook is what counts it. *)
+  Alcotest.(check int) "cancelled counted once" 1 (health_int engine "cancelled")
 
 (* ------------------------------------------------------------------ *)
 (* Overload shedding.                                                  *)
@@ -404,13 +407,52 @@ let drain_under_deadline () =
   check_invariant ~what:"drain deadline" engine responses;
   let last = Json.of_string (List.nth responses 2) in
   let outcome = Option.bind (member "result" last) (member "outcome") in
-  match Option.bind outcome (member "degraded") with
-  | Some (Json.Bool true) -> ()
-  | _ ->
-      (* The parse may legitimately finish under the deadline on a fast
-         machine; accept a clean result but never a missing one. *)
-      Alcotest.(check (option int))
-        "in-flight parse still answered" None (error_code last)
+  let cancelled =
+    match Option.bind outcome (member "degraded") with
+    | Some (Json.Bool true) -> 1
+    | _ ->
+        (* The parse may legitimately finish under the deadline on a fast
+           machine; accept a clean result but never a missing one. *)
+        Alcotest.(check (option int))
+          "in-flight parse still answered" None (error_code last);
+        0
+  in
+  Alcotest.(check int)
+    "cancelled counts the degraded parse, and only it" cancelled
+    (health_int engine "cancelled")
+
+(* A quarantine rebuild keeps the document's own budget: the session
+   healed after a worker.raise still parses under the budget it was
+   opened with, and a request's one-off budget does not leak into it. *)
+let heal_keeps_budget () =
+  with_engine ~jobs:0 @@ fun engine collect ->
+  send engine
+    (obj
+       [
+         ("id", Json.String "a");
+         ("method", Json.String "open");
+         ( "params",
+           Json.Obj
+             [
+               ("doc", Json.String "a");
+               ("lang", Json.String "calc");
+               ("text", Json.String "x = 1;\n");
+               ("budget", Json.Obj [ ("max_nodes", Json.Int 3) ]);
+             ] );
+       ]);
+  with_plan "worker.raise@1" (fun () ->
+      send engine (parse_line ~deadline_ms:5000. ~doc:"a" ()));
+  send engine (parse_line ~doc:"a" ());
+  check_invariant ~what:"heal budget" engine (collect ());
+  Alcotest.(check (list string)) "healed" [] (Pool.poisoned (Engine.pool engine));
+  match Pool.find (Engine.pool engine) "a" with
+  | Some e ->
+      let b = Session.budget e.Pool.session in
+      Alcotest.(check int) "max_nodes survives the rebuild" 3
+        b.Iglr.Glr.max_nodes;
+      Alcotest.(check bool) "request deadline did not leak" true
+        (b.Iglr.Glr.deadline_ms = infinity)
+  | None -> Alcotest.fail "doc a missing"
 
 (* ------------------------------------------------------------------ *)
 (* Randomized chaos fuzz: >= 100 seeded plans over a multi-domain
@@ -518,4 +560,6 @@ let suite =
       (Printf.sprintf "%d randomized seeded plans uphold the invariant"
          fuzz_cases)
       `Quick chaos_fuzz;
+    Alcotest.test_case "heal keeps the document's budget" `Quick
+      heal_keeps_budget;
   ]

@@ -209,6 +209,51 @@ let flight_reuse_after_token_edit () =
         Alcotest.failf "flight reuse_pct %.2f after a one-token edit" pct
   | _ -> Alcotest.fail "no flight entry for the parse"
 
+(* The flight recorder is capped: after more parses than its capacity,
+   [recent] holds the newest [capacity] of them and [slowest] the
+   slowest [capacity], sorted by latency, while [recorded] still counts
+   every parse. *)
+let flight_capped_and_sorted () =
+  let module Json = Metrics.Json in
+  let module Engine = Server.Engine in
+  let line method_ params =
+    Json.to_line
+      (Json.Obj
+         [
+           ("id", Json.String method_);
+           ("method", Json.String method_);
+           ("params", Json.Obj (("doc", Json.String "f.calc") :: params));
+         ])
+  in
+  let engine = Engine.create ~jobs:0 ~emit:ignore () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
+  Engine.handle_line engine
+    (line "open"
+       [ ("lang", Json.String "calc"); ("text", Json.String "x = 1 + 2;") ]);
+  for _ = 1 to 40 do
+    Engine.handle_line engine (line "parse" [])
+  done;
+  Engine.drain engine;
+  let flight = Engine.flight engine in
+  let int name = Option.bind (Json.member name flight) Json.to_int in
+  let entries name =
+    Option.value ~default:[]
+      (Option.bind (Json.member name flight) Json.to_list)
+  in
+  Alcotest.(check (option int)) "capacity" (Some 32) (int "capacity");
+  Alcotest.(check (option int)) "recorded" (Some 40) (int "recorded");
+  Alcotest.(check int) "recent capped" 32 (List.length (entries "recent"));
+  let slowest =
+    List.map
+      (fun e -> Option.get (Option.bind (Json.member "ms" e) Json.to_float))
+      (entries "slowest")
+  in
+  Alcotest.(check int) "slowest capped" 32 (List.length slowest);
+  Alcotest.(check (list (float 0.)))
+    "slowest sorted by ms, descending"
+    (List.sort (fun a b -> compare b a) slowest)
+    slowest
+
 let suite =
   [
     Alcotest.test_case "merged snapshot equals per-domain sums" `Quick
@@ -221,4 +266,6 @@ let suite =
       openmetrics_rejects_garbage;
     Alcotest.test_case "flight reuse_pct after a token edit" `Quick
       flight_reuse_after_token_edit;
+    Alcotest.test_case "flight recorder caps and sorts" `Quick
+      flight_capped_and_sorted;
   ]
