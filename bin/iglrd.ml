@@ -45,7 +45,7 @@ let dump_telemetry engine =
 
 let should_stop () = !shutdown_requested
 
-let serve_fd engine fd_in fd_out =
+let serve_fd ~drain_ms engine fd_in fd_out =
   Server.Engine.set_emit engine (fun line -> Server.Rio.write_all fd_out (line ^ "\n"));
   let r =
     Server.Rio.reader ~max_line:(Server.Engine.max_payload engine) fd_in
@@ -69,10 +69,13 @@ let serve_fd engine fd_in fd_out =
     end
   in
   loop ();
-  Server.Engine.drain engine;
+  (* EOF and SIGTERM/SIGINT both end the read loop here, so this is the
+     drain [--drain-ms] bounds; the shutdown drain after it finds
+     nothing left in flight. *)
+  Server.Engine.drain ~deadline_ms:drain_ms engine;
   if !dump_requested then dump_telemetry engine
 
-let serve_socket engine path =
+let serve_socket ~drain_ms engine path =
   (* A stale socket file from a previous run would make [bind] fail. *)
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -88,7 +91,7 @@ let serve_socket engine path =
         match Server.Rio.accept ~should_stop ~on_intr sock with
         | None -> ()
         | Some (fd, _) ->
-            (try serve_fd engine fd fd
+            (try serve_fd ~drain_ms engine fd fd
              with Unix.Unix_error _ | Sys_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ());
             if !shutdown_requested then () else loop ()
@@ -141,8 +144,8 @@ let run serial jobs socket max_payload log_file fault_plan drain_ms
     (fun () ->
       if !shutdown_requested then Server.Engine.begin_shutdown engine;
       match socket with
-      | None -> serve_fd engine Unix.stdin Unix.stdout
-      | Some path -> serve_socket engine path)
+      | None -> serve_fd ~drain_ms engine Unix.stdin Unix.stdout
+      | Some path -> serve_socket ~drain_ms engine path)
 
 let serial_arg =
   Arg.(

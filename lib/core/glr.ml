@@ -106,9 +106,16 @@ type run = {
          service folds per-request cancel flags in here *)
   stats : stats;
   cursor : Traverse.cursor;  (* the input stream over the previous tree *)
-  mutable red_term : Node.t option;  (* cached reduction lookahead *)
+  mutable red_term : Node.t;  (* cached reduction lookahead, *)
+  mutable red_known : bool;  (* valid while this is set *)
   mutable active : Gss.node list;
   mutable for_actor : Gss.node list;
+  (* The round's shifters.  A lone shifter (the deterministic case) sits
+     in [lone]/[lone_state]; from the second on, [for_shifter] holds them
+     all, most recent first. *)
+  mutable shifters : int;
+  mutable lone : Gss.node;
+  mutable lone_state : int;
   mutable for_shifter : (Gss.node * int) list;
   mutable multiple_states : bool;
   mutable nondet_round : bool;
@@ -135,6 +142,15 @@ let symbol_name g (n : Node.t) =
   | `N nt -> Cfg.nonterminal_name g nt
   | `T t -> Cfg.terminal_name g t
   | `Other -> "?"
+
+(* The nonterminal of a production or choice node, read without
+   [Node.symbol]'s boxed result. *)
+let nt_of g (n : Node.t) =
+  match n.Node.kind with
+  | Node.Prod p -> (Cfg.production g p).Cfg.lhs
+  | Node.Choice c -> c.Node.nt
+  | Node.Term _ | Node.Bos | Node.Eos _ | Node.Error _ | Node.Root ->
+      invalid_arg "Glr.nt_of: not a production"
 
 (* A shifted terminal's trace label: its trivia and text, cut at 24
    bytes. *)
@@ -196,32 +212,28 @@ let term_of n =
       invalid_arg "Glr.term_of: not a terminal"
 
 let red_term r =
-  match r.red_term with
-  | Some t -> t
-  | None ->
-      let t = Traverse.peek_terminal r.cursor in
-      r.red_term <- Some t;
-      t
+  if not r.red_known then begin
+    r.red_term <- Traverse.peek_terminal r.cursor;
+    r.red_known <- true
+  end;
+  r.red_term
+
+let term_actions r (p : Gss.node) =
+  Table.actions r.table ~state:p.state ~term:(term_of (red_term r))
 
 (* Actions for parser [p] on the current lookahead.  When the lookahead is
    an unmodified subtree, the precomputed nonterminal reductions (§3.2)
    avoid descending to the leftmost terminal. *)
 let lookup_actions r (p : Gss.node) =
-  let fallback () =
-    Table.actions r.table ~state:p.state ~term:(term_of (red_term r))
-  in
   let la = Traverse.current r.cursor in
   match la.Node.kind with
-  | Node.Term _ | Node.Eos _ -> fallback ()
-  | Node.Prod _ | Node.Choice _ when not (Node.has_changes la) -> (
-      match Node.symbol r.g la with
-      | `N nt -> (
-          match Table.actions_on_nt r.table ~state:p.state ~nt with
-          | Some acts -> acts
-          | None -> fallback ())
-      | `T _ | `Other -> fallback ())
-  | Node.Prod _ | Node.Choice _ | Node.Error _ | Node.Bos | Node.Root ->
-      fallback ()
+  | (Node.Prod _ | Node.Choice _) when not (Node.has_changes la) -> (
+      match Table.actions_on_nt r.table ~state:p.state ~nt:(nt_of r.g la) with
+      | Some acts -> acts
+      | None -> term_actions r p)
+  | Node.Term _ | Node.Eos _ | Node.Prod _ | Node.Choice _ | Node.Error _
+  | Node.Bos | Node.Root ->
+      term_actions r p
 
 (* ------------------------------------------------------------------ *)
 (* Node construction with merging.                                     *)
@@ -229,7 +241,7 @@ let lookup_actions r (p : Gss.node) =
 let build_node r rule kids preceding_state =
   let state = if r.multiple_states then Node.nostate else preceding_state in
   r.stats.nodes_created <- r.stats.nodes_created + 1;
-  Node.make_prod ~prod:rule ~state (Array.of_list kids)
+  Node.make_prod ~prod:rule ~state kids
 
 (* In a deterministic round every reduction fires once, so the memo table
    (which exists to share identical productions between parsers) is
@@ -242,7 +254,9 @@ let get_node r rule kids preceding_state =
     n
   end
   else
-    let key = (rule, List.map (fun (k : Node.t) -> k.Node.nid) kids) in
+    let key =
+      (rule, Array.fold_right (fun (k : Node.t) ids -> k.Node.nid :: ids) kids [])
+    in
     match Hashtbl.find_opt r.nodes_tab key with
     | Some n -> n
     | None ->
@@ -277,11 +291,7 @@ let redirect_captures r ~old_node ~canonical =
 let get_symbol_node r node =
   if not r.nondet_round then node
   else
-  let nt =
-    match Node.symbol r.g node with
-    | `N nt -> nt
-    | `T _ | `Other -> invalid_arg "Glr.get_symbol_node: not a production"
-  in
+  let nt = nt_of r.g node in
   let s, e = span r node in
   let entry =
     match Hashtbl.find_opt r.sym_tab (nt, s, e) with
@@ -358,6 +368,15 @@ let get_symbol_node r node =
 (* ------------------------------------------------------------------ *)
 (* Reductions (Rekers-style, breadth-first on the current lookahead).   *)
 
+(* The active parser in [state], or [no_parser]: a sentinel, so the
+   lookup allocates no option. *)
+let no_parser = Gss.{ gid = 0; state = -1; links = [] }
+
+let rec parser_in state = function
+  | [] -> no_parser
+  | (p : Gss.node) :: rest ->
+      if p.Gss.state = state then p else parser_in state rest
+
 let rec reducer r (q : Gss.node) target rule kids =
   r.stats.reductions <- r.stats.reductions + 1;
   let node = get_node r rule kids q.Gss.state in
@@ -368,74 +387,94 @@ let rec reducer r (q : Gss.node) target rule kids =
         ("target", Trace.Int target);
         ("at", Trace.Int r.pos);
       ];
-  match List.find_opt (fun (p : Gss.node) -> p.Gss.state = target) r.active with
-  | Some p -> (
-      match List.find_opt (fun (l : Gss.link) -> l.Gss.head == q) p.Gss.links with
-      | Some link ->
-          (* A second interpretation of the same region: merge into a
-             choice node, upgrading the proxy label lazily.  Merges can be
-             discovered in a round that started deterministically (a forked
-             GSS region being popped), so turn the machinery on here. *)
-          if link.Gss.label != node then begin
-            if not r.nondet_round then begin
-              r.nondet_round <- true;
-              Hashtbl.reset r.nodes_tab;
-              Hashtbl.reset r.sym_tab
-            end;
-            (match link.Gss.label.Node.kind with
-            | Node.Choice _ -> ()
-            | _ -> ignore (get_symbol_node r link.Gss.label));
-            link.Gss.label <- get_symbol_node r node
-          end
-      | None ->
-          let label = get_symbol_node r node in
-          let link = Gss.make_link ~head:q ~label in
-          Gss.add_link p link;
-          (* Parsers already processed this round may enable further
-             reductions through the new link. *)
-          List.iter
-            (fun (m : Gss.node) ->
-              if not (List.memq m r.for_actor) then
-                List.iter
-                  (function
-                    | Table.Reduce rule' -> do_limited_reductions r m rule' link
-                    | Table.Shift _ | Table.Accept -> ())
-                  (lookup_actions r m))
-            r.active)
-  | None ->
-      let label = get_symbol_node r node in
-      let p = Gss.make_node ~state:target [ Gss.make_link ~head:q ~label ] in
-      r.active <- p :: r.active;
-      r.for_actor <- p :: r.for_actor
+  let p = parser_in target r.active in
+  if p == no_parser then begin
+    let label = get_symbol_node r node in
+    let p = Gss.make_node ~state:target [ Gss.make_link ~head:q ~label ] in
+    r.active <- p :: r.active;
+    r.for_actor <- p :: r.for_actor
+  end
+  else link_or_merge r p q node p.Gss.links
 
-and do_reduction_paths r paths rule =
-  (match paths with
-  | _ :: _ :: _ ->
-      (* Several stack paths: the GSS is locally forked and reductions may
-         converge. *)
-      if not r.nondet_round then begin
-        r.nondet_round <- true;
-        Hashtbl.reset r.nodes_tab;
-        Hashtbl.reset r.sym_tab
+(* [p] already exists: merge into its link to [q], or add one. *)
+and link_or_merge r p q node = function
+  | (link : Gss.link) :: rest ->
+      if link.Gss.head != q then link_or_merge r p q node rest
+      else if link.Gss.label != node then begin
+        (* A second interpretation of the same region: merge into a
+           choice node, upgrading the proxy label lazily.  Merges can be
+           discovered in a round that started deterministically (a forked
+           GSS region being popped), so turn the machinery on here. *)
+        if not r.nondet_round then begin
+          r.nondet_round <- true;
+          Hashtbl.reset r.nodes_tab;
+          Hashtbl.reset r.sym_tab
+        end;
+        (match link.Gss.label.Node.kind with
+        | Node.Choice _ -> ()
+        | _ -> ignore (get_symbol_node r link.Gss.label));
+        link.Gss.label <- get_symbol_node r node
       end
-  | [] | [ _ ] -> ());
-  let prod = Cfg.production r.g rule in
-  List.iter
-    (fun ((q : Gss.node), kids) ->
-      let target = Table.goto r.table ~state:q.Gss.state ~nt:prod.Cfg.lhs in
-      if target >= 0 then reducer r q target rule kids)
-    paths
+  | [] ->
+      let label = get_symbol_node r node in
+      let link = Gss.make_link ~head:q ~label in
+      Gss.add_link p link;
+      (* Parsers already processed this round may enable further
+         reductions through the new link. *)
+      List.iter
+        (fun (m : Gss.node) ->
+          if not (List.memq m r.for_actor) then
+            List.iter
+              (function
+                | Table.Reduce rule' -> do_limited_reductions r m rule' link
+                | Table.Shift _ | Table.Accept -> ())
+              (lookup_actions r m))
+        r.active
+
+(* One reduction path, from the walker.  Several stack paths mean the GSS
+   is locally forked and reductions may converge. *)
+and reduce_path r rule ~many (q : Gss.node) kids =
+  if many && not r.nondet_round then begin
+    r.nondet_round <- true;
+    Hashtbl.reset r.nodes_tab;
+    Hashtbl.reset r.sym_tab
+  end;
+  let target =
+    Table.goto r.table ~state:q.Gss.state ~nt:(Cfg.production r.g rule).Cfg.lhs
+  in
+  if target >= 0 then reducer r q target rule kids
 
 and do_reductions r (p : Gss.node) rule =
   let arity = Array.length (Cfg.production r.g rule).Cfg.rhs in
-  do_reduction_paths r (Gss.paths p ~arity) rule
+  Gss.iter_paths p ~arity ~through:None reduce_path r rule
 
 and do_limited_reductions r (m : Gss.node) rule link =
   let arity = Array.length (Cfg.production r.g rule).Cfg.rhs in
-  do_reduction_paths r (Gss.paths_through m ~arity ~link) rule
+  Gss.iter_paths m ~arity ~through:(Some link) reduce_path r rule
 
 (* ------------------------------------------------------------------ *)
 (* The actor / shifter cycle.                                           *)
+
+let add_shifter r (p : Gss.node) state =
+  (match r.shifters with
+  | 0 ->
+      r.lone <- p;
+      r.lone_state <- state
+  | 1 -> r.for_shifter <- [ (p, state); (r.lone, r.lone_state) ]
+  | _ -> r.for_shifter <- (p, state) :: r.for_shifter);
+  r.shifters <- r.shifters + 1
+
+let rec run_actions r (p : Gss.node) = function
+  | [] -> ()
+  | act :: rest ->
+      (match act with
+      | Table.Accept -> (
+          match (red_term r).Node.kind with
+          | Node.Eos _ -> r.accepting <- Some p
+          | _ -> () (* this parser cannot finish here; it dies *))
+      | Table.Reduce rule -> do_reductions r p rule
+      | Table.Shift s -> add_shifter r p s);
+      run_actions r p rest
 
 let actor r (p : Gss.node) =
   let acts = lookup_actions r p in
@@ -452,141 +491,125 @@ let actor r (p : Gss.node) =
             ("at", Trace.Int r.pos);
           ]
   | [] | [ _ ] -> ());
-  List.iter
-    (function
-      | Table.Accept ->
-          (match (red_term r).Node.kind with
-          | Node.Eos _ -> r.accepting <- Some p
-          | _ -> () (* this parser cannot finish here; it dies *))
-      | Table.Reduce rule -> do_reductions r p rule
-      | Table.Shift s -> r.for_shifter <- (p, s) :: r.for_shifter)
-    acts
+  run_actions r p acts
+
+(* The per-candidate reuse narrative: every accepted subtree and every
+   rejection reason (the explain report's raw material). *)
+let trace_reuse r (la : Node.t) ok =
+  let common =
+    [
+      ("symbol", Trace.Str (symbol_name r.g la));
+      ("from", Trace.Int r.pos);
+      ("tokens", Trace.Int (Node.token_count la));
+    ]
+  in
+  if ok then Trace.instant Trace.Reuse "accept" common
+  else
+    let reason =
+      if not r.cfgc.state_matching then [ ("reason", Trace.Str "disabled") ]
+      else if la.Node.nested then [ ("reason", Trace.Str "pending-edit") ]
+      else if la.Node.changed then [ ("reason", Trace.Str "lookahead-change") ]
+      else if r.multiple_states then
+        [ ("reason", Trace.Str "multiple-parsers") ]
+      else if la.Node.state = Node.nostate then
+        [ ("reason", Trace.Str "no-state") ]
+      else if r.shifters <> 1 then [ ("reason", Trace.Str "multiple-parsers") ]
+      else if la.Node.state <> r.lone.Gss.state then
+        [
+          ("reason", Trace.Str "state-mismatch");
+          ("recorded", Trace.Int la.Node.state);
+          ("current", Trace.Int r.lone.Gss.state);
+        ]
+      else [ ("reason", Trace.Str "no-goto") ]
+    in
+    Trace.instant Trace.Reuse "reject" (common @ reason)
 
 (* Decompose the lookahead until it is shiftable: a terminal, or — in a
    deterministic configuration — an unmodified subtree whose recorded
    state matches the single active parser (state-matching, §3.2/3.3). *)
-let settle_lookahead r =
-  let single_parser =
-    match r.for_shifter with [ (p, _) ] -> Some p | _ -> None
-  in
-  let rec settle () =
-    let la = Traverse.current r.cursor in
-    match la.Node.kind with
-    | Node.Term _ -> ()
-    | Node.Eos _ ->
-        raise
-          (Parse_error
-             { offset_tokens = r.pos; message = "internal: shift past eos" })
-    | Node.Bos | Node.Root ->
-        invalid_arg "Glr.settle_lookahead: sentinel lookahead"
-    | Node.Error _ ->
-        (* An isolated error region is never reused wholesale: its raw
-           token run is re-offered terminal by terminal, so a repaired
-           context reintegrates it (and a clean parse dissolves it). *)
-        if tracing () then
-          Trace.instant Trace.Reuse "reject"
-            [
-              ("symbol", Trace.Str "<error>");
-              ("from", Trace.Int r.pos);
-              ("tokens", Trace.Int (Node.token_count la));
-              ("reason", Trace.Str "error-subtree");
-            ];
+let rec settle_lookahead r =
+  let la = Traverse.current r.cursor in
+  match la.Node.kind with
+  | Node.Term _ -> ()
+  | Node.Eos _ ->
+      raise
+        (Parse_error
+           { offset_tokens = r.pos; message = "internal: shift past eos" })
+  | Node.Bos | Node.Root ->
+      invalid_arg "Glr.settle_lookahead: sentinel lookahead"
+  | Node.Error _ ->
+      (* An isolated error region is never reused wholesale: its raw token
+         run is re-offered terminal by terminal, so a repaired context
+         reintegrates it (and a clean parse dissolves it). *)
+      if tracing () then
+        Trace.instant Trace.Reuse "reject"
+          [
+            ("symbol", Trace.Str "<error>");
+            ("from", Trace.Int r.pos);
+            ("tokens", Trace.Int (Node.token_count la));
+            ("reason", Trace.Str "error-subtree");
+          ];
+      r.stats.breakdowns <- r.stats.breakdowns + 1;
+      Traverse.descend r.cursor;
+      settle_lookahead r
+  | Node.Prod _ | Node.Choice _ ->
+      let ok =
+        r.cfgc.state_matching
+        && (not r.multiple_states)
+        && (not (Node.has_changes la))
+        && la.Node.state <> Node.nostate
+        && r.shifters = 1
+        && la.Node.state = r.lone.Gss.state
+        && Table.goto r.table ~state:r.lone.Gss.state ~nt:(nt_of r.g la) >= 0
+      in
+      (* Classify only undamaged subtrees: a changed lookahead must be
+         decomposed regardless of its recorded state. *)
+      if not (Node.has_changes la) then
+        if ok then Metrics.incr m_la_state_match
+        else if la.Node.state = Node.nostate then Metrics.incr m_la_nostate
+        else Metrics.incr m_la_state_miss;
+      if tracing () then trace_reuse r la ok;
+      if not ok then begin
         r.stats.breakdowns <- r.stats.breakdowns + 1;
         Traverse.descend r.cursor;
-        settle ()
+        settle_lookahead r
+      end
+
+(* Shift [la] for parser [p], whose table action was [Shift s]. *)
+let shift_one r (la : Node.t) (p : Gss.node) s =
+  let target =
+    match la.Node.kind with
+    | Node.Term _ -> s
     | Node.Prod _ | Node.Choice _ ->
-        let ok =
-          r.cfgc.state_matching
-          && (not r.multiple_states)
-          && (not (Node.has_changes la))
-          && la.Node.state <> Node.nostate
-          &&
-          match single_parser with
-          | Some p ->
-              la.Node.state = p.Gss.state
-              && (match Node.symbol r.g la with
-                 | `N nt -> Table.goto r.table ~state:p.Gss.state ~nt >= 0
-                 | `T _ | `Other -> false)
-          | None -> false
-        in
-        (* Classify only undamaged subtrees: a changed lookahead must be
-           decomposed regardless of its recorded state. *)
-        if not (Node.has_changes la) then
-          if ok then Metrics.incr m_la_state_match
-          else if la.Node.state = Node.nostate then Metrics.incr m_la_nostate
-          else Metrics.incr m_la_state_miss;
-        (* The per-candidate reuse narrative: every accepted subtree and
-           every rejection reason (the explain report's raw material). *)
-        if tracing () then begin
-          let common =
-            [
-              ("symbol", Trace.Str (symbol_name r.g la));
-              ("from", Trace.Int r.pos);
-              ("tokens", Trace.Int (Node.token_count la));
-            ]
-          in
-          if ok then Trace.instant Trace.Reuse "accept" common
-          else
-            let reason =
-              if not r.cfgc.state_matching then
-                [ ("reason", Trace.Str "disabled") ]
-              else if la.Node.nested then
-                [ ("reason", Trace.Str "pending-edit") ]
-              else if la.Node.changed then
-                [ ("reason", Trace.Str "lookahead-change") ]
-              else if r.multiple_states then
-                [ ("reason", Trace.Str "multiple-parsers") ]
-              else if la.Node.state = Node.nostate then
-                [ ("reason", Trace.Str "no-state") ]
-              else
-                match single_parser with
-                | Some p when la.Node.state <> p.Gss.state ->
-                    [
-                      ("reason", Trace.Str "state-mismatch");
-                      ("recorded", Trace.Int la.Node.state);
-                      ("current", Trace.Int p.Gss.state);
-                    ]
-                | Some _ -> [ ("reason", Trace.Str "no-goto") ]
-                | None -> [ ("reason", Trace.Str "multiple-parsers") ]
-            in
-            Trace.instant Trace.Reuse "reject" (common @ reason)
-        end;
-        if not ok then begin
-          r.stats.breakdowns <- r.stats.breakdowns + 1;
-          Traverse.descend r.cursor;
-          settle ()
-        end
+        Table.goto r.table ~state:p.Gss.state ~nt:(nt_of r.g la)
+    | Node.Bos | Node.Eos _ | Node.Error _ | Node.Root -> -1
   in
-  settle ()
+  if target >= 0 then begin
+    la.Node.state <- (if r.multiple_states then Node.nostate else p.Gss.state);
+    let link = Gss.make_link ~head:p ~label:la in
+    let q = parser_in target r.active in
+    if q == no_parser then
+      r.active <- Gss.make_node ~state:target [ link ] :: r.active
+    else Gss.add_link q link
+  end
+
+let rec shift_all r la = function
+  | [] -> ()
+  | (p, s) :: rest ->
+      shift_one r la p s;
+      shift_all r la rest
 
 let shifter r =
   r.active <- [];
-  r.multiple_states <- List.length r.for_shifter > 1;
-  if r.for_shifter <> [] then begin
+  r.multiple_states <- r.shifters > 1;
+  if r.shifters > 0 then begin
     settle_lookahead r;
     let la = Traverse.current r.cursor in
     (match la.Node.kind with
     | Node.Term _ -> r.stats.shifted_terminals <- r.stats.shifted_terminals + 1
     | _ -> r.stats.shifted_subtrees <- r.stats.shifted_subtrees + 1);
-    List.iter
-      (fun ((p : Gss.node), s) ->
-        let target =
-          match Node.symbol r.g la with
-          | `T _ -> s
-          | `N nt -> Table.goto r.table ~state:p.Gss.state ~nt
-          | `Other -> -1
-        in
-        if target >= 0 then begin
-          la.Node.state <-
-            (if r.multiple_states then Node.nostate else p.Gss.state);
-          let link = Gss.make_link ~head:p ~label:la in
-          match
-            List.find_opt (fun (q : Gss.node) -> q.Gss.state = target) r.active
-          with
-          | Some q -> Gss.add_link q link
-          | None -> r.active <- Gss.make_node ~state:target [ link ] :: r.active
-        end)
-      r.for_shifter;
+    if r.shifters = 1 then shift_one r la r.lone r.lone_state
+    else shift_all r la r.for_shifter;
     if tracing () then begin
       (* A terminal is labelled with its text; a subtree shifted whole
          with its symbol and size, so the label never walks its leaves. *)
@@ -662,9 +685,18 @@ let check_budget r =
       raise (Budget_exhausted { kind = Deadline; offset_tokens = r.pos })
   | _ -> ()
 
+let rec drain r =
+  match r.for_actor with
+  | [] -> ()
+  | p :: rest ->
+      r.for_actor <- rest;
+      actor r p;
+      drain r
+
 let parse_next_symbol r =
   check_budget r;
   r.for_actor <- r.active;
+  r.shifters <- 0;
   r.for_shifter <- [];
   r.nondet_round <-
     (match r.active with [] | [ _ ] -> r.multiple_states | _ -> true);
@@ -673,15 +705,7 @@ let parse_next_symbol r =
     Hashtbl.reset r.nodes_tab;
     Hashtbl.reset r.sym_tab
   end;
-  let rec drain () =
-    match r.for_actor with
-    | [] -> ()
-    | p :: rest ->
-        r.for_actor <- rest;
-        actor r p;
-        drain ()
-  in
-  drain ();
+  drain r;
   if r.accepting = None then begin
     shifter r;
     if r.active = [] then
@@ -691,7 +715,7 @@ let parse_next_symbol r =
     (* Advance past whatever was actually shifted. *)
     r.pos <- r.pos + tok_count r (Traverse.current r.cursor);
     Traverse.advance r.cursor;
-    r.red_term <- None
+    r.red_known <- false
   end
 
 (* ------------------------------------------------------------------ *)
@@ -811,7 +835,7 @@ let process_modifications root =
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
-let make_run config budget deadline cancel table root =
+let make_run config budget deadline cancel table root start =
   {
     table;
     g = Table.grammar table;
@@ -821,9 +845,13 @@ let make_run config budget deadline cancel table root =
     cancel;
     stats = fresh_stats ();
     cursor = Traverse.cursor_at root;
-    red_term = None;
-    active = [];
+    red_term = root;
+    red_known = false;
+    active = [ start ];
     for_actor = [];
+    shifters = 0;
+    lone = start;
+    lone_state = 0;
     for_shifter = [];
     multiple_states = false;
     nondet_round = false;
@@ -867,9 +895,9 @@ let parse ?(config = default_config) ?(budget = no_budget) ?deadline ?cancel
         if budget.deadline_ms = infinity then infinity
         else Metrics.now_ms () +. budget.deadline_ms
   in
-  let r = make_run config budget deadline cancel table root in
+  let start = Gss.make_node ~state:(Table.start_state table) [] in
+  let r = make_run config budget deadline cancel table root start in
   let bos = root.Node.kids.(0) in
-  r.active <- [ Gss.make_node ~state:(Table.start_state table) [] ];
   r.stats.max_parsers <- 1;
   (try
      while r.accepting = None do
@@ -897,18 +925,24 @@ let parse ?(config = default_config) ?(budget = no_budget) ?deadline ?cancel
 
 let parse_tokens ?(config = default_config) ?budget ?deadline ?cancel table
     tokens ~trailing =
-  let terms =
-    List.map
-      (fun (t : Lexgen.Scanner.token) ->
+  (* The root's kid array [bos; terminals; eos], filled in one pass;
+     terminals are made in source order, then eos, then bos. *)
+  let n = List.length tokens in
+  let kids = ref [||] in
+  List.iteri
+    (fun i (t : Lexgen.Scanner.token) ->
+      let term =
         Node.make_term ~term:t.Lexgen.Scanner.term ~text:t.Lexgen.Scanner.text
-          ~trivia:t.Lexgen.Scanner.trivia ~lex_la:t.Lexgen.Scanner.lookahead)
-      tokens
-  in
-  let root =
-    Node.make_root
-      (Array.of_list
-         ((Node.make_bos () :: terms) @ [ Node.make_eos ~trailing ]))
-  in
+          ~trivia:t.Lexgen.Scanner.trivia ~lex_la:t.Lexgen.Scanner.lookahead
+      in
+      if i = 0 then kids := Array.make (n + 2) term else !kids.(i + 1) <- term)
+    tokens;
+  let eos = Node.make_eos ~trailing in
+  let bos = Node.make_bos () in
+  let kids = if n = 0 then [| bos; eos |] else !kids in
+  kids.(0) <- bos;
+  kids.(n + 1) <- eos;
+  let root = Node.make_root kids in
   Node.commit root;
   let stats = parse ~config ?budget ?deadline ?cancel table root in
   (root, stats)

@@ -13,15 +13,61 @@ let add_link n l = n.links <- l :: n.links
 let make_link ~head ~label = { head; label }
 let allocated () = Atomic.get counter
 
-let paths node ~arity =
+(* The reduction walker.  A linear chain — one link per node for [arity]
+   levels, the deterministic common case — is popped in place: the kid
+   array fills right to left as the walk descends, and the callback runs
+   once, with no list, tuple or closure built.  A forked region collects
+   its paths first (each with its own copy of the kid array), so the
+   callbacks, which may add links and relabel them, never see a
+   half-walked GSS.  Collecting depth first in list order and consing
+   each path onto the front yields them with every node's links taken
+   last to first. *)
+let[@inline] uses through l =
+  match through with Some t -> t == l | None -> false
+
+let iter_forked top ~arity ~through k env tag kids =
   let acc = ref [] in
-  let rec go n depth labels =
-    if depth = 0 then acc := (n, labels) :: !acc
-    else
-      List.iter (fun l -> go l.head (depth - 1) (l.label :: labels)) n.links
+  let rec go n depth used =
+    if depth = 0 then begin
+      if used then acc := (n, Array.copy kids) :: !acc
+    end
+    else go_links depth used n.links
+  and go_links depth used = function
+    | [] -> ()
+    | l :: rest ->
+        kids.(depth - 1) <- l.label;
+        go l.head (depth - 1) (used || uses through l);
+        go_links depth used rest
   in
-  go node arity [];
-  !acc
+  go top arity (Option.is_none through);
+  match !acc with
+  | [] -> ()
+  | [ (q, ks) ] -> k env tag ~many:false q ks
+  | paths -> List.iter (fun (q, ks) -> k env tag ~many:true q ks) paths
+
+let iter_paths top ~arity ~through k env tag =
+  if arity = 0 then begin
+    if Option.is_none through then k env tag ~many:false top [||]
+  end
+  else
+    match top.links with
+    | [] -> ()
+    | l0 :: _ ->
+        let kids = Array.make arity l0.label in
+        let n = ref top and depth = ref arity in
+        let used = ref (Option.is_none through) and forked = ref false in
+        while !depth > 0 && not !forked do
+          match !n.links with
+          | [ l ] ->
+              kids.(!depth - 1) <- l.label;
+              used := !used || uses through l;
+              n := l.head;
+              decr depth
+          | [] -> depth := -1 (* a dead end: no path *)
+          | _ :: _ :: _ -> forked := true
+        done;
+        if !forked then iter_forked top ~arity ~through k env tag kids
+        else if !depth = 0 && !used then k env tag ~many:false !n kids
 
 let validate ?max_parsers ~num_states tops =
   let faults = ref [] in
@@ -67,17 +113,3 @@ let validate ?max_parsers ~num_states tops =
   in
   List.iter (walk []) tops;
   List.rev !faults
-
-let paths_through node ~arity ~link =
-  let acc = ref [] in
-  let rec go n depth labels used =
-    if depth = 0 then begin
-      if used then acc := (n, labels) :: !acc
-    end
-    else
-      List.iter
-        (fun l -> go l.head (depth - 1) (l.label :: labels) (used || l == link))
-        n.links
-  in
-  go node arity [] false;
-  !acc

@@ -27,15 +27,25 @@ val allocated : unit -> int
 (** Process-wide count of GSS nodes ever allocated; the delta across one
     parse is its GSS footprint (the observability layer reads it). *)
 
-(** [paths node ~arity] — all downward paths of exactly [arity] links;
-    each result is [(bottom, labels)] with labels in left-to-right (yield)
-    order. *)
-val paths : node -> arity:int -> (node * Parsedag.Node.t list) list
-
-(** [paths_through node ~arity ~link] — only paths using [link] at least
-    once. *)
-val paths_through :
-  node -> arity:int -> link:link -> (node * Parsedag.Node.t list) list
+(** [iter_paths top ~arity ~through k env tag] — the reduction walker:
+    calls [k env tag ~many bottom kids] once per downward path of exactly
+    [arity] links from [top], where [kids] is a fresh array of the path's
+    labels in left-to-right (yield) order and [bottom] the node the path
+    ends at.  With [~through:(Some link)] only paths using [link] at least
+    once count (a limited reduction).  [many] is true on every call when
+    there are at least two such paths.  Paths come depth first, each
+    node's links taken last to first; node ids and the order of choice
+    alternatives follow from this order.  A single-link chain — the
+    deterministic case — is walked with no allocation beyond [kids];
+    [env] and [tag] pass through to [k] so the caller needs no closure. *)
+val iter_paths :
+  node ->
+  arity:int ->
+  through:link option ->
+  ('a -> int -> many:bool -> node -> Parsedag.Node.t array -> unit) ->
+  'a ->
+  int ->
+  unit
 
 (** [validate ?max_parsers ~num_states tops] — the GSS sanitizer: checks
     that the active parsers carry pairwise distinct states (Tomita's

@@ -219,20 +219,25 @@ let commit root =
         let any_rebuilt =
           force || Array.exists (fun k -> not (intact n k)) n.kids
         in
-        if any_rebuilt then
+        if any_rebuilt then begin
+          let up = Some n in
           for i = Array.length n.kids - 1 downto 0 do
             let k = n.kids.(i) in
-            k.parent <- Some n;
+            k.parent <- up;
             walk ~force:true k
           done
+        end
     | Prod _ | Error _ | Root ->
-        Array.iter
-          (fun k ->
-            if force || not (intact n k) then begin
-              k.parent <- Some n;
-              walk ~force k
-            end)
-          n.kids
+        (* One [Some n], made at the first kid that needs repair. *)
+        let up = ref None in
+        for i = 0 to Array.length n.kids - 1 do
+          let k = n.kids.(i) in
+          if force || not (intact n k) then begin
+            if Option.is_none !up then up := Some n;
+            k.parent <- !up;
+            walk ~force k
+          end
+        done
   in
   Metrics.incr m_commits;
   Trace.span Trace.Commit "commit" @@ fun () ->

@@ -30,37 +30,38 @@ let rec deep_copy n =
 let m_runs = Metrics.counter "dag.unshare_runs"
 let m_copies = Metrics.counter "dag.unshare_copies"
 
+(* Runs before commit: a kid whose parent pointer already points here and
+   which carries no change bits is an intact previous-version subtree —
+   already unshared by earlier passes — so only the freshly built region
+   is walked.  Returns the copies made below [n]. *)
+let rec walk seen (n : Node.t) =
+  let kids = n.Node.kids in
+  let copies = ref 0 in
+  for i = 0 to Array.length kids - 1 do
+    let k = kids.(i) in
+    let intact =
+      (match k.Node.parent with Some p -> p == n | None -> false)
+      && not (Node.has_changes k)
+    in
+    if not intact then begin
+      if Node.token_count k = 0 && not (Node.is_sentinel k) then
+        if Hashtbl.mem seen k.Node.nid then begin
+          let copy = deep_copy k in
+          kids.(i) <- copy;
+          copy.Node.parent <- Some n;
+          incr copies
+        end
+        else Hashtbl.replace seen k.Node.nid ();
+      copies := !copies + walk seen kids.(i)
+    end
+  done;
+  !copies
+
 let run root =
   if Trace.enabled () then Trace.begin_span Trace.Commit "unshare" [];
-  let seen = Hashtbl.create 64 in
-  let duplicated = ref 0 in
-  (* Runs before commit: a kid whose parent pointer already points here
-     and which carries no change bits is an intact previous-version
-     subtree — already unshared by earlier passes — so only the freshly
-     built region is walked. *)
-  let intact (n : Node.t) (k : Node.t) =
-    (match k.Node.parent with Some p -> p == n | None -> false)
-    && not (Node.has_changes k)
-  in
-  let rec walk n =
-    Array.iteri
-      (fun i k ->
-        if not (intact n k) then begin
-          if Node.token_count k = 0 && not (Node.is_sentinel k) then
-            if Hashtbl.mem seen k.Node.nid then begin
-              let copy = deep_copy k in
-              n.Node.kids.(i) <- copy;
-              copy.Node.parent <- Some n;
-              incr duplicated
-            end
-            else Hashtbl.replace seen k.Node.nid ();
-          walk n.Node.kids.(i)
-        end)
-      n.Node.kids
-  in
-  walk root;
+  let duplicated = walk (Hashtbl.create 64) root in
   Metrics.incr m_runs;
-  Metrics.add m_copies !duplicated;
+  Metrics.add m_copies duplicated;
   if Trace.enabled () then
-    Trace.end_span Trace.Commit "unshare" [ ("copies", Trace.Int !duplicated) ];
-  !duplicated
+    Trace.end_span Trace.Commit "unshare" [ ("copies", Trace.Int duplicated) ];
+  duplicated

@@ -70,17 +70,33 @@ let create ~lexer text =
   let tokens, trailing =
     Trace.span Trace.Lex "lex" @@ fun () -> Scanner.all lexer text
   in
-  let leaves = Array.of_list (List.map node_of_token tokens) in
-  let root =
-    Node.make_root
-      (Array.concat
-         [ [| Node.make_bos () |]; leaves; [| Node.make_eos ~trailing |] ])
-  in
-  Node.commit root;
-  let starts = Array.make (Array.length leaves + 1) 0 in
+  (* One pass over the tokens fills the root's kid array, the leaves and
+     their start offsets.  Nodes are made in source order, then eos, then
+     bos. *)
+  let n = List.length tokens in
+  let leaves = ref [||] and kids = ref [||] in
+  let starts = Array.make (n + 1) 0 in
   List.iteri
-    (fun i tok -> starts.(i + 1) <- starts.(i) + token_length tok)
+    (fun i (tok : Scanner.token) ->
+      let leaf = node_of_token tok in
+      if i = 0 then begin
+        leaves := Array.make n leaf;
+        kids := Array.make (n + 2) leaf
+      end
+      else begin
+        !leaves.(i) <- leaf;
+        !kids.(i + 1) <- leaf
+      end;
+      starts.(i + 1) <- starts.(i) + token_length tok)
     tokens;
+  let leaves = !leaves in
+  let eos = Node.make_eos ~trailing in
+  let bos = Node.make_bos () in
+  let kids = if n = 0 then [| bos; eos |] else !kids in
+  kids.(0) <- bos;
+  kids.(n + 1) <- eos;
+  let root = Node.make_root kids in
+  Node.commit root;
   let la_bound, la_holders = max_count leaves in
   {
     lexer;

@@ -307,6 +307,101 @@ let test_lookahead_bound_drops () =
   Alcotest.(check int) "exact once closed" (scratch_max doc)
     (Document.lookahead_bound doc)
 
+(* [Document.create] fills the root's kids, the leaves, their starts and
+   the lookahead bound in one pass; the oracle builds each of them the
+   straightforward way from [Scanner.all].  Programs come from the
+   workload generators (C, C++) and from seeded fragment soups for every
+   bundled language, plus the empty text and a trivia-only one. *)
+let test_create_oracle () =
+  let frags =
+    [| "ab"; "x1"; "12"; " "; "\n"; ";"; "("; ")"; "+"; "*"; "="; "{"; "}";
+       "if"; "while"; "\t"; "," |]
+  in
+  let soup rng =
+    String.concat ""
+      (List.init
+         (1 + Random.State.int rng 60)
+         (fun _ -> frags.(Random.State.int rng (Array.length frags))))
+  in
+  let rng = Random.State.make [| 19 |] in
+  let texts lang =
+    [ ""; "  \n\t \n  " ]
+    @ (match Languages.Registry.name_of lang with
+      | "c" -> [ Workload.Spec_gen.plain ~lines:40 ~seed:5 ]
+      | "cpp" ->
+          [
+            Workload.Spec_gen.generate ~seed:5 ~scale:0.002
+              (Workload.Spec_gen.find "idl");
+          ]
+      | _ -> [])
+    @ List.init 20 (fun _ -> soup rng)
+  in
+  List.iter
+    (fun (name, lang) ->
+      let lexer = Language.lexer lang in
+      let programs = ref 0 in
+      List.iter
+        (fun text ->
+          match Lexgen.Scanner.all lexer text with
+          | exception Lexgen.Scanner.Lex_error _ -> ()
+          | tokens, trailing ->
+              if tokens <> [] then incr programs;
+              let doc = Document.create ~lexer text in
+              let what = Printf.sprintf "%s %S" name text in
+              let leaves = Document.leaves doc in
+              let n = List.length tokens in
+              Alcotest.(check int) ("token count " ^ what) n
+                (Array.length leaves);
+              List.iteri
+                (fun i (tok : Lexgen.Scanner.token) ->
+                  match leaves.(i).Node.kind with
+                  | Node.Term t ->
+                      if
+                        t.Node.term <> tok.Lexgen.Scanner.term
+                        || t.Node.text <> tok.Lexgen.Scanner.text
+                        || t.Node.trivia <> tok.Lexgen.Scanner.trivia
+                        || t.Node.lex_la <> tok.Lexgen.Scanner.lookahead
+                      then Alcotest.failf "leaf %d differs in %s" i what
+                  | _ -> Alcotest.failf "leaf %d is not a terminal in %s" i what)
+                tokens;
+              let starts, bols, _ = Test_edit_fuzz.scratch_index lexer text in
+              Alcotest.(check (array int)) ("leaf starts " ^ what) starts
+                (Document.leaf_starts doc);
+              Alcotest.(check (array int)) ("line starts " ^ what) bols
+                (Document.line_starts doc);
+              Alcotest.(check int) ("lookahead bound " ^ what)
+                (List.fold_left
+                   (fun m (t : Lexgen.Scanner.token) ->
+                     max m t.Lexgen.Scanner.lookahead)
+                   0 tokens)
+                (Document.lookahead_bound doc);
+              (* The root's kids are [bos :: leaves @ [eos]], eos carrying
+                 the trailing trivia; ids follow the leaves, then eos, bos
+                 and the root. *)
+              let root = Document.root doc in
+              let kids = Array.to_list root.Node.kids in
+              let bos = List.hd kids and eos = List.nth kids (n + 1) in
+              Alcotest.(check bool) ("root kids " ^ what) true
+                (List.length kids = n + 2
+                && List.for_all2 ( == ) (List.tl kids)
+                     (Array.to_list leaves @ [ eos ]));
+              (match (bos.Node.kind, eos.Node.kind) with
+              | Node.Bos, Node.Eos e ->
+                  Alcotest.(check string) ("trailing " ^ what) trailing
+                    e.Node.trailing
+              | _ -> Alcotest.failf "sentinels out of place in %s" what);
+              let first = if n = 0 then eos.Node.nid else leaves.(0).Node.nid in
+              Alcotest.(check (list int)) ("node ids " ^ what)
+                (List.init (n + 3) (fun i -> first + i))
+                (List.map (fun (k : Node.t) -> k.Node.nid)
+                   (Array.to_list leaves @ [ eos; bos; root ]));
+              Alcotest.(check string) ("yield " ^ what) text
+                (Node.text_yield root))
+        (texts lang);
+      if !programs < 5 then
+        Alcotest.failf "%s: only %d lexable programs checked" name !programs)
+    Languages.Registry.all
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -337,4 +432,6 @@ let suite =
       test_lines_recovery_round;
     QCheck_alcotest.to_alcotest prop_edit_consistent;
     QCheck_alcotest.to_alcotest prop_multi_edit;
+    Alcotest.test_case "create = scratch build, every language" `Quick
+      test_create_oracle;
   ]

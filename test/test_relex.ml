@@ -1,5 +1,5 @@
 (* Direct unit tests for the incremental relexer (lib/document/relex) and
-   the GSS path enumeration (lib/core/gss). *)
+   the GSS reduction walker (lib/core/gss). *)
 
 module Node = Parsedag.Node
 module Relex = Vdoc.Relex
@@ -110,6 +110,54 @@ let test_edit_in_trailing_trivia () =
 
 let label text = Node.make_term ~term:1 ~text ~trivia:"" ~lex_la:0
 
+(* The path enumeration the reduction walker replaced, kept as its
+   oracle: every downward path of exactly [arity] links as [(bottom,
+   labels)], labels in yield order, the last path found first. *)
+let ref_paths node ~arity =
+  let acc = ref [] in
+  let rec go (n : Gss.node) depth labels =
+    if depth = 0 then acc := (n, labels) :: !acc
+    else
+      List.iter
+        (fun (l : Gss.link) -> go l.Gss.head (depth - 1) (l.Gss.label :: labels))
+        n.Gss.links
+  in
+  go node arity [];
+  !acc
+
+(* Only the paths using [link] at least once. *)
+let ref_paths_through node ~arity ~link =
+  let acc = ref [] in
+  let rec go (n : Gss.node) depth labels used =
+    if depth = 0 then begin
+      if used then acc := (n, labels) :: !acc
+    end
+    else
+      List.iter
+        (fun (l : Gss.link) ->
+          go l.Gss.head (depth - 1) (l.Gss.label :: labels) (used || l == link))
+        n.Gss.links
+  in
+  go node arity [] false;
+  !acc
+
+(* The walker's calls, in order: bottom, kid array and [many] flag. *)
+let walk ?through top ~arity =
+  let calls = ref [] in
+  Gss.iter_paths top ~arity ~through
+    (fun calls _ ~many q kids -> calls := (q, kids, many) :: !calls)
+    calls 0;
+  List.rev !calls
+
+let paths_of calls = List.map (fun (q, kids, _) -> (q, Array.to_list kids)) calls
+
+(* A path list by identity: bottom gid and label nids. *)
+let ids paths =
+  List.map
+    (fun ((q : Gss.node), labels) ->
+      (q.Gss.gid, List.map (fun (n : Node.t) -> n.Node.nid) labels))
+    paths
+
 let test_gss_paths () =
   (* bottom <-A- mid1 <-C- top
             <-B- mid2 <-D-      (top has two links: to mid1 and mid2) *)
@@ -121,13 +169,15 @@ let test_gss_paths () =
   let ld = Gss.make_link ~head:mid2 ~label:d in
   let top = Gss.make_node ~state:3 [ lc ] in
   Gss.add_link top ld;
-  let paths = Gss.paths top ~arity:2 in
+  let paths = paths_of (walk top ~arity:2) in
   Alcotest.(check int) "two paths of length 2" 2 (List.length paths);
   List.iter
     (fun ((q : Gss.node), labels) ->
       Alcotest.(check int) "paths end at bottom" 0 q.Gss.state;
       Alcotest.(check int) "two labels" 2 (List.length labels))
     paths;
+  Alcotest.(check bool) "same order as the enumeration" true
+    (ids paths = ids (ref_paths top ~arity:2));
   (* Labels come out in yield order (bottom-to-top). *)
   let yields =
     List.map
@@ -142,10 +192,68 @@ let test_gss_paths () =
   in
   Alcotest.(check (list string)) "yield order" [ "AC"; "BD" ] yields;
   (* Restricted enumeration. *)
-  let through_c = Gss.paths_through top ~arity:2 ~link:lc in
+  let through_c = walk top ~arity:2 ~through:lc in
   Alcotest.(check int) "one path through C" 1 (List.length through_c);
-  let zero = Gss.paths top ~arity:0 in
+  let zero = walk top ~arity:0 in
   Alcotest.(check int) "empty path" 1 (List.length zero)
+
+(* Property: on random small forked GSSs — dead ends, ε-labelled links and
+   shared nodes included — the walker yields exactly the enumeration's
+   (bottom, kids) sequence, in its order, for every arity 0–4, with and
+   without a must-use link; [many] reports two or more paths, and every
+   call gets its own kid array. *)
+let prop_walker_is_enumeration =
+  QCheck.Test.make ~count:300 ~name:"gss walker = path enumeration"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let size = 2 + Random.State.int st 7 in
+      let nodes = Array.make size (Gss.make_node ~state:0 []) in
+      let links = ref [] in
+      for i = 1 to size - 1 do
+        let n = Gss.make_node ~state:i [] in
+        (* Up to three links, each toward a lower node: acyclic. *)
+        for _ = 1 to Random.State.int st 4 do
+          let lbl =
+            if Random.State.int st 4 = 0 then
+              Node.make_prod ~prod:0 ~state:Node.nostate [||]
+            else label (string_of_int i)
+          in
+          let l =
+            Gss.make_link ~head:nodes.(Random.State.int st i) ~label:lbl
+          in
+          Gss.add_link n l;
+          links := l :: !links
+        done;
+        nodes.(i) <- n
+      done;
+      let top = nodes.(size - 1) in
+      let ok = ref true in
+      for arity = 0 to 4 do
+        let check through expected =
+          let calls = walk ?through top ~arity in
+          let got = ids (paths_of calls) in
+          let n = List.length calls in
+          let fresh =
+            List.for_all
+              (fun (_, k, _) ->
+                Array.length k = 0
+                || List.length (List.filter (fun (_, k', _) -> k' == k) calls)
+                   = 1)
+              calls
+          in
+          if
+            got <> ids expected
+            || List.exists (fun (_, _, many) -> many <> (n >= 2)) calls
+            || not fresh
+          then ok := false
+        in
+        check None (ref_paths top ~arity);
+        List.iter
+          (fun l -> check (Some l) (ref_paths_through top ~arity ~link:l))
+          !links
+      done;
+      !ok)
 
 let suite =
   [
@@ -160,4 +268,5 @@ let suite =
     Alcotest.test_case "edit in trailing trivia" `Quick
       test_edit_in_trailing_trivia;
     Alcotest.test_case "gss path enumeration" `Quick test_gss_paths;
+    QCheck_alcotest.to_alcotest prop_walker_is_enumeration;
   ]
