@@ -1237,14 +1237,7 @@ let ambig () =
   in
   List.iter
     (fun lang ->
-      let spec = lang.Language.ambig in
-      let cfg =
-        Analyze.Ambig.config ~syn_filters:spec.Language.syn_filters
-          ?sem_policy:spec.Language.sem_policy
-          ~sem_preamble:spec.Language.sem_preamble
-          ~lexemes:spec.Language.lexemes ~max_len:5
-          (Language.conflict_table lang)
-      in
+      let cfg = Analyze.Of_language.ambig ~max_len:5 lang in
       let report = ref None in
       (* Compact so the witness search is not taxed with major-GC work
          accumulated by earlier experiments in an all-suite run. *)

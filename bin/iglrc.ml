@@ -41,10 +41,6 @@ let file_arg =
     & pos 0 (some string) None
     & info [] ~docv:"FILE" ~doc:"Input file; stdin when omitted.")
 
-(* The (name, language) pairs an [--all]-capable subcommand runs on. *)
-let targets ~all lang =
-  if all then languages else [ (Languages.Registry.name_of lang, lang) ]
-
 let read_input = function
   | None -> In_channel.input_all stdin
   | Some path -> In_channel.with_open_bin path In_channel.input_all
@@ -95,35 +91,76 @@ let pp_location (l : Iglr.Session.location) =
   Printf.sprintf "%d:%d (byte %d, token %d)" l.Iglr.Session.line
     l.Iglr.Session.col l.Iglr.Session.offset_bytes l.Iglr.Session.offset_tokens
 
-let print_recovered ~flagged ~isolated ~degraded ~(error : Iglr.Glr.error)
+let print_recovered oc ~flagged ~isolated ~degraded ~(error : Iglr.Glr.error)
     ~location =
-  Printf.printf
+  Printf.fprintf oc
     "syntax error at %s: %s; %d token(s) in %d isolated region(s)%s%s\n"
     (pp_location location) error.Iglr.Glr.message flagged isolated
     (if isolated = 0 then " (flag-only recovery)" else "")
     (if degraded then " [degraded: budget exhausted]" else "")
 
-(* One emission point for the iglr-analysis/1 JSON envelope shared by
-   parse --stats=json/lint/ambig/filtcomp (and, over the wire, by the
-   iglrd daemon's response encoder): a single language prints its own
-   document, --all wraps the per-language documents in one aggregate.
-   Keeping every JSON surface on this helper (or on
-   [Metrics.Json.to_line] server-side) is what stops the schema
-   drifting between the tools. *)
-let analysis_schema = "iglr-analysis/1"
-
-let envelope_doc ~tool fields =
-  Metrics.Json.Obj
-    (("schema", Metrics.Json.String analysis_schema)
-    :: ("tool", Metrics.Json.String tool)
-    :: fields)
+(* The analysis tools' front door.  lint, ambig, filtcomp and diag each
+   analyse one language and hand back an [outcome]; [analysis] owns the
+   rest: the targets under --all, JSON (one iglr-analysis/1 envelope per
+   language, the [languages] aggregate under --all) or the text report,
+   violations on stderr, and the exit code. *)
 
 let print_envelope ~tool docs =
   print_endline
     (Metrics.Json.to_string
        (match docs with
        | [ d ] -> d
-       | ds -> envelope_doc ~tool [ ("languages", Metrics.Json.List ds) ]))
+       | ds ->
+           Analyze.Envelope.make ~tool [ ("languages", Metrics.Json.List ds) ]))
+
+type outcome = {
+  doc : Metrics.Json.t;  (* the language's envelope *)
+  text : (Format.formatter -> unit) option;  (* None prints nothing *)
+  violations : string list;  (* to stderr; each one is an error *)
+  errors : int;
+  warnings : int;
+}
+
+let exit_status_man ~clean ~errors ?warnings () =
+  [
+    `S Manpage.s_exit_status;
+    `P ("$(b,0) — " ^ clean);
+    `P ("$(b,1) — " ^ errors);
+  ]
+  @ (match warnings with Some w -> [ `P ("$(b,3) — " ^ w) ] | None -> [])
+  @ [
+      `P
+        "$(b,2) is left to the parse commands' syntax-error exit.  Where \
+         $(b,--all) applies, findings aggregate across languages before the \
+         exit code is chosen.";
+    ]
+
+let analysis ~tool ~json ?(all = false) ?(header = true) lang analyze =
+  let targets =
+    if all then languages else [ (Languages.Registry.name_of lang, lang) ]
+  in
+  let results =
+    List.map (fun (name, lang) -> (name, analyze name lang)) targets
+  in
+  if json then print_envelope ~tool (List.map (fun (_, o) -> o.doc) results)
+  else
+    List.iter
+      (fun (name, o) ->
+        Option.iter
+          (fun pp ->
+            if header then Format.printf "== %s ==@." name;
+            Format.printf "%t@." pp)
+          o.text)
+      results;
+  List.iter
+    (fun (name, o) ->
+      List.iter (Printf.eprintf "%s: %s: %s\n" tool name) o.violations)
+    results;
+  (* The exit contract: 0 clean, 1 errors, 3 warnings only; 2 stays the
+     parse commands' syntax-error exit. *)
+  let sum f = List.fold_left (fun acc (_, o) -> acc + f o) 0 results in
+  if sum (fun o -> o.errors + List.length o.violations) > 0 then exit 1
+  else if sum (fun o -> o.warnings) > 0 then exit 3
 
 let print_stats (st : Iglr.Glr.stats) =
   Printf.printf
@@ -156,16 +193,23 @@ let parse_cmd =
   let run lang file budget dump sexp stats =
     let text = read_input file in
     let s, outcome = make_session ~budget lang text in
+    (* In JSON mode stdout carries the envelope alone; a syntax error is
+       reported on stderr. *)
+    let json = stats = Some `Json in
     let errors =
       match outcome with
       | Iglr.Session.Parsed st ->
-          print_stats st;
-          let m = Parsedag.Stats.measure (Iglr.Session.root s) in
-          Format.printf "space: %a@." Parsedag.Stats.pp m;
+          if not json then begin
+            print_stats st;
+            let m = Parsedag.Stats.measure (Iglr.Session.root s) in
+            Format.printf "space: %a@." Parsedag.Stats.pp m
+          end;
           false
       | Iglr.Session.Recovered { error; flagged; isolated; degraded; location }
         ->
-          print_recovered ~flagged ~isolated ~degraded ~error ~location;
+          print_recovered
+            (if json then stderr else stdout)
+            ~flagged ~isolated ~degraded ~error ~location;
           true
     in
     if dump then
@@ -182,12 +226,9 @@ let parse_cmd =
     | Some `Json ->
         print_envelope ~tool:"parse"
           [
-            envelope_doc ~tool:"parse"
-              [
-                ( "language",
-                  Metrics.Json.String (Languages.Registry.name_of lang) );
-                ("metrics", Metrics.to_json (Iglr.Session.metrics s));
-              ];
+            Analyze.Envelope.make ~tool:"parse"
+              ~language:(Languages.Registry.name_of lang)
+              [ ("metrics", Metrics.to_json (Iglr.Session.metrics s)) ];
           ]);
     (* Scripting: exit 2 on a syntax error (0 = clean parse). *)
     if errors then exit 2
@@ -206,12 +247,6 @@ let table_cmd =
   Cmd.v
     (Cmd.info "table" ~doc:"Show parse-table statistics and conflicts")
     Term.(const run $ lang_arg)
-
-(* The declared dynamic filters of a language, as (rules, compilation
-   specs) — what both the dead-filter lint and filtcomp analyze. *)
-let filter_decls lang =
-  let rules = lang.Languages.Language.ambig.Languages.Language.syn_filters in
-  (rules, List.map Languages.Language.spec_of_rule rules)
 
 let lint_cmd =
   let all =
@@ -235,61 +270,26 @@ let lint_cmd =
              with $(b,--all), one envelope with a per-language list.")
   in
   let run lang all json quiet =
-    let targets = targets ~all lang in
-    let results =
-      List.map
-        (fun (name, lang) ->
-          let table = Languages.Language.conflict_table lang in
-          let rules, specs = filter_decls lang in
-          let ds =
-            Analyze.Lint.run table
-            @ Analyze.Filtcomp.lint_rules table ~rules ~specs
-          in
-          (name, table, ds))
-        targets
-    in
-    if json then
-      print_envelope ~tool:"lint"
-        (List.map
-           (fun (name, table, ds) ->
-             match Analyze.Lint.to_json table ds with
-             | Metrics.Json.Obj fields ->
-                 Metrics.Json.Obj
-                   (("language", Metrics.Json.String name) :: fields)
-             | j -> j)
-           results)
-    else
-      List.iter
-        (fun (name, table, ds) ->
-          if (not quiet) || ds <> [] then begin
-            Format.printf "== %s ==@." name;
-            Format.printf "%a@." (Analyze.Lint.pp_report table) ds
-          end)
-        results;
-    let count f =
-      List.fold_left
-        (fun acc (_, _, ds) -> acc + List.length (f ds))
-        0 results
-    in
-    (* Exit-code contract (see man page): 1 = errors, 3 = warnings only,
-       0 = clean or informational findings only. *)
-    if count Analyze.Lint.errors > 0 then exit 1
-    else if count Analyze.Lint.warnings > 0 then exit 3
+    analysis ~tool:"lint" ~json ~all lang @@ fun name lang ->
+    let table = Languages.Language.conflict_table lang in
+    let ds = Analyze.Of_language.lint lang in
+    {
+      doc = Analyze.Lint.to_json ~language:name table ds;
+      text =
+        (if quiet && ds = [] then None
+         else Some (fun ppf -> Analyze.Lint.pp_report table ppf ds));
+      violations = [];
+      errors = List.length (Analyze.Lint.errors ds);
+      warnings = List.length (Analyze.Lint.warnings ds);
+    }
   in
   let man =
-    [
-      `S Manpage.s_exit_status;
-      `P
-        "$(b,0) — no findings, or informational findings only (retained \
-         conflicts the parser is designed to fork on are informational).";
-      `P "$(b,1) — at least one error-severity finding.";
-      `P
-        "$(b,3) — warning-severity findings but no errors.  (2 is left to \
-         the parse commands' syntax-error exit.)";
-      `P
-        "With $(b,--all), severities aggregate across languages before the \
-         exit code is chosen.";
-    ]
+    exit_status_man
+      ~clean:
+        "no findings, or informational findings only (retained conflicts \
+         the parser is designed to fork on are informational)."
+      ~errors:"at least one error-severity finding."
+      ~warnings:"warning-severity findings but no errors." ()
   in
   Cmd.v
     (Cmd.info "lint" ~man
@@ -333,53 +333,22 @@ let ambig_cmd =
              violations go to stderr and the exit status is 1.")
   in
   let run lang all max_len json check =
-    let targets = targets ~all lang in
-    let analyze_one (name, lang) =
-      let spec = lang.Languages.Language.ambig in
-      let config =
-        Analyze.Ambig.config
-          ~syn_filters:spec.Languages.Language.syn_filters
-          ?sem_policy:spec.Languages.Language.sem_policy
-          ~sem_preamble:spec.Languages.Language.sem_preamble
-          ~lexemes:spec.Languages.Language.lexemes ~max_len
-          (Languages.Language.conflict_table lang)
-      in
-      let report = Analyze.Ambig.analyze config in
-      let violations =
-        if not check then []
-        else
-          Analyze.Ambig.check_budget
-            {
-              Analyze.Ambig.b_max_unresolved =
-                spec.Languages.Language.max_unresolved;
-              b_expect = spec.Languages.Language.expect;
-            }
-            report
-      in
-      (name, report, violations)
+    analysis ~tool:"ambig" ~json ~all lang @@ fun name lang ->
+    let report =
+      Analyze.Ambig.analyze (Analyze.Of_language.ambig ~max_len lang)
     in
-    let results = List.map analyze_one targets in
-    if json then
-      print_envelope ~tool:"ambig"
-        (List.map
-           (fun (name, report, _) ->
-             Analyze.Ambig.to_json ~language:name report)
-           results)
-    else
-      List.iter
-        (fun (name, report, _) ->
-          Format.printf "== %s ==@.%a@." name Analyze.Ambig.pp_report report)
-        results;
-    let failed =
-      List.fold_left
-        (fun acc (name, _, violations) ->
-          List.iter
-            (fun v -> Printf.eprintf "ambig: %s: budget: %s\n" name v)
-            violations;
-          acc + List.length violations)
-        0 results
-    in
-    if failed > 0 then exit 1
+    {
+      doc = Analyze.Ambig.to_json ~language:name report;
+      text = Some (fun ppf -> Analyze.Ambig.pp_report ppf report);
+      violations =
+        (if not check then []
+         else
+           List.map (( ^ ) "budget: ")
+             (Analyze.Ambig.check_budget (Analyze.Of_language.budget lang)
+                report));
+      errors = 0;
+      warnings = 0;
+    }
   in
   let man =
     [
@@ -396,13 +365,13 @@ let ambig_cmd =
          syntactic filters, semantic typedef analysis — and the class is \
          labelled $(b,resolved-static), $(b,resolved-syntactic), \
          $(b,resolved-semantic) or $(b,retained-unresolved).";
-      `S Manpage.s_exit_status;
-      `P "$(b,0) — analysis ran; without $(b,--check), always.";
-      `P
-        "$(b,1) — $(b,--check) found budget violations (unresolved classes \
-         above the committed maximum, or a class resolved differently than \
-         the language expects).";
     ]
+    @ exit_status_man ~clean:"analysis ran; without $(b,--check), always."
+        ~errors:
+          "$(b,--check) found budget violations (unresolved classes above \
+           the committed maximum, or a class resolved differently than the \
+           language expects)."
+        ()
   in
   Cmd.v
     (Cmd.info "ambig" ~man
@@ -455,94 +424,46 @@ let filtcomp_cmd =
           ~doc:"Directory of committed certificates compared by $(b,--check).")
   in
   let run lang all json check emit certs_dir =
-    let targets = targets ~all lang in
-    let heavy = check || emit <> None in
-    let analyze_one (name, lang) =
-      let spec = lang.Languages.Language.ambig in
-      let rules, specs = filter_decls lang in
-      let ambig_config =
-        Analyze.Ambig.config ~syn_filters:rules
-          ?sem_policy:spec.Languages.Language.sem_policy
-          ~sem_preamble:spec.Languages.Language.sem_preamble
-          ~lexemes:spec.Languages.Language.lexemes
-          (Languages.Language.conflict_table lang)
-      in
-      let config =
-        Analyze.Filtcomp.config ~language:name ~rules ~specs
-          ~expect:spec.Languages.Language.filter_expect
-          ~max_residual:spec.Languages.Language.max_residual ambig_config
-      in
-      let report =
-        if heavy then Analyze.Filtcomp.certify config
-        else Analyze.Filtcomp.analyze config
-      in
-      let drift =
-        if not check then []
-        else
-          let file = Filename.concat certs_dir (name ^ ".filtcomp.json") in
-          let fresh = Analyze.Filtcomp.to_json ~language:name report in
-          match Metrics.Json.of_file file with
-          | committed when committed = fresh -> []
-          | _ ->
-              [
-                Printf.sprintf
-                  "certificate %s is stale; regenerate with 'iglrc filtcomp \
-                   --all --emit %s'"
-                  file certs_dir;
-              ]
-          | exception _ ->
-              [
-                Printf.sprintf
-                  "certificate %s is missing or unreadable; generate with \
-                   'iglrc filtcomp --all --emit %s'"
-                  file certs_dir;
-              ]
-      in
-      (name, report, drift)
+    analysis ~tool:"filtcomp" ~json ~all lang @@ fun name lang ->
+    let config = Analyze.Of_language.filtcomp lang in
+    let report =
+      if check || emit <> None then Analyze.Filtcomp.certify config
+      else Analyze.Filtcomp.analyze config
     in
-    let results = List.map analyze_one targets in
-    (match emit with
-    | None -> ()
-    | Some dir ->
+    let doc = Analyze.Filtcomp.to_json report in
+    let cert dir = Filename.concat dir (name ^ ".filtcomp.json") in
+    let drift state verb =
+      [
+        Printf.sprintf "certificate %s is %s; %s with 'iglrc filtcomp --all \
+                        --emit %s'"
+          (cert certs_dir) state verb certs_dir;
+      ]
+    in
+    let drift =
+      if not check then []
+      else
+        match Metrics.Json.of_file (cert certs_dir) with
+        | committed when committed = doc -> []
+        | _ -> drift "stale" "regenerate"
+        | exception _ -> drift "missing or unreadable" "generate"
+    in
+    Option.iter
+      (fun dir ->
         (if not (Sys.file_exists dir) then
            try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        List.iter
-          (fun (name, report, _) ->
-            Metrics.Json.to_file
-              (Filename.concat dir (name ^ ".filtcomp.json"))
-              (Analyze.Filtcomp.to_json ~language:name report))
-          results);
-    if json then
-      print_envelope ~tool:"filtcomp"
-        (List.map
-           (fun (name, report, _) ->
-             Analyze.Filtcomp.to_json ~language:name report)
-           results)
-    else
-      List.iter
-        (fun (name, report, _) ->
-          Format.printf "== %s ==@.%a@." name Analyze.Filtcomp.pp_report report)
-        results;
-    let failures =
-      List.fold_left
-        (fun acc (name, report, drift) ->
-          let bad = report.Analyze.Filtcomp.r_violations @ drift in
-          List.iter (fun v -> Printf.eprintf "filtcomp: %s: %s\n" name v) bad;
-          acc + List.length bad)
-        0 results
-    in
-    let dead =
-      List.exists
-        (fun (_, report, _) ->
-          List.exists
-            (fun (_, v) -> v = "dead")
-            report.Analyze.Filtcomp.r_verdicts)
-        results
-    in
-    (* Exit-code contract (see man page), mirroring lint's: 1 = failed
-       checks / budget violations / certificate drift, 3 = warnings only
-       (dead rules), 0 = clean. *)
-    if failures > 0 then exit 1 else if dead then exit 3
+        Metrics.Json.to_file (cert dir) doc)
+      emit;
+    {
+      doc;
+      text = Some (fun ppf -> Analyze.Filtcomp.pp_report ppf report);
+      violations = report.Analyze.Filtcomp.r_violations @ drift;
+      errors = 0;
+      warnings =
+        List.length
+          (List.filter
+             (fun (_, v) -> v = "dead")
+             report.Analyze.Filtcomp.r_verdicts);
+    }
   in
   let man =
     [
@@ -559,17 +480,17 @@ let filtcomp_cmd =
          oracle and replayed differentially, deterministic token mutations \
          are fuzzed through both pipelines, and the ambiguity-budget \
          outcome is shown unchanged.";
-      `S Manpage.s_exit_status;
-      `P "$(b,0) — analysis (and certification, if requested) clean.";
-      `P
-        "$(b,1) — a soundness check failed, a filter_expect/max_residual \
-         annotation is violated, or the committed certificate is stale \
-         ($(b,--check)).";
-      `P
-        "$(b,3) — warning-severity findings only: some rule is dead (it \
-         can never resolve anything and should be deleted).  Matches \
-         $(b,iglrc lint)'s exit contract.";
     ]
+    @ exit_status_man
+        ~clean:"analysis (and certification, if requested) clean."
+        ~errors:
+          "a soundness check failed, a filter_expect/max_residual \
+           annotation is violated, or the committed certificate is stale \
+           ($(b,--check))."
+        ~warnings:
+          "warning-severity findings only: some rule is dead (it can never \
+           resolve anything and should be deleted)."
+        ()
   in
   Cmd.v
     (Cmd.info "filtcomp" ~man
@@ -643,58 +564,62 @@ let diag_cmd =
              $(b,iglrc ambig) and $(b,iglrc filtcomp)).")
   in
   let run lang file json =
-    let grammar = lang.Languages.Language.grammar in
-    let name = Languages.Registry.name_of lang in
-    (* Usage errors exit 3, leaving 1 for "diagnostics present" and 2 for
-       the parse commands' syntax-error exit. *)
-    if not (Semantics.Diag.supported grammar) then begin
+    (* A language without semantic analysis is a usage error: exit 3. *)
+    if not (Semantics.Diag.supported lang.Languages.Language.grammar) then begin
       Printf.eprintf
         "diag: language %s has no semantic analysis (supported: languages \
          with assignment statements or C-like declarations)\n"
-        name;
+        (Languages.Registry.name_of lang);
       exit 3
     end;
-    let text = read_input file in
-    let s, outcome = make_session lang text in
+    analysis ~tool:"diag" ~json ~header:false lang @@ fun name lang ->
+    let s, outcome = make_session lang (read_input file) in
     let syntax_error =
       match outcome with
       | Iglr.Session.Parsed _ -> None
       | Iglr.Session.Recovered { error; location; _ } ->
           Some (location, error.Iglr.Glr.message)
     in
-    let d = Semantics.Diag.create grammar in
-    let r = Semantics.Diag.run d (Iglr.Session.root s) in
+    let r =
+      Semantics.Diag.run
+        (Semantics.Diag.create lang.Languages.Language.grammar)
+        (Iglr.Session.root s)
+    in
     let loc tok = Iglr.Session.location_of_token s tok in
-    if json then
-      print_envelope ~tool:"diag"
-        [
-          envelope_doc ~tool:"diag"
-            (("language", Metrics.Json.String name)
-            :: ( "syntax_errors",
-                 Metrics.Json.Int (if syntax_error = None then 0 else 1) )
-            :: Semantics.Diag.json_fields r ~loc:(fun tok ->
-                   let l = loc tok in
-                   (l.Iglr.Session.line, l.Iglr.Session.col)));
-        ]
-    else begin
-      (match syntax_error with
-      | Some (location, msg) ->
-          Printf.printf "%s: syntax-error: %s (analysing the recovered tree)\n"
-            (pp_location location) msg
-      | None -> ());
+    let text ppf =
+      Option.iter
+        (fun (location, msg) ->
+          Format.fprintf ppf
+            "%s: syntax-error: %s (analysing the recovered tree)@\n"
+            (pp_location location) msg)
+        syntax_error;
       List.iter
         (fun (dg : Semantics.Diag.diag) ->
           let l = loc dg.Semantics.Diag.d_token in
-          Printf.printf "%d:%d: %s: %s\n" l.Iglr.Session.line
+          Format.fprintf ppf "%d:%d: %s: %s@\n" l.Iglr.Session.line
             l.Iglr.Session.col dg.Semantics.Diag.d_code
             dg.Semantics.Diag.d_message)
         r.Semantics.Diag.diags;
-      Printf.printf "%d diagnostic(s), %d binding(s), %d typedef(s)\n"
+      Format.fprintf ppf "%d diagnostic(s), %d binding(s), %d typedef(s)"
         (List.length r.Semantics.Diag.diags)
         (List.length r.Semantics.Diag.bindings)
         (List.length r.Semantics.Diag.typedefs)
-    end;
-    if r.Semantics.Diag.diags <> [] || syntax_error <> None then exit 1
+    in
+    {
+      doc =
+        Analyze.Envelope.make ~tool:"diag" ~language:name
+          (( "syntax_errors",
+             Metrics.Json.Int (if syntax_error = None then 0 else 1) )
+          :: Semantics.Diag.json_fields r ~loc:(fun tok ->
+                 let l = loc tok in
+                 (l.Iglr.Session.line, l.Iglr.Session.col)));
+      text = Some text;
+      violations = [];
+      errors =
+        List.length r.Semantics.Diag.diags
+        + if syntax_error = None then 0 else 1;
+      warnings = 0;
+    }
   in
   let man =
     [
@@ -706,16 +631,14 @@ let diag_cmd =
          name resolution, unused-binding and use-before-declaration \
          analysis, and a simple type checker (int/float/char and typedef'd \
          names; mismatches are diagnosed, unknown names stay untyped).";
-      `S Manpage.s_exit_status;
-      `P "$(b,0) — the analysis ran and found nothing to report.";
-      `P
-        "$(b,1) — diagnostics are present (including a syntax error \
-         recovered during parsing).";
-      `P
-        "$(b,3) — usage error: the selected language has no semantic \
-         analysis.  Matches the lint tools' warning/usage exit; 2 stays \
-         reserved for the parse commands' syntax-error exit.";
     ]
+    @ exit_status_man ~clean:"the analysis ran and found nothing to report."
+        ~errors:
+          "diagnostics are present (including a syntax error recovered \
+           during parsing)."
+        ~warnings:
+          "usage error: the selected language has no semantic analysis."
+        ()
   in
   Cmd.v
     (Cmd.info "diag" ~man
@@ -753,16 +676,20 @@ let edits_of_script path =
   |> String.split_on_char '\n'
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map (fun line ->
+         let bad () =
+           Printf.eprintf "bad edit line: %s\n" line;
+           exit 1
+         in
          match String.split_on_char ' ' line with
-         | pos :: del :: rest ->
+         | pos :: del :: rest -> (
              let insert =
                String.concat " " rest
                |> String.map (fun c -> if c = '_' then ' ' else c)
              in
-             (int_of_string pos, int_of_string del, insert)
-         | _ ->
-             Printf.eprintf "bad edit line: %s\n" line;
-             exit 1)
+             match (int_of_string_opt pos, int_of_string_opt del) with
+             | Some pos, Some del -> (pos, del, insert)
+             | _ -> bad ())
+         | _ -> bad ())
 
 let script_doc =
   "Edit script: one edit per line, \"POS DEL TEXT\" (TEXT may be empty; use \
@@ -789,7 +716,12 @@ let replay_edits ?(before_last = ignore) ?(after = fun _ _ -> ()) session
   List.iteri
     (fun i (pos, del, insert) ->
       if i = n - 1 then before_last ();
-      Iglr.Session.edit session ~pos ~del ~insert;
+      (try Iglr.Session.edit session ~pos ~del ~insert
+       with Invalid_argument _ ->
+         Printf.eprintf "edit %d out of range: pos=%d del=%d on %d byte(s)\n"
+           i pos del
+           (String.length (Iglr.Session.text session));
+         exit 1);
       after i (Iglr.Session.reparse session))
     edits
 
@@ -827,7 +759,7 @@ let errors_cmd =
     | Iglr.Session.Parsed _ -> ()
     | Iglr.Session.Recovered { error; flagged; isolated; degraded; location }
       ->
-        print_recovered ~flagged ~isolated ~degraded ~error ~location);
+        print_recovered stdout ~flagged ~isolated ~degraded ~error ~location);
     replay_script session script;
     match Iglr.Session.error_regions session with
     | [] -> print_endline "no error regions"

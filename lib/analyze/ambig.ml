@@ -3,7 +3,6 @@ module Yield = Grammar.Yield
 module Table = Lrtab.Table
 module Automaton = Lrtab.Automaton
 module Item = Lrtab.Item
-module Node = Parsedag.Node
 module Scanner = Lexgen.Scanner
 module Glr = Iglr.Glr
 module Syn_filter = Iglr.Syn_filter
@@ -343,13 +342,6 @@ let find_witness st ~prods ~nts =
 (* ------------------------------------------------------------------ *)
 (* Filter-coverage replay.                                             *)
 
-let count_choices root =
-  let c = ref 0 in
-  Node.iter
-    (fun n -> match n.Node.kind with Node.Choice _ -> incr c | _ -> ())
-    root;
-  !c
-
 let replay st (w : witness) =
   let cfg = st.cfg and g = st.g in
   let tokens_of tws =
@@ -374,11 +366,11 @@ let replay st (w : witness) =
          the ambiguity is statically killed. *)
       (Resolved_static, "witness rejected by the statically filtered table")
   | Some root ->
-      if count_choices root = 0 then
+      if Parsedag.Stats.((measure root).choice_nodes) = 0 then
         (Resolved_static, "parses deterministically under the filtered table")
       else
         let root = apply_syn root in
-        if count_choices root = 0 then
+        if Parsedag.Stats.((measure root).choice_nodes) = 0 then
           (Resolved_syntactic, "resolved by dynamic syntactic filters")
         else begin
           match cfg.a_sem_policy with
@@ -674,21 +666,16 @@ let to_json ?language report =
         ("detail", J.String k.k_detail);
       ]
   in
-  J.Obj
-    ((("schema", J.String "iglr-analysis/1") :: ("tool", J.String "ambig")
-      ::
-      (match language with
-      | Some l -> [ ("language", J.String l) ]
-      | None -> []))
-    @ [
-        ( "flagged",
-          J.List
-            (List.map
-               (fun n -> J.String (Cfg.nonterminal_name g n))
-               report.r_flagged) );
-        ("classes", J.List (List.map klass_json report.r_classes));
-        ("unresolved", J.Int (List.length (unresolved report)));
-      ])
+  Envelope.make ~tool:"ambig" ?language
+    [
+      ( "flagged",
+        J.List
+          (List.map
+             (fun n -> J.String (Cfg.nonterminal_name g n))
+             report.r_flagged) );
+      ("classes", J.List (List.map klass_json report.r_classes));
+      ("unresolved", J.Int (List.length (unresolved report)));
+    ]
 
 let pp_report ppf report =
   let g = Table.grammar report.r_table in

@@ -136,9 +136,8 @@ val analyze : config -> report
 val unresolved : report -> klass list
 (** Classes left [Retained_unresolved]. *)
 
-(** Machine-readable report under the ["iglr-analysis/1"] schema (same
-    envelope as {!Lint.to_json}): [{schema; tool = "ambig"; language?;
-    flagged; classes; unresolved}]. *)
+(** Machine-readable report in the {!Envelope}: [{schema; tool =
+    "ambig"; language?; flagged; classes; unresolved}]. *)
 val to_json : ?language:string -> report -> Metrics.Json.t
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,7 +1,6 @@
 module Cfg = Grammar.Cfg
 module Table = Lrtab.Table
 module Compile = Lrtab.Compile
-module Node = Parsedag.Node
 module Scanner = Lexgen.Scanner
 module Glr = Iglr.Glr
 module Syn_filter = Iglr.Syn_filter
@@ -14,20 +13,10 @@ type config = {
   f_expect : (string * string) list;
   f_max_residual : int;
   f_ambig : Ambig.config;
-  f_max_mutants : int;
 }
 
-let config ~language ~rules ~specs ?(expect = []) ?(max_residual = 0)
-    ?(max_mutants = 200) ambig =
-  {
-    f_language = language;
-    f_rules = rules;
-    f_specs = specs;
-    f_expect = expect;
-    f_max_residual = max_residual;
-    f_ambig = ambig;
-    f_max_mutants = max_mutants;
-  }
+(* Cap on differential fuzz mutants. *)
+let max_mutants = 200
 
 type check = { c_name : string; c_pass : bool; c_detail : string }
 
@@ -129,13 +118,6 @@ let lint_rules table ~rules ~specs =
 (* ------------------------------------------------------------------ *)
 (* Soundness certification (the expensive path).                       *)
 
-let count_choices root =
-  let c = ref 0 in
-  Node.iter
-    (fun n -> match n.Node.kind with Node.Choice _ -> incr c | _ -> ())
-    root;
-  !c
-
 (* Parse a token-id/lexeme list through a (table, post-parse rules)
    pipeline; [None] = rejected.  This is the whole dynamic pipeline the
    compiled one must be indistinguishable from — semantic filters run
@@ -163,8 +145,10 @@ let equal_outcome dyn_table dyn_rules comp_table comp_rules tws =
       let g = Table.grammar dyn_table in
       let sd = Parsedag.Pp.to_sexp g d and sc = Parsedag.Pp.to_sexp g c in
       if sd = sc then Ok `Equal
-      else if count_choices d <> count_choices c then Error "dags differ"
-      else Error "dags differ structurally at equal ambiguity"
+      else
+        let choices root = Parsedag.Stats.((measure root).choice_nodes) in
+        if choices d <> choices c then Error "dags differ"
+        else Error "dags differ structurally at equal ambiguity"
 
 (* Deterministic token-level mutations: delete / duplicate each position,
    swap each adjacent pair.  No randomness — certificates must be
@@ -263,7 +247,7 @@ let certify cfg =
       List.concat_map (fun (w : Ambig.witness) -> mutants w.Ambig.w_tokens)
         witnesses
     in
-    let all = List.filteri (fun i _ -> i < cfg.f_max_mutants) all in
+    let all = List.filteri (fun i _ -> i < max_mutants) all in
     let bad =
       List.filter_map
         (fun tws ->
@@ -326,10 +310,9 @@ let certified r =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let to_json ?language r =
+let to_json r =
   let tbl = r.r_result.Compile.table in
   let g = Table.grammar tbl in
-  let lang = match language with Some l -> l | None -> r.r_language in
   let rule_obj ((name, verdict), (sr : Compile.spec_report)) =
     J.Obj
       [
@@ -363,11 +346,8 @@ let to_json ?language r =
         ("detail", J.String c.c_detail);
       ]
   in
-  J.Obj
+  Envelope.make ~tool:"filtcomp" ~language:r.r_language
     [
-      ("schema", J.String "iglr-analysis/1");
-      ("tool", J.String "filtcomp");
-      ("language", J.String lang);
       ( "rules",
         J.List
           (List.map rule_obj

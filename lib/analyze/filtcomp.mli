@@ -38,19 +38,8 @@ type config = {
   f_ambig : Ambig.config;
       (** the dynamic pipeline: [f_ambig.a_table] is the
           precedence-filtered table the compilation starts from *)
-  f_max_mutants : int;  (** cap on differential fuzz mutants *)
 }
-
-val config :
-  language:string ->
-  rules:Iglr.Syn_filter.rule list ->
-  specs:Lrtab.Compile.spec list ->
-  ?expect:(string * string) list ->
-  ?max_residual:int ->
-  ?max_mutants:int ->
-  Ambig.config ->
-  config
-(** Defaults: no expectations, [max_residual = 0], [max_mutants = 200]. *)
+(** Built from a language by {!Of_language.filtcomp}. *)
 
 type check = { c_name : string; c_pass : bool; c_detail : string }
 
@@ -85,8 +74,8 @@ val lint_rules :
 (** {!Lint.Dead_filter} warnings for rules the compilation proves can
     never resolve anything on this table. *)
 
-val to_json : ?language:string -> report -> Metrics.Json.t
-(** The certificate, under the ["iglr-analysis/1"] schema:
+val to_json : report -> Metrics.Json.t
+(** The certificate, in the {!Envelope}:
     [{schema; tool = "filtcomp"; language; rules; decisions; residual;
     surviving_conflicts; checks; violations; certified}].  Fully
     deterministic: committed certificates are compared structurally by

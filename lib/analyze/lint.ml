@@ -432,11 +432,7 @@ let pp_diagnostic table ppf d =
       Format.fprintf ppf "    hint: %s" info.hint);
   Format.pp_close_box ppf ()
 
-(* Machine-readable findings.  The envelope (schema/tool/findings) is
-   shared with [Ambig.to_json] so downstream tooling parses one format. *)
-let json_schema = "iglr-analysis/1"
-
-let to_json table ds =
+let to_json ?language table ds =
   let module J = Metrics.Json in
   let g = Table.grammar table in
   let str_of_severity = function
@@ -510,10 +506,8 @@ let to_json table ds =
       @ extras d)
   in
   let count sev = List.length (List.filter (fun d -> severity d = sev) ds) in
-  J.Obj
+  Envelope.make ~tool:"lint" ?language
     [
-      ("schema", J.String json_schema);
-      ("tool", J.String "lint");
       ("findings", J.List (List.map finding ds));
       ("errors", J.Int (count Error));
       ("warnings", J.Int (count Warning));

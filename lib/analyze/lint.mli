@@ -95,12 +95,13 @@ val warnings : diagnostic list -> diagnostic list
 val shortest_sentence :
   Lrtab.Table.t -> state:int -> term:int -> int list option
 
-(** [to_json table ds] — machine-readable findings under the
-    ["iglr-analysis/1"] schema, the same envelope {!Ambig.to_json} uses:
-    [{schema; tool; findings; errors; warnings; conflicts}], each finding
-    an object with [severity]/[rule]/[message] plus rule-specific fields
-    (conflicts carry [state]/[term]/[class]/[example]/[hint]). *)
-val to_json : Lrtab.Table.t -> diagnostic list -> Metrics.Json.t
+(** [to_json ?language table ds] — machine-readable findings in the
+    {!Envelope}: [{schema; tool = "lint"; language?; findings; errors;
+    warnings; conflicts}], each finding an object with
+    [severity]/[rule]/[message] plus rule-specific fields (conflicts carry
+    [state]/[term]/[class]/[example]/[hint]). *)
+val to_json :
+  ?language:string -> Lrtab.Table.t -> diagnostic list -> Metrics.Json.t
 
 val pp_class : Format.formatter -> conflict_class -> unit
 val pp_diagnostic : Lrtab.Table.t -> Format.formatter -> diagnostic -> unit

@@ -587,17 +587,9 @@ let ambig_report t lang_name lang max_len =
   match cached with
   | Some j -> j
   | None ->
-      let spec = lang.Language.ambig in
-      let config =
-        Analyze.Ambig.config ~syn_filters:spec.Language.syn_filters
-          ?sem_policy:spec.Language.sem_policy
-          ~sem_preamble:spec.Language.sem_preamble
-          ~lexemes:spec.Language.lexemes ~max_len
-          (Language.conflict_table lang)
-      in
       let j =
         Analyze.Ambig.to_json ~language:lang_name
-          (Analyze.Ambig.analyze config)
+          (Analyze.Ambig.analyze (Analyze.Of_language.ambig ~max_len lang))
       in
       Mutex.lock t.ambig_m;
       Hashtbl.replace t.ambig_cache key j;

@@ -218,13 +218,9 @@ let decode line =
    RPC shares.  The client-chosen [id] still echoes alongside it. *)
 let envelope ?req ~id body =
   Json.to_line
-    (Json.Obj
-       ([
-          ("schema", Json.String "iglr-analysis/1");
-          ("tool", Json.String "iglrd");
-          ("id", id);
-        ]
-       @ (match req with None -> [] | Some r -> [ ("req", Json.Int r) ])
+    (Analyze.Envelope.make ~tool:"iglrd"
+       ((("id", id)
+        :: (match req with None -> [] | Some r -> [ ("req", Json.Int r) ]))
        @ body))
 
 let ok ?req ~id result = envelope ?req ~id [ ("result", result) ]

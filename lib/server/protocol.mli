@@ -1,6 +1,6 @@
 (** The [iglrd] wire protocol: newline-delimited JSON-RPC under the
-    [iglr-analysis/1] envelope shared with [iglrc lint]/[ambig]/
-    [filtcomp].
+    [iglr-analysis/1] envelope ({!Analyze.Envelope}) shared with [iglrc
+    lint]/[ambig]/[filtcomp]/[diag].
 
     One request per line, one response per line.  Requests:
 
@@ -10,12 +10,12 @@
                 "budget": {"deadline_ms": 50}}}
     v}
 
-    Responses echo the request id inside the envelope:
+    Responses echo the request id inside the envelope (its [schema]
+    field elided here):
 
     {v
-    {"schema": "iglr-analysis/1", "tool": "iglrd", "id": 1,
-     "result": {...}}
-    {"schema": "iglr-analysis/1", "tool": "iglrd", "id": null,
+    {"schema": ..., "tool": "iglrd", "id": 1, "result": {...}}
+    {"schema": ..., "tool": "iglrd", "id": null,
      "error": {"code": -32700, "message": "..."}}
     v}
 

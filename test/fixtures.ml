@@ -161,12 +161,4 @@ let dynamic_session lang text =
     ~table:(Language.conflict_table lang)
     ~lexer:(Language.lexer lang) lang.Language.ambig.Language.syn_filters text
 
-let count_choices root =
-  let c = ref 0 in
-  Parsedag.Node.iter
-    (fun n ->
-      match n.Parsedag.Node.kind with
-      | Parsedag.Node.Choice _ -> incr c
-      | _ -> ())
-    root;
-  !c
+let count_choices root = Parsedag.Stats.((measure root).choice_nodes)

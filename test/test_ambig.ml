@@ -18,20 +18,8 @@ let languages =
   ]
 
 let analyze_lang lang =
-  let spec = lang.Language.ambig in
-  let config =
-    Ambig.config ~syn_filters:spec.Language.syn_filters
-      ?sem_policy:spec.Language.sem_policy
-      ~sem_preamble:spec.Language.sem_preamble ~lexemes:spec.Language.lexemes
-      (Language.conflict_table lang)
-  in
-  (Ambig.analyze config, spec)
-
-let budget_of (spec : Language.ambig_spec) =
-  {
-    Ambig.b_max_unresolved = spec.Language.max_unresolved;
-    b_expect = spec.Language.expect;
-  }
+  ( Ambig.analyze (Analyze.Of_language.ambig lang),
+    Analyze.Of_language.budget lang )
 
 (* ------------------------------------------------------------------ *)
 (* Soundness: every reported witness is genuinely ambiguous.           *)
@@ -73,7 +61,7 @@ let test_conflict_free_grammar_clean () =
 (* lr2 is LR(2) but unambiguous: the pair automaton must certify its
    reduce/reduce conflict unrealizable, leaving nothing flagged. *)
 let test_lr2_certified_unambiguous () =
-  let report, spec = analyze_lang Languages.Lr2.language in
+  let report, budget = analyze_lang Languages.Lr2.language in
   Alcotest.(check (list int)) "nothing flagged" [] report.Ambig.r_flagged;
   (match report.Ambig.r_classes with
   | [ k ] ->
@@ -84,7 +72,7 @@ let test_lr2_certified_unambiguous () =
   | ks -> Alcotest.failf "expected one class, got %d" (List.length ks));
   Alcotest.(check (list string))
     "budget holds" []
-    (Ambig.check_budget (budget_of spec) report)
+    (Ambig.check_budget budget report)
 
 (* ------------------------------------------------------------------ *)
 (* Golden coverage tables.                                             *)
@@ -99,7 +87,7 @@ let coverage report =
 
 (* Calc's precedence declarations kill every ambiguity statically. *)
 let test_calc_all_static () =
-  let report, spec = analyze_lang Languages.Calc.language in
+  let report, budget = analyze_lang Languages.Calc.language in
   Alcotest.(check int) "no unresolved" 0
     (List.length (Ambig.unresolved report));
   List.iter
@@ -108,14 +96,14 @@ let test_calc_all_static () =
     (coverage report);
   Alcotest.(check (list string))
     "budget holds" []
-    (Ambig.check_budget (budget_of spec) report)
+    (Ambig.check_budget budget report)
 
 (* The C/C++ coverage table the paper's pipeline implies: the typedef
    (lexical) class resolves semantically with a concrete witness, the
    retained call-vs-operator shift/reduce classes resolve via the
    dynamic operator-priority filter, everything else statically. *)
 let check_clike name lang =
-  let report, spec = analyze_lang lang in
+  let report, budget = analyze_lang lang in
   Alcotest.(check int)
     (name ^ " no unresolved")
     0
@@ -149,7 +137,7 @@ let check_clike name lang =
   Alcotest.(check (list string))
     (name ^ " budget holds")
     []
-    (Ambig.check_budget (budget_of spec) report)
+    (Ambig.check_budget budget report)
 
 let test_c_coverage () = check_clike "c" Languages.C_subset.language
 let test_cpp_coverage () = check_clike "cpp" Languages.Cpp_subset.language

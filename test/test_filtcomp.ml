@@ -9,35 +9,13 @@ module Cfg = Grammar.Cfg
 module Table = Lrtab.Table
 module Compile = Lrtab.Compile
 module Filtcomp = Analyze.Filtcomp
+module Of_language = Analyze.Of_language
 module Language = Languages.Language
 module Session = Iglr.Session
 module Syn_filter = Iglr.Syn_filter
 module Json = Metrics.Json
 
-let languages =
-  [
-    ("calc", Languages.Calc.language);
-    ("tiny", Languages.Tiny.language);
-    ("c", Languages.C_subset.language);
-    ("cpp", Languages.Cpp_subset.language);
-    ("lr2", Languages.Lr2.language);
-    ("modula2", Languages.Modula2.language);
-    ("lisp", Languages.Lisp.language);
-    ("java", Languages.Java_subset.language);
-  ]
-
-(* Mirror of the iglrc filtcomp configuration. *)
-let config_of (name, lang) =
-  let spec = lang.Language.ambig in
-  let rules = spec.Language.syn_filters in
-  let specs = List.map Language.spec_of_rule rules in
-  let ambig =
-    Analyze.Ambig.config ~syn_filters:rules ?sem_policy:spec.Language.sem_policy
-      ~sem_preamble:spec.Language.sem_preamble ~lexemes:spec.Language.lexemes
-      (Language.conflict_table lang)
-  in
-  Filtcomp.config ~language:name ~rules ~specs ~expect:spec.Language.filter_expect
-    ~max_residual:spec.Language.max_residual ambig
+let languages = Languages.Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Golden classification tables.                                       *)
@@ -67,7 +45,7 @@ let test_golden_verdicts () =
         let _, v, d, s = List.find (fun (n, _, _, _) -> n = name) golden in
         (v, d, s)
       in
-      let report = Filtcomp.analyze (config_of (name, lang)) in
+      let report = Filtcomp.analyze (Of_language.filtcomp lang) in
       let r = report.Filtcomp.r_result in
       Alcotest.(check (list (pair string string)))
         (name ^ " verdicts") verdicts report.Filtcomp.r_verdicts;
@@ -148,14 +126,10 @@ let test_with_overrides_narrowing () =
 let test_certificate_roundtrip () =
   List.iter
     (fun (name, lang) ->
-      let j1 =
-        Filtcomp.to_json ~language:name
-          (Filtcomp.analyze (config_of (name, lang)))
+      let certificate () =
+        Filtcomp.to_json (Filtcomp.analyze (Of_language.filtcomp lang))
       in
-      let j2 =
-        Filtcomp.to_json ~language:name
-          (Filtcomp.analyze (config_of (name, lang)))
-      in
+      let j1 = certificate () and j2 = certificate () in
       Alcotest.(check bool) (name ^ " deterministic") true (j1 = j2);
       Alcotest.(check bool)
         (name ^ " round-trips") true
@@ -167,7 +141,9 @@ let test_certificate_roundtrip () =
    mutation fuzz, budget comparison).  The remaining languages are
    certified by @filtcomp-smoke against the committed certificates. *)
 let test_certify_clike () =
-  let report = Filtcomp.certify (config_of ("c", Languages.C_subset.language)) in
+  let report =
+    Filtcomp.certify (Of_language.filtcomp Languages.C_subset.language)
+  in
   Alcotest.(check (list string)) "no violations" [] report.Filtcomp.r_violations;
   List.iter
     (fun (c : Filtcomp.check) ->
@@ -319,16 +295,21 @@ let test_opaque_residual () =
   let lang = Languages.C_subset.language in
   let spec = lang.Language.ambig in
   let rules = [ Syn_filter.Fewest_nodes ] in
-  let specs = List.map Language.spec_of_rule rules in
-  let ambig =
-    Analyze.Ambig.config ~syn_filters:rules ?sem_policy:spec.Language.sem_policy
-      ~sem_preamble:spec.Language.sem_preamble ~lexemes:spec.Language.lexemes
-      (Language.conflict_table lang)
+  (* C with an opaque rule in place of its own, unannotated, under a
+     residual budget of [max_residual]. *)
+  let opaque max_residual =
+    Of_language.filtcomp
+      (Language.make ~name:"c" ~grammar:lang.Language.grammar
+         ~ambig:
+           {
+             spec with
+             Language.syn_filters = rules;
+             filter_expect = [];
+             max_residual;
+           }
+         ~rules:[] ())
   in
-  let strict =
-    Filtcomp.analyze
-      (Filtcomp.config ~language:"c" ~rules ~specs ~max_residual:0 ambig)
-  in
+  let strict = Filtcomp.analyze (opaque 0) in
   Alcotest.(check (list (pair string string)))
     "opaque rule stays residual"
     [ ("fewest-nodes", "residual") ]
@@ -336,10 +317,7 @@ let test_opaque_residual () =
   Alcotest.(check bool)
     "budget violation reported" true
     (strict.Filtcomp.r_violations <> []);
-  let relaxed =
-    Filtcomp.analyze
-      (Filtcomp.config ~language:"c" ~rules ~specs ~max_residual:1 ambig)
-  in
+  let relaxed = Filtcomp.analyze (opaque 1) in
   Alcotest.(check (list string))
     "budget of one admits it" [] relaxed.Filtcomp.r_violations;
   (* Every parse runs on [Language.table], so a bundle whose rules do

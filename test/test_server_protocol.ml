@@ -407,16 +407,9 @@ let ambig_matches_analyzer () =
             ]))
   in
   let lang = Option.get (Languages.Registry.find "calc") in
-  let spec = lang.Languages.Language.ambig in
-  let config =
-    Analyze.Ambig.config ~syn_filters:spec.Languages.Language.syn_filters
-      ?sem_policy:spec.Languages.Language.sem_policy
-      ~sem_preamble:spec.Languages.Language.sem_preamble
-      ~lexemes:spec.Languages.Language.lexemes ~max_len:4
-      (Languages.Language.conflict_table lang)
-  in
   let expected =
-    Analyze.Ambig.to_json ~language:"calc" (Analyze.Ambig.analyze config)
+    Analyze.Ambig.to_json ~language:"calc"
+      (Analyze.Ambig.analyze (Analyze.Of_language.ambig ~max_len:4 lang))
   in
   Alcotest.(check string)
     "report = direct analyzer" (Json.to_line expected)
