@@ -4,7 +4,6 @@
    Usage:
      dune exec bench/main.exe                 -- run every experiment
      dune exec bench/main.exe -- table1       -- one experiment
-     dune exec bench/main.exe -- bechamel     -- bechamel micro-benchmarks
      dune exec bench/main.exe -- all --scale 0.05
 
    The --scale factor multiplies the Table 1 line counts (default 0.05 so
@@ -33,13 +32,6 @@ let json_dir = ref "."
 (* Timing helpers.                                                     *)
 
 let now = Unix.gettimeofday
-
-(* Substring search: the shared linear-time utility (Workload.Textutil),
-   kept under the historical local name. *)
-let find_sub text pat =
-  match Workload.Textutil.find text ~pat with
-  | Some i -> i
-  | None -> raise Not_found
 
 (* min / median / p90 over a sample list; a single median hides both the
    best case (min, the steady-state figure) and the tail (p90). *)
@@ -723,142 +715,6 @@ let earley () =
      the paper builds on)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure.          *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let compress =
-    lazy
-      (let p = Spec_gen.find "compress" in
-       (Spec_gen.generate ~scale:1.0 p, Spec_gen.language_of p))
-  in
-  let amb_session =
-    lazy
-      (let src, lang = Lazy.force compress in
-       session_of lang src)
-  in
-  let tiny_tokens =
-    lazy
-      (let lang = Languages.Tiny.language in
-       let text =
-         String.concat "\n"
-           (List.init 50 (fun f ->
-                Printf.sprintf "proc fn%d ( ) { a = 1 + 2 * b; }" f))
-       in
-       (Lexgen.Scanner.all (Language.lexer lang) text, lang))
-  in
-  [
-    Test.make ~name:"table1/space-accounting"
-      (Staged.stage (fun () ->
-           let s = Lazy.force amb_session in
-           Stats.measure (Session.root s)));
-    Test.make ~name:"fig4/file-overhead"
-      (Staged.stage (fun () ->
-           let src = Spec_gen.generate ~seed:9 ~scale:1.0
-               { Spec_gen.p_name = "file"; p_lines = 300; p_dialect = Spec_gen.C;
-                 p_paper_overhead = 0.3; p_ambig_per_kloc = 12.0 } in
-           let s = session_of Languages.C_subset.language src in
-           Stats.space_overhead_pct (Stats.measure (Session.root s))));
-    Test.make ~name:"fig7/lr2-parse"
-      (Staged.stage (fun () ->
-           let lang = Languages.Lr2.language in
-           Session.create
-             ~table:(Language.table lang)
-             ~lexer:(Language.lexer lang)
-             "x z c"));
-    Test.make ~name:"sec5a/batch-glr"
-      (Staged.stage (fun () ->
-           let (tokens, trailing), lang = Lazy.force tiny_tokens in
-           Glr.parse_tokens (Language.table lang) tokens ~trailing));
-    Test.make ~name:"sec5b/incremental-cycle"
-      (Staged.stage
-         (let s = lazy (session_of Languages.C_subset.language
-                          (Spec_gen.plain ~lines:1000 ~seed:41)) in
-          fun () ->
-            let s = Lazy.force s in
-            let e = List.hd (Edit_gen.token_edits ~seed:43 ~count:1
-                               (Session.text s)) in
-            ignore (edit_cycle s e)));
-    Test.make ~name:"sec5c/space-measure"
-      (Staged.stage (fun () ->
-           let s = Lazy.force amb_session in
-           Stats.state_word_overhead_pct (Stats.measure (Session.root s))));
-    Test.make ~name:"sec5d/amb-region-edit"
-      (Staged.stage
-         (let s = lazy (Lazy.force amb_session) in
-          fun () ->
-            let s = Lazy.force s in
-            let text = Session.text s in
-            (* Edit next to an ambiguous construct: find "t0 (" *)
-            let pos = try find_sub text "(v0);" with Not_found -> 10 in
-            Session.edit s ~pos ~del:0 ~insert:" ";
-            ignore (reparse_exn s);
-            Session.edit s ~pos ~del:1 ~insert:"";
-            ignore (reparse_exn s)));
-    Test.make ~name:"a34/incremental-4k"
-      (Staged.stage
-         (let s = lazy (session_of Languages.C_subset.language
-                          (Spec_gen.plain ~lines:4000 ~seed:47)) in
-          fun () ->
-            let s = Lazy.force s in
-            let e = List.hd (Edit_gen.token_edits ~seed:53 ~count:1
-                               (Session.text s)) in
-            ignore (edit_cycle s e)));
-    Test.make ~name:"x1/no-state-matching"
-      (Staged.stage
-         (let s =
-            lazy
-              (let s, _ =
-                 Session.create
-                   ~config:{ Glr.state_matching = false }
-                   ~table:(Language.table Languages.C_subset.language)
-                   ~lexer:(Language.lexer Languages.C_subset.language)
-                   (Spec_gen.plain ~lines:1000 ~seed:59)
-               in
-               s)
-          in
-          fun () ->
-            let s = Lazy.force s in
-            let e = List.hd (Edit_gen.token_edits ~seed:61 ~count:1
-                               (Session.text s)) in
-            ignore (edit_cycle s e)));
-    Test.make ~name:"x2/earley-200"
-      (Staged.stage
-         (let input =
-            lazy
-              (let (tokens, _), lang = Lazy.force tiny_tokens in
-               ( lang.Language.grammar,
-                 Array.of_list
-                   (List.map
-                      (fun (t : Lexgen.Scanner.token) -> t.Lexgen.Scanner.term)
-                      tokens) ))
-          in
-          fun () ->
-            let g, terms = Lazy.force input in
-            Earley.recognize g terms));
-  ]
-
-let bechamel () =
-  header "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ Toolkit.Instance.monotonic_clock ] elt in
-          let est = Analyze.one ols Toolkit.Instance.monotonic_clock raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] ->
-              Printf.printf "%-32s %12.1f ns/run\n" (Test.Elt.name elt) t
-          | _ -> Printf.printf "%-32s (no estimate)\n" (Test.Elt.name elt))
-        (Test.elements test))
-    (bechamel_tests ())
-
-(* ------------------------------------------------------------------ *)
 (* Reuse percentages: the observability layer's headline numbers.      *)
 
 (* Deterministic (seeded edit stream over a generated program), so the
@@ -1076,75 +932,77 @@ let recovery () =
 (* ------------------------------------------------------------------ *)
 (* Instrumentation overhead: the observability layer's own cost.       *)
 
+(* The one wall-clock estimator: a ratio of two modes.  [pairs]
+   back-to-back runs of mode [a] then mode [b] ([a ()] and [b ()] switch
+   the mode), each timed by [measure] in seconds; the result is the
+   minimum of [a]'s runs over the minimum of [b]'s.  Interleaving makes
+   load drift hit both modes alike, and ambient noise only ever adds
+   time, so the minima estimate each mode's uncontended cost. *)
+let paired_min_ratio ~pairs ~name ~a ~b measure =
+  let best_a = ref infinity and best_b = ref infinity in
+  for _ = 1 to pairs do
+    a ();
+    best_a := Float.min !best_a (measure ());
+    b ();
+    best_b := Float.min !best_b (measure ())
+  done;
+  let ratio = !best_a /. !best_b in
+  Printf.printf "%-18s %8.1f µs vs %8.1f µs  ratio %.3f (%+.2f%%)\n" name
+    (!best_a *. 1e6) (!best_b *. 1e6) ratio
+    ((ratio -. 1.) *. 100.);
+  ratio
+
+let best_of n f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    best := Float.min !best (f ())
+  done;
+  !best
+
 let overhead () =
   header "Instrumentation overhead: metrics on vs off (§5 edit cycle)";
-  let open Bechamel in
-  let estimate name f =
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-    let ols =
-      Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-    in
-    match Test.elements (Test.make ~name (Staged.stage f)) with
-    | [ elt ] -> (
-        let raw = Benchmark.run cfg [ Toolkit.Instance.monotonic_clock ] elt in
-        match
-          Analyze.OLS.estimates
-            (Analyze.one ols Toolkit.Instance.monotonic_clock raw)
-        with
-        | Some [ t ] -> t
-        | _ -> nan)
-    | _ -> nan
-  in
   let s =
     session_of Languages.C_subset.language (Spec_gen.plain ~lines:400 ~seed:91)
   in
   let e = List.hd (Edit_gen.token_edits ~seed:97 ~count:1 (Session.text s)) in
-  let cycle () = ignore (edit_cycle s e) in
+  (* Single-threaded: the best wall time of 5 whole edit cycles (edit,
+     reparse, undo, reparse), over 100 pairs.  Short runs and many pairs
+     let both modes sample the same stretches of a host whose speed
+     drifts by tens of percent from one stretch to the next. *)
+  let cycle () =
+    best_of 5 (fun () -> snd (time_once (fun () -> edit_cycle s e)))
+  in
+  let metrics on () = Metrics.set_enabled on in
+  let trace on () = Trace.set_enabled on in
+  Printf.printf "best of 5 edit cycles, minimum over 100 interleaved pairs:\n";
+  let record ?gate case ratio =
+    record ?gate "latency" ~experiment:"overhead" ~language:"c" ~case
+      (ratio_fields ratio)
+  in
+  (* Informational (target < 5%): single-digit-µs differences make the
+     ratio noisy at small scales. *)
+  record ~gate:false "edit-cycle-on-off"
+    (paired_min_ratio ~pairs:100 ~name:"metrics on / off" ~a:(metrics true)
+       ~b:(metrics false) cycle);
   Metrics.set_enabled true;
-  let on_ns = estimate "metrics-on" cycle in
-  Metrics.set_enabled false;
-  let off_ns = estimate "metrics-off" cycle in
-  Metrics.set_enabled true;
-  let ratio = on_ns /. off_ns in
-  record ~gate:false "latency" ~experiment:"overhead" ~language:"c"
-    ~case:"edit-cycle-on-off" (ratio_fields ratio);
-  Printf.printf
-    "metrics on: %.1f ns/run, off: %.1f ns/run — overhead %+.2f%% (target < \
-     5%%; informational, not gated:\n single-digit-µs cycles make the ratio \
-     noisy at small scales)\n"
-    on_ns off_ns
-    ((ratio -. 1.) *. 100.);
   (* The structured trace sink.  Disabled, every emission site is a
      single branch, so its cost cannot be isolated in-process; instead
-     two back-to-back estimates of the identical trace-off configuration
-     bound the disabled sink within measurement noise (target < 5%).
-     The enabled/disabled ratio is recorded gated: a jump there means an
-     emission site started doing real per-event work even before the
-     [enabled] guard. *)
-  let trace_off_a = estimate "trace-off" cycle in
-  let trace_off_ns = estimate "trace-off-repeat" cycle in
-  Trace.set_enabled true;
-  let trace_on_ns =
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.set_enabled false;
-        Trace.clear ())
-      (fun () -> estimate "trace-on" cycle)
-  in
-  record ~gate:false "latency" ~experiment:"overhead" ~language:"c"
-    ~case:"edit-cycle-trace-disabled"
-    (ratio_fields (trace_off_ns /. trace_off_a));
-  record "latency" ~experiment:"overhead" ~language:"c"
-    ~case:"edit-cycle-trace-on-off"
-    (ratio_fields (trace_on_ns /. trace_off_ns));
-  Printf.printf
-    "trace disabled: %.1f ns/run (%+.2f%% between identical back-to-back \
-     runs; target < 5%%)\ntrace enabled: %.1f ns/run (%+.2f%% over \
-     disabled; ratio gated in check_regress)\n"
-    trace_off_ns
-    ((trace_off_ns /. trace_off_a -. 1.) *. 100.)
-    trace_on_ns
-    ((trace_on_ns /. trace_off_ns -. 1.) *. 100.);
+     two interleaved runs of the identical trace-off configuration bound
+     the disabled sink within measurement noise (target < 5%).  The
+     enabled/disabled ratio gates: a jump there means an emission site
+     started doing real per-event work even before the [enabled]
+     guard. *)
+  record ~gate:false "edit-cycle-trace-disabled"
+    (paired_min_ratio ~pairs:100 ~name:"trace off / off" ~a:(trace false)
+       ~b:(trace false) cycle);
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.clear ())
+    (fun () ->
+      record "edit-cycle-trace-on-off"
+        (paired_min_ratio ~pairs:100 ~name:"trace on / off" ~a:(trace true)
+           ~b:(trace false) cycle));
   (* The sharded registry's promise: enabling metrics costs the same
      when N domains hammer their own shards concurrently as it does
      single-threaded.  Cross-domain contention (false sharing, a shared
@@ -1156,7 +1014,11 @@ let overhead () =
   (* Timed inside each domain, after a warm-up cycle and a start
      barrier, and summed: domain spawn, session setup and first-reparse
      warm-up stay out of the measurement, and contention shows up as
-     inflated per-domain loop time no matter how the domains schedule. *)
+     inflated per-domain loop time no matter how the domains schedule.
+     Each domain keeps its best cycle: a clean cycle dodges
+     descheduling and the other domains' stop-the-world pauses, which
+     on a loaded (or single-core) host otherwise swamp the
+     instrumentation cost being measured. *)
   let run_once () =
     let work =
       List.init mdomains (fun i ->
@@ -1178,44 +1040,17 @@ let overhead () =
             while Atomic.get gate < mdomains do
               Domain.cpu_relax ()
             done;
-            (* Per-cycle minimum: a clean cycle dodges descheduling and
-               the other domains' stop-the-world pauses, which on a
-               loaded (or single-core) host otherwise swamp the
-               instrumentation cost being measured. *)
-            let best = ref infinity in
-            for _ = 1 to reps do
-              let t = edit_cycle s e in
-              if t < !best then best := t
-            done;
-            !best))
+            best_of reps (fun () -> edit_cycle s e)))
       work
     |> List.map Domain.join
     |> List.fold_left ( +. ) 0.
   in
-  (* On/off interleaved in back-to-back pairs so load drift hits both
-     modes alike, then the minimum per mode: ambient noise only ever
-     adds time, so the minima estimate the uncontended cost of each
-     mode and their ratio is stable enough to gate. *)
-  let pairs =
-    List.init 5 (fun _ ->
-        Metrics.set_enabled true;
-        let on = run_once () in
-        Metrics.set_enabled false;
-        let off = run_once () in
-        Metrics.set_enabled true;
-        (on, off))
-  in
-  let minimum xs = List.fold_left min (List.hd xs) xs in
-  let md_on = minimum (List.map fst pairs) in
-  let md_off = minimum (List.map snd pairs) in
-  record "latency" ~experiment:"overhead" ~language:"c"
-    ~case:"multi-domain-on-off" (ratio_fields (md_on /. md_off));
-  Printf.printf
-    "%d domains x %d edit cycles (summed best cycle per domain): metrics \
-     on %.1f µs, off %.1f µs — overhead %+.2f%% (gated: contention on \
-     the sharded registry would widen this)\n"
-    mdomains reps (md_on *. 1e6) (md_off *. 1e6)
-    ((md_on /. md_off -. 1.) *. 100.)
+  Printf.printf "%d domains, summed best reparses of %d edit cycles per domain:\n"
+    mdomains reps;
+  record "multi-domain-on-off"
+    (paired_min_ratio ~pairs:10 ~name:"metrics on / off" ~a:(metrics true)
+       ~b:(metrics false) run_once);
+  Metrics.set_enabled true
 
 (* ------------------------------------------------------------------ *)
 (* Static ambiguity analysis: analyzer cost and coverage drift.        *)
@@ -1905,7 +1740,6 @@ let experiments =
     ("server", server_bench);
     ("chaos", chaos_bench);
     ("semantic", semantic_bench);
-    ("bechamel", bechamel);
   ]
 
 let () =
