@@ -41,9 +41,30 @@ let file_arg =
     & pos 0 (some string) None
     & info [] ~docv:"FILE" ~doc:"Input file; stdin when omitted.")
 
+(* Every file iglrc reads or writes goes through [read_file] or
+   [write_json]: an I/O error prints "iglrc: PATH: reason" on stderr and
+   exits 1. *)
+let with_path path f =
+  try f path
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix)
+          (String.length msg - String.length prefix)
+      else msg
+    in
+    Printf.eprintf "iglrc: %s: %s\n" path reason;
+    exit 1
+
+let read_file path =
+  with_path path (fun p -> In_channel.with_open_bin p In_channel.input_all)
+
+let write_json path doc = with_path path (fun p -> Metrics.Json.to_file p doc)
+
 let read_input = function
   | None -> In_channel.input_all stdin
-  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | Some path -> read_file path
 
 let make_session ?budget lang text =
   Iglr.Session.create ?budget
@@ -188,9 +209,15 @@ let parse_cmd =
       & info [ "stats" ] ~docv:"FMT"
           ~doc:
             "Print the metrics snapshot of the parse (counters, spans, \
-             reuse percentages); FMT is $(b,text) (default) or $(b,json).")
+             reuse percentages); FMT is $(b,text) (default) or $(b,json). \
+             With $(b,json), stdout is one JSON document, so $(b,--dump) \
+             and $(b,--sexp) are refused.")
   in
   let run lang file budget dump sexp stats =
+    if stats = Some `Json && (dump || sexp) then
+      `Error
+        (true, "--stats=json prints one JSON document; drop --dump and --sexp")
+    else
     let text = read_input file in
     let s, outcome = make_session ~budget lang text in
     (* In JSON mode stdout carries the envelope alone; a syntax error is
@@ -231,10 +258,12 @@ let parse_cmd =
               [ ("metrics", Metrics.to_json (Iglr.Session.metrics s)) ];
           ]);
     (* Scripting: exit 2 on a syntax error (0 = clean parse). *)
-    if errors then exit 2
+    if errors then exit 2;
+    `Ok ()
   in
   Cmd.v (Cmd.info "parse" ~doc:"Parse a file with the IGLR parser")
-    Term.(const run $ lang_arg $ file_arg $ budget_term $ dump $ sexp $ stats)
+    Term.(
+      ret (const run $ lang_arg $ file_arg $ budget_term $ dump $ sexp $ stats))
 
 let table_cmd =
   let run lang =
@@ -451,7 +480,7 @@ let filtcomp_cmd =
       (fun dir ->
         (if not (Sys.file_exists dir) then
            try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        Metrics.Json.to_file (cert dir) doc)
+        write_json (cert dir) doc)
       emit;
     {
       doc;
@@ -672,7 +701,7 @@ let gen_cmd =
 (* Edit scripts, shared by replay/trace/dot/explain: one edit per line,
    "POS DEL TEXT" (TEXT may be empty; "_" stands for a space). *)
 let edits_of_script path =
-  In_channel.with_open_bin path In_channel.input_all
+  read_file path
   |> String.split_on_char '\n'
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map (fun line ->
@@ -827,7 +856,7 @@ let trace_cmd =
       Printf.eprintf "warning: ring overflow, %d event(s) dropped\n"
         (Trace.dropped ());
     let evs = Trace.events () in
-    Metrics.Json.to_file out (Trace.Export.to_chrome evs);
+    write_json out (Trace.Export.to_chrome evs);
     (* Self-validation: the export must round-trip through the JSON
        parser with the expected shape (the @trace-smoke gate). *)
     match Metrics.Json.(member "traceEvents" (of_file out)) with
