@@ -219,7 +219,12 @@ let parse_cmd =
         (true, "--stats=json prints one JSON document; drop --dump and --sexp")
     else
     let text = read_input file in
-    let s, outcome = make_session ~budget lang text in
+    (* The table and lexer are built before the bracket, so the snapshot
+       is the parse's activity alone. *)
+    Languages.Registry.force lang;
+    let (s, outcome), metrics =
+      Iglr.Session.measure (fun () -> make_session ~budget lang text)
+    in
     (* In JSON mode stdout carries the envelope alone; a syntax error is
        reported on stderr. *)
     let json = stats = Some `Json in
@@ -249,13 +254,13 @@ let parse_cmd =
            (Iglr.Session.root s));
     (match stats with
     | None -> ()
-    | Some `Text -> Format.printf "%a" Metrics.pp (Iglr.Session.metrics s)
+    | Some `Text -> Format.printf "%a" Metrics.pp metrics
     | Some `Json ->
         print_envelope ~tool:"parse"
           [
             Analyze.Envelope.make ~tool:"parse"
               ~language:(Languages.Registry.name_of lang)
-              [ ("metrics", Metrics.to_json (Iglr.Session.metrics s)) ];
+              [ ("metrics", Metrics.to_json metrics) ];
           ]);
     (* Scripting: exit 2 on a syntax error (0 = clean parse). *)
     if errors then exit 2;

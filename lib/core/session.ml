@@ -19,9 +19,6 @@ type t = {
   config : Glr.config;
   mutable budget : Glr.budget;
   doc : Document.t;
-  baseline : Metrics.snapshot;
-      (* registry state at session creation: [metrics] reports the
-         activity attributable to this session's lifetime *)
   mutable errors : bool;
   mutable on_commit : (watermark:int -> Node.t -> unit) list;
       (* commit subscribers (newest first): invoked after every reparse
@@ -82,7 +79,6 @@ let text t = Document.text t.doc
 let table t = t.table
 let budget t = t.budget
 let has_errors t = t.errors
-let metrics t = Metrics.diff (Metrics.snapshot ()) t.baseline
 
 (* Domain-local request bracket: the registry is sharded per domain, so
    two local snapshots around one request on its executing domain diff
@@ -474,7 +470,6 @@ let reparse ?cancel t = owned t (fun () -> reparse_owned ?cancel t)
 
 let create ?(config = Glr.default_config) ?(budget = Glr.no_budget) ~table
     ~lexer text =
-  let baseline = Metrics.snapshot () in
   let doc = Document.create ~lexer text in
   let t =
     {
@@ -482,7 +477,6 @@ let create ?(config = Glr.default_config) ?(budget = Glr.no_budget) ~table
       config;
       budget;
       doc;
-      baseline;
       errors = false;
       on_commit = [];
       pending_watermark = None;

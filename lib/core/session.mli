@@ -108,17 +108,6 @@ val set_budget : t -> Glr.budget -> unit
     indicates a scheduling bug rather than a recoverable condition. *)
 exception Busy
 
-val metrics : t -> Metrics.snapshot
-(** Observability delta attributable to this session: the global
-    {!Metrics} registry diffed against its state when the session was
-    created.  Covers parse work ([glr.*]), relex reuse ([vdoc.*]), dag
-    maintenance ([dag.*]), recovery ([session.isolations],
-    [session.degraded]) and reparse latency ([session.*]).  Note the
-    registry is process-global: concurrent sessions fold into the same
-    counters, so per-session readings assume one active session (the
-    tooling case).  For exact per-request readings under concurrency,
-    see {!measure}. *)
-
 val measure : (unit -> 'a) -> 'a * Metrics.snapshot
 (** [measure f] runs [f] and returns its result with the domain-local
     metric activity it caused ({!Metrics.local_snapshot} diffed around

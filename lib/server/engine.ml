@@ -605,20 +605,17 @@ let do_ambig t r ~max_len () =
          ("report", ambig_report t e.Pool.lang_name e.Pool.lang max_len);
        ])
 
-let do_doc_stats t r ~metrics () =
+let do_doc_stats t r () =
   with_entry t r @@ fun e ->
   let s = e.Pool.session in
   ok r
     (Json.Obj
-       ([
-          ("doc", Json.String e.Pool.doc);
-          ("lang", Json.String e.Pool.lang_name);
-          ("tokens", Json.Int (Parsedag.Node.token_count (Session.root s)));
-          ("has_errors", Json.Bool (Session.has_errors s));
-        ]
-       @
-       if metrics then [ ("metrics", Metrics.to_json (Session.metrics s)) ]
-       else []))
+       [
+         ("doc", Json.String e.Pool.doc);
+         ("lang", Json.String e.Pool.lang_name);
+         ("tokens", Json.Int (Parsedag.Node.token_count (Session.root s)));
+         ("has_errors", Json.Bool (Session.has_errors s));
+       ])
 
 (* Close skips heal-on-touch deliberately: rebuilding a session only to
    discard it would waste a full parse. *)
@@ -925,7 +922,7 @@ let handle_line t line =
                 | P.Diag { metrics; _ } ->
                     submit ~mutates:true t r (do_diag t r ~metrics)
                 | P.Ambig { max_len; _ } -> submit t r (do_ambig t r ~max_len)
-                | P.Stats { metrics; _ } -> submit t r (do_doc_stats t r ~metrics)
+                | P.Stats _ -> submit t r (do_doc_stats t r)
                 | P.Close _ -> submit t r (do_close t r)
                 | P.Open _ | P.Telemetry _ -> assert false
               end))

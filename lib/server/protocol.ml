@@ -159,11 +159,15 @@ let request_of ~meth ~params =
           max_len = int_field ~default:5 "max_len" params;
         }
   | "stats" ->
-      Stats
-        {
-          doc = Option.bind (Json.member "doc" params) Json.to_str;
-          metrics = bool_field ~default:false "metrics" params;
-        }
+      let doc = Option.bind (Json.member "doc" params) Json.to_str in
+      let metrics = bool_field ~default:false "metrics" params in
+      (* The registry is process-wide: no per-document share of it is
+         kept, so a document's metrics are per request. *)
+      if doc <> None && metrics then
+        bad e_params
+          "stats has no per-document metrics; ask parse or diag with \
+           metrics:true";
+      Stats { doc; metrics }
   | "telemetry" -> (
       let view =
         match Json.member "view" params with

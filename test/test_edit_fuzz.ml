@@ -607,13 +607,12 @@ let fault_replay lang base (seed, count) =
   (* Convergence: rewrite the whole document back to the pristine base;
      unless the final reparse itself was pruned by the budget, it must be
      a clean parse, batch-identical, with no residual error regions. *)
-  let before = Session.metrics s in
-  Session.edit s ~pos:0 ~del:(String.length !text) ~insert:base;
-  let outcome = Session.reparse s in
-  let pruned =
-    Metrics.count (Metrics.diff (Session.metrics s) before)
-      "glr.pruned_parsers"
+  let outcome, d =
+    Session.measure (fun () ->
+        Session.edit s ~pos:0 ~del:(String.length !text) ~insert:base;
+        Session.reparse s)
   in
+  let pruned = Metrics.count d "glr.pruned_parsers" in
   (match outcome with
   | Session.Parsed _ ->
       Analyze.Check.assert_dag ~expect_text:base table (Session.root s);
@@ -1064,13 +1063,15 @@ let reuse_invariant () =
   let e =
     List.hd (Edit_gen.token_edits ~seed:41 ~count:1 (Session.text s))
   in
-  let before = Session.metrics s in
-  Session.edit s ~pos:e.Edit_gen.e_pos ~del:e.Edit_gen.e_del
-    ~insert:e.Edit_gen.e_insert;
-  (match Session.reparse s with
+  let outcome, d =
+    Session.measure (fun () ->
+        Session.edit s ~pos:e.Edit_gen.e_pos ~del:e.Edit_gen.e_del
+          ~insert:e.Edit_gen.e_insert;
+        Session.reparse s)
+  in
+  (match outcome with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> Alcotest.fail "token edit broke the parse");
-  let d = Metrics.diff (Session.metrics s) before in
   let created = Metrics.count d "glr.nodes_created" in
   let reused_pct =
     100. *. (1. -. (float_of_int created /. float_of_int total))

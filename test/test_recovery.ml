@@ -255,12 +255,14 @@ let test_reuse_outside_error () =
   assert_sane clang s;
   let total = Node.count_nodes (Session.root s) in
   (* Edit far from the error: append a statement after the last ";". *)
-  let before = Session.metrics s in
   let p = String.rindex (Session.text s) ';' in
-  Session.edit s ~pos:(p + 1) ~del:0 ~insert:" zz = 2;";
-  ignore (recovered (Session.reparse s));
+  let outcome, d =
+    Session.measure (fun () ->
+        Session.edit s ~pos:(p + 1) ~del:0 ~insert:" zz = 2;";
+        Session.reparse s)
+  in
+  ignore (recovered outcome);
   assert_sane clang s;
-  let d = Metrics.diff (Session.metrics s) before in
   let created = Metrics.count d "glr.nodes_created" in
   let reused_pct =
     100. *. (1. -. (float_of_int created /. float_of_int total))
@@ -303,13 +305,13 @@ let test_budget_max_parsers () =
      the parse terminates and the pruning is visible in the metrics. *)
   let src = "typedef int a;\nint foo () { int i; a (b); c (d); i = 1; }\n" in
   let budget = { Glr.no_budget with Glr.max_parsers = 1 } in
-  let s, o = make ~budget clang src in
+  Languages.Registry.force clang;
+  let (_, o), m = Session.measure (fun () -> make ~budget clang src) in
   (match o with
   | Session.Parsed st ->
       Alcotest.(check bool) "parse marked degraded" true st.Glr.degraded
   | Session.Recovered r ->
       Alcotest.(check bool) "recovery marked degraded" true r.degraded);
-  let m = Session.metrics s in
   Alcotest.(check bool) "parsers were pruned" true
     (Metrics.count m "glr.pruned_parsers" >= 1)
 
@@ -370,11 +372,9 @@ let region_summary s =
         r.r_end_byte ])
     (Session.error_regions s)
 
-let attempts_of s f =
-  let before = Session.metrics s in
-  let r = f () in
-  (r, Metrics.count (Metrics.diff (Session.metrics s) before)
-        "session.isolation_attempts")
+let attempts_of f =
+  let r, d = Session.measure f in
+  (r, Metrics.count d "session.isolation_attempts")
 
 let regions = Alcotest.(list (list int))
 
@@ -385,7 +385,7 @@ let test_failures_past_masked_runs () =
   break_stmt s 1;
   break_stmt s 5;
   break_stmt s 9;
-  let r, attempts = attempts_of s (fun () -> recovered (Session.reparse s)) in
+  let r, attempts = attempts_of (fun () -> recovered (Session.reparse s)) in
   Alcotest.(check int) "one attempt per statement" 3 attempts;
   Alcotest.(check int) "three regions" 3 r.isolated;
   Alcotest.check regions "recorded regions"
@@ -399,7 +399,7 @@ let test_failures_past_masked_runs () =
   break_stmt s 1;
   let len = String.length (Session.text s) in
   Session.edit s ~pos:len ~del:0 ~insert:"v = ( ";
-  let r, attempts = attempts_of s (fun () -> recovered (Session.reparse s)) in
+  let r, attempts = attempts_of (fun () -> recovered (Session.reparse s)) in
   Alcotest.(check int) "escalating attempts" 5 attempts;
   Alcotest.(check int) "two regions" 2 r.isolated;
   Alcotest.check regions "recorded regions"
@@ -418,7 +418,7 @@ let test_edited_region_not_seeded () =
   let p = pos_of (Session.text s) ") (" 0 in
   Session.edit s ~pos:p ~del:3 ~insert:"";
   break_stmt s 6;
-  let r, attempts = attempts_of s (fun () -> recovered (Session.reparse s)) in
+  let r, attempts = attempts_of (fun () -> recovered (Session.reparse s)) in
   Alcotest.(check int) "one attempt" 1 attempts;
   Alcotest.(check int) "two regions" 2 r.isolated;
   Alcotest.check regions "recorded regions"

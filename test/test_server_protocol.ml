@@ -202,7 +202,25 @@ let server_stats () =
               ("params", Json.Obj [ ("metrics", Json.Bool true) ]);
             ]))
   in
-  ignore (member "metrics" r)
+  ignore (member "metrics" r);
+  (* The registry is process-wide, so there is no per-document share of
+     it to report: a document's stats with metrics:true is invalid
+     params, pointing at the per-request metrics of parse and diag. *)
+  let j =
+    req
+      (obj
+         [
+           ("id", Json.Int 5);
+           ("method", Json.String "stats");
+           ( "params",
+             Json.Obj [ ("doc", Json.String "a"); ("metrics", Json.Bool true) ]
+           );
+         ])
+  in
+  error ~code:Protocol.e_params j;
+  let msg = str "message" (member "error" j) in
+  Alcotest.(check bool) "names parse/diag metrics:true" true
+    (Str.string_match (Str.regexp ".*parse or diag with metrics:true") msg 0)
 
 (* Malformed inputs: each one must yield a structured error envelope with
    the matching code — never an exception, never silence. *)
