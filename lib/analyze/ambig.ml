@@ -6,7 +6,7 @@ module Item = Lrtab.Item
 module Scanner = Lexgen.Scanner
 module Glr = Iglr.Glr
 module Syn_filter = Iglr.Syn_filter
-module Typedefs = Semantics.Typedefs
+module Diag = Semantics.Diag
 module J = Metrics.Json
 
 type resolution =
@@ -45,19 +45,19 @@ type klass = {
 type config = {
   a_table : Table.t;
   a_syn_filters : Syn_filter.rule list;
-  a_sem_policy : Typedefs.policy option;
+  a_semantic : bool;
   a_sem_preamble : string list;
   a_lexemes : (string * string) list;
   a_max_len : int;
   a_max_candidates : int;
 }
 
-let config ?(syn_filters = []) ?sem_policy ?(sem_preamble = [])
+let config ?(syn_filters = []) ?(semantic = false) ?(sem_preamble = [])
     ?(lexemes = []) ?(max_len = 5) ?(max_candidates = 2000) table =
   {
     a_table = table;
     a_syn_filters = syn_filters;
-    a_sem_policy = sem_policy;
+    a_semantic = semantic;
     a_sem_preamble = sem_preamble;
     a_lexemes = lexemes;
     a_max_len = max_len;
@@ -372,43 +372,38 @@ let replay st (w : witness) =
         let root = apply_syn root in
         if Parsedag.Stats.((measure root).choice_nodes) = 0 then
           (Resolved_syntactic, "resolved by dynamic syntactic filters")
-        else begin
-          match cfg.a_sem_policy with
-          | None ->
+        else if not cfg.a_semantic then
+          ( Retained_unresolved,
+            "choice nodes survive all filters (no semantic policy)" )
+        else
+          let semantically_resolved tws =
+            match parse tws with
+            | None -> false
+            | Some root ->
+                let d = Diag.decide (Diag.create g) (apply_syn root) in
+                d.Diag.choices > 0 && d.Diag.unresolved = 0
+          in
+          if semantically_resolved w.w_tokens then
+            (Resolved_semantic, "semantic filter decides every choice")
+          else if cfg.a_sem_preamble = [] then
+            ( Retained_unresolved,
+              "semantic filter leaves choices unresolved" )
+          else
+            let preamble =
+              List.map
+                (fun name ->
+                  let t = Cfg.find_terminal g name in
+                  (t, if name = "id" then "x" else name))
+                cfg.a_sem_preamble
+            in
+            if semantically_resolved (preamble @ w.w_tokens) then
+              ( Resolved_semantic,
+                "semantic filter decides every choice given the typedef \
+                 preamble" )
+            else
               ( Retained_unresolved,
-                "choice nodes survive all filters (no semantic policy)" )
-          | Some policy ->
-              let semantically_resolved tws =
-                match parse tws with
-                | None -> false
-                | Some root ->
-                    let root = apply_syn root in
-                    let sem = Typedefs.create ~policy g in
-                    let r = Typedefs.analyze sem root in
-                    r.Typedefs.choices > 0 && r.Typedefs.unresolved = 0
-              in
-              if semantically_resolved w.w_tokens then
-                (Resolved_semantic, "semantic filter decides every choice")
-              else if cfg.a_sem_preamble = [] then
-                ( Retained_unresolved,
-                  "semantic filter leaves choices unresolved" )
-              else
-                let preamble =
-                  List.map
-                    (fun name ->
-                      let t = Cfg.find_terminal g name in
-                      (t, if name = "id" then "x" else name))
-                    cfg.a_sem_preamble
-                in
-                if semantically_resolved (preamble @ w.w_tokens) then
-                  ( Resolved_semantic,
-                    "semantic filter decides every choice given the typedef \
-                     preamble" )
-                else
-                  ( Retained_unresolved,
-                    "semantic filter leaves choices unresolved even with the \
-                     typedef preamble" )
-        end
+                "semantic filter leaves choices unresolved even with the \
+                 typedef preamble" )
 
 (* ------------------------------------------------------------------ *)
 (* Class assembly.                                                     *)

@@ -33,9 +33,9 @@
     {- {b Filter coverage.}  Each confirmed witness is replayed through
        the actual pipeline: the language's precedence-filtered table
        (static), its {!Iglr.Syn_filter} rules (dynamic syntactic), then
-       {!Semantics.Typedefs} (semantic; optionally after prepending a
-       typedef preamble that supplies the binding, since unknown names
-       are retained per §4.3).  The first stage after which no choice
+       the typedef decisions of {!Semantics.Diag} (semantic; optionally
+       after prepending a typedef preamble that supplies the binding,
+       since unknown names are retained per §4.3).  The first stage after which no choice
        nodes remain names the class's resolution.}}
 
     Everything is deterministic — fixed seeds, FIFO queues, sorted
@@ -50,8 +50,8 @@ type resolution =
           statically filtered) *)
   | Resolved_syntactic  (** dynamic {!Iglr.Syn_filter} rules decide it *)
   | Resolved_semantic
-      (** {!Semantics.Typedefs} decides every choice (possibly given the
-          typedef preamble) *)
+      (** {!Semantics.Diag}'s typedef decisions decide every choice
+          (possibly given the typedef preamble) *)
   | Retained_unresolved
       (** choices survive the whole pipeline — or no witness was found
           within the bound for a retained conflict, which is reported
@@ -94,7 +94,9 @@ type klass = {
 type config = {
   a_table : Lrtab.Table.t;  (** the language's (filtered) table *)
   a_syn_filters : Iglr.Syn_filter.rule list;
-  a_sem_policy : Semantics.Typedefs.policy option;
+  a_semantic : bool;
+      (** replay witnesses through the typedef decisions
+          ({!Semantics.Diag.decide}) *)
   a_sem_preamble : string list;
       (** terminal names of a preamble supplying semantic bindings (e.g.
           [typedef int x ;]); tried when the bare witness stays
@@ -110,14 +112,14 @@ type config = {
 
 val config :
   ?syn_filters:Iglr.Syn_filter.rule list ->
-  ?sem_policy:Semantics.Typedefs.policy ->
+  ?semantic:bool ->
   ?sem_preamble:string list ->
   ?lexemes:(string * string) list ->
   ?max_len:int ->
   ?max_candidates:int ->
   Lrtab.Table.t ->
   config
-(** Defaults: no filters, no semantic policy, [max_len = 5],
+(** Defaults: no filters, not semantic, [max_len = 5],
     [max_candidates = 2000]. *)
 
 type report = {

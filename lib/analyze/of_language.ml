@@ -3,7 +3,7 @@ module Language = Languages.Language
 let ambig ?max_len lang =
   let spec = lang.Language.ambig in
   Ambig.config ~syn_filters:spec.Language.syn_filters
-    ?sem_policy:spec.Language.sem_policy
+    ~semantic:(spec.Language.sem_policy <> None)
     ~sem_preamble:spec.Language.sem_preamble ~lexemes:spec.Language.lexemes
     ?max_len (Language.conflict_table lang)
 
