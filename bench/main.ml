@@ -1331,10 +1331,9 @@ let access_log_parse_ms d ~expected =
    so up to 8 reparses are in flight across the worker domains at once.
    Reported: sustained edits/sec, the p99 reparse and request latencies
    under load over >= 1000 samples (gated, noise-floored), and two
-   deterministic gates — every document
-   must agree with a single-threaded oracle replay (oracle_agree_pct)
-   and all 8 documents must still be live in the pool at the end
-   (parallel_docs_pct). *)
+   deterministic gates — every document must agree with a
+   single-threaded oracle replay (oracle_agree_pct) and all 8 documents
+   must still be live in the pool at the end (parallel_docs_pct). *)
 let server_bench () =
   header "Parse-service daemon: concurrent edit streams (iglrd engine)";
   let n_docs = 8 in

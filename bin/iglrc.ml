@@ -47,14 +47,9 @@ let file_arg =
 let with_path path f =
   try f path
   with Sys_error msg ->
-    let prefix = path ^ ": " in
-    let reason =
-      if String.starts_with ~prefix msg then
-        String.sub msg (String.length prefix)
-          (String.length msg - String.length prefix)
-      else msg
-    in
-    Printf.eprintf "iglrc: %s: %s\n" path reason;
+    (* Opening reports "PATH: reason"; reading a directory, the reason. *)
+    let prefixed = String.starts_with ~prefix:(path ^ ": ") msg in
+    Printf.eprintf "iglrc: %s\n" (if prefixed then msg else path ^ ": " ^ msg);
     exit 1
 
 let read_file path =

@@ -35,8 +35,9 @@
        (static), its {!Iglr.Syn_filter} rules (dynamic syntactic), then
        the typedef decisions of {!Semantics.Diag} (semantic; optionally
        after prepending a typedef preamble that supplies the binding,
-       since unknown names are retained per §4.3).  The first stage after which no choice
-       nodes remain names the class's resolution.}}
+       since unknown names are retained per §4.3).  The first stage
+       after which no choice nodes remain names the class's
+       resolution.}}
 
     Everything is deterministic — fixed seeds, FIFO queues, sorted
     outputs — so reports are golden-testable and per-language ambiguity
