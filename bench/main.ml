@@ -201,21 +201,17 @@ let table1 () =
       let lang = Spec_gen.language_of p in
       let s = session_of lang src in
       let m = Stats.measure (Session.root s) in
-      let sem =
-        Semantics.Typedefs.create
-          ~policy:
-            (match p.Spec_gen.p_dialect with
-            | Spec_gen.C -> Semantics.Typedefs.Namespace_only
-            | Spec_gen.Cpp -> Semantics.Typedefs.Prefer_decl)
-          lang.Language.grammar
+      let d =
+        Semantics.Diag.decide
+          (Semantics.Diag.create lang.Language.grammar)
+          (Session.root s)
       in
-      let rep = Semantics.Typedefs.analyze sem (Session.root s) in
       Printf.printf "%-12s %9d %5s %12.2f %12.2f %8d %10d\n" p.Spec_gen.p_name
         lines
         (match p.Spec_gen.p_dialect with Spec_gen.C -> "C" | Spec_gen.Cpp -> "C++")
         p.Spec_gen.p_paper_overhead
         (Stats.space_overhead_pct m)
-        m.Stats.choice_nodes rep.Semantics.Typedefs.unresolved)
+        m.Stats.choice_nodes d.Semantics.Diag.unresolved)
     Spec_gen.table1;
   Printf.printf
     "(paper: average 0.00-0.52%% per program; every ambiguity is the typedef \
@@ -1287,15 +1283,8 @@ let send_edit d ~id i ~pos ~del ~insert =
           [
             ("doc", Json.String (doc i));
             ( "edits",
-              Json.List
-                [
-                  Json.Obj
-                    [
-                      ("pos", Json.Int pos);
-                      ("del", Json.Int del);
-                      ("insert", Json.String insert);
-                    ];
-                ] );
+              Json.List [ Server.Protocol.edit_to_json { pos; del; insert } ]
+            );
           ] );
     ]
 

@@ -563,20 +563,25 @@ let check_cmd =
 let sem_cmd =
   let run lang file =
     let s, _ = make_session lang (read_input file) in
-    let sem =
-      Semantics.Typedefs.create
-        ?policy:lang.Languages.Language.ambig.Languages.Language.sem_policy
-        lang.Languages.Language.grammar
+    let d =
+      Semantics.Diag.decide
+        (Semantics.Diag.create lang.Languages.Language.grammar)
+        (Iglr.Session.root s)
     in
-    let r = Semantics.Typedefs.analyze sem (Iglr.Session.root s) in
+    (* Both policies select the declaration; only C++'s counts the rule. *)
+    let prefer_decl =
+      match lang.Languages.Language.ambig.Languages.Language.sem_policy with
+      | Some Prefer_decl -> d.Semantics.Diag.prefer_candidates
+      | Some Namespace_only | None -> 0
+    in
     Printf.printf
       "typedefs=%d choices=%d decided=%d reinterpreted=%d unresolved=%d \
        prefer-decl=%d\n"
-      r.Semantics.Typedefs.typedefs r.choices r.decided r.reinterpreted
-      r.unresolved r.prefer_decl_applied;
+      d.Semantics.Diag.typedef_decls d.choices d.decided d.reinterpreted
+      d.unresolved prefer_decl;
     List.iter
-      (fun (kind, detail) -> Printf.printf "error: %s (%s)\n" kind detail)
-      r.Semantics.Typedefs.errors
+      (fun (kind, name) -> Printf.printf "error: %s (%s)\n" kind name)
+      d.sem_errors
   in
   Cmd.v
     (Cmd.info "sem" ~doc:"Parse and semantically disambiguate a C-like file")
@@ -1004,12 +1009,15 @@ let demo_cmd =
     Format.printf "%a"
       (Parsedag.Pp.pp lang.Languages.Language.grammar)
       (Iglr.Session.root s);
-    let sem = Semantics.Typedefs.create lang.Languages.Language.grammar in
-    let r = Semantics.Typedefs.analyze sem (Iglr.Session.root s) in
+    let d =
+      Semantics.Diag.decide
+        (Semantics.Diag.create lang.Languages.Language.grammar)
+        (Iglr.Session.root s)
+    in
     Printf.printf
       "--- semantic disambiguation: %d choices decided (a -> declaration, \
        c -> call) ---\n"
-      r.Semantics.Typedefs.decided
+      d.Semantics.Diag.decided
   in
   Cmd.v (Cmd.info "demo" ~doc:"Figure 1 walkthrough") Term.(const run $ const ())
 

@@ -8,7 +8,7 @@
 
 module Session = Iglr.Session
 module Language = Languages.Language
-module Typedefs = Semantics.Typedefs
+module Diag = Semantics.Diag
 module Attrs = Semantics.Attrs
 
 let lang = Languages.C_subset.language
@@ -29,7 +29,7 @@ let () =
   (match outcome with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> failwith "initial parse failed");
-  let sem = Typedefs.create g in
+  let sem = Diag.create g in
   let nodes =
     Attrs.create g
       ~leaf:(fun _ -> 1)
@@ -37,11 +37,11 @@ let () =
       ~choice:(fun vs -> Array.fold_left max 0 vs)
   in
   let pipeline tag =
-    let r = Typedefs.analyze sem (Session.root session) in
+    let r = Diag.decide sem (Session.root session) in
     let size = Attrs.eval nodes (Session.root session) in
     Printf.printf
       "%-28s sem: %d decisions (%d flips), attr: %d nodes, %d evaluations\n"
-      tag r.Typedefs.decided r.Typedefs.reinterpreted size
+      tag r.Diag.decided r.Diag.reinterpreted size
       (Attrs.evaluations nodes)
   in
   pipeline "initial analysis";

@@ -11,7 +11,7 @@
 module Session = Iglr.Session
 module Node = Parsedag.Node
 module Language = Languages.Language
-module Typedefs = Semantics.Typedefs
+module Diag = Semantics.Diag
 
 let lang = Languages.Cpp_subset.language
 let g = lang.Language.grammar
@@ -55,12 +55,11 @@ let () =
   show_choices (Session.root session);
 
   (* Semantic disambiguation (§4.2): typedef contours decide namespaces. *)
-  let sem = Typedefs.create ~policy:Typedefs.Prefer_decl g in
-  let report = Typedefs.analyze sem (Session.root session) in
+  let sem = Diag.create g in
+  let report = Diag.decide sem (Session.root session) in
   Printf.printf
     "--- semantic pass: %d typedefs, %d choices decided, %d unresolved ---\n"
-    report.Typedefs.typedefs report.Typedefs.decided
-    report.Typedefs.unresolved;
+    report.Diag.typedef_decls report.Diag.decided report.Diag.unresolved;
   show_choices (Session.root session);
 
   (* Appendix B: delete the ";" after "a (b)" and put it back.  The
@@ -81,7 +80,7 @@ let () =
         stats.Iglr.Glr.shifted_subtrees stats.Iglr.Glr.nodes_created
   | Session.Recovered _ -> failwith "reparse failed");
   (* Re-establish the semantic decisions on the reconstructed region. *)
-  ignore (Typedefs.analyze sem (Session.root session));
+  ignore (Diag.decide sem (Session.root session));
 
   (* §4.2's closing scenario: removing the typedef declaration changes the
      namespace of "a"; the next semantic pass re-filters only the affected
@@ -91,8 +90,8 @@ let () =
   (match Session.reparse session with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> failwith "reparse failed");
-  let report2 = Typedefs.analyze sem (Session.root session) in
+  let report2 = Diag.decide sem (Session.root session) in
   Printf.printf
     "  re-analysis: %d decisions recomputed, %d interpretation(s) flipped\n"
-    report2.Typedefs.decided report2.Typedefs.reinterpreted;
+    report2.Diag.decided report2.Diag.reinterpreted;
   show_choices (Session.root session)

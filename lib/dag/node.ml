@@ -177,6 +177,12 @@ let rec first_terminal n =
       in
       scan 0
 
+let chosen n =
+  match n.kind with
+  | Choice c when c.selected >= 0 && c.selected < Array.length n.kids ->
+      Some n.kids.(c.selected)
+  | _ -> None
+
 let mark_changed n =
   n.changed <- true;
   let rec up = function

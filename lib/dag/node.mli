@@ -125,6 +125,12 @@ val adjust_token_count : t -> int -> unit
 (** Leftmost terminal descendant (via first alternatives), if any. *)
 val first_terminal : t -> t option
 
+(** The selected interpretation of a disambiguated choice node; [None]
+    while it is unresolved, and for every other kind of node.  After
+    selection, tools can treat choice nodes as transparent: this is the
+    embedded-tree view of §4.2(d). *)
+val chosen : t -> t option
+
 (** {1 Change tracking} *)
 
 (** [mark_changed n] sets the local bit and propagates [nested] to the

@@ -1,10 +1,9 @@
 module Cfg = Grammar.Cfg
 
 let resolve_choice (n : Node.t) =
-  match n.Node.kind with
-  | Node.Choice ci ->
-      let pick = if ci.selected >= 0 then ci.selected else 0 in
-      n.Node.kids.(pick)
+  match (n.Node.kind, Node.chosen n) with
+  | _, Some alt -> alt
+  | Node.Choice _, None -> n.Node.kids.(0)
   | _ -> n
 
 let spine_role g (n : Node.t) =

@@ -47,9 +47,10 @@ let measure root =
   let seen = Hashtbl.create 256 in
   let rec walk n =
     match n.Node.kind with
-    | Node.Choice c ->
-        let pick = if c.selected >= 0 then c.selected else 0 in
-        walk n.Node.kids.(pick)
+    | Node.Choice _ -> (
+        match Node.chosen n with
+        | Some alt -> walk alt
+        | None -> walk n.Node.kids.(0))
     | Node.Term _ | Node.Prod _ | Node.Error _ | Node.Bos | Node.Eos _
     | Node.Root ->
         if not (Hashtbl.mem seen n.Node.nid) then begin

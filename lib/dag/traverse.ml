@@ -1,40 +1,3 @@
-let index_of p n =
-  let rec find i =
-    if i >= Array.length p.Node.kids then None
-    else if p.Node.kids.(i) == n then Some i
-    else find (i + 1)
-  in
-  find 0
-
-let rec pop_lookahead n =
-  match n.Node.parent with
-  | None -> invalid_arg "Traverse.pop_lookahead: node has no parent"
-  | Some p -> (
-      match p.Node.kind with
-      | Node.Choice _ ->
-          (* Alternatives have no mutual siblings: climb past the choice. *)
-          pop_lookahead p
-      | Node.Term _ | Node.Prod _ | Node.Error _ | Node.Bos | Node.Eos _
-      | Node.Root -> (
-          match index_of p n with
-          | None ->
-              invalid_arg "Traverse.pop_lookahead: stale parent pointer"
-          | Some i ->
-              if i + 1 < Array.length p.Node.kids then p.Node.kids.(i + 1)
-              else pop_lookahead p))
-
-let left_breakdown n =
-  if Array.length n.Node.kids > 0 then n.Node.kids.(0) else pop_lookahead n
-
-let rec next_terminal n =
-  match n.Node.kind with
-  | Node.Term _ | Node.Eos _ -> n
-  | Node.Bos -> next_terminal (pop_lookahead n)
-  | Node.Choice _ | Node.Prod _ | Node.Error _ | Node.Root -> (
-      match Node.first_terminal n with
-      | Some t -> t
-      | None -> next_terminal (pop_lookahead n))
-
 (* The path from the root to the current subtree: one frame per
    ancestor, deepest first; [current] is [kids.(i)] of the head frame.
    Frames are mutable, so a step to the next sibling allocates nothing. *)

@@ -1,36 +1,21 @@
 (** Input-stream traversal over the previous version of the tree
-    (Appendix A's [pop_lookahead] / [left_breakdown]).
+    (Appendix A).
 
     During a reparse the old tree stays intact; the parser's input stream
     is produced by walking it left to right.  Alternatives of a choice
     node are not siblings of each other — the traversal descends into the
     first alternative and climbs {e past} the choice node, so each
-    ambiguous region contributes its terminal yield exactly once. *)
+    ambiguous region contributes its terminal yield exactly once.
 
-(** [pop_lookahead n] — the next subtree after [n]: its right sibling, or
-    the nearest ancestor's right sibling.  Climbing stops at the root; on
-    the last subtree this returns the {!Node.Eos} sentinel.
-    @raise Invalid_argument if called on the root or past [eos]. *)
-val pop_lookahead : Node.t -> Node.t
-
-(** [left_breakdown n] — decompose the lookahead by one level: the first
-    child (first alternative of a choice), or, for a node with no children
-    (an ε production), the following subtree. *)
-val left_breakdown : Node.t -> Node.t
-
-(** [next_terminal n] — the leftmost terminal of [n]'s yield, or, when the
-    yield is empty, the first terminal after [n]; may return the [Eos]
-    sentinel.  This is the reduction lookahead [redLa] descent. *)
-val next_terminal : Node.t -> Node.t
-
-(** {1 Cursors}
-
-    Parent-pointer navigation costs a linear scan of the parent's child
-    array per step, which is quadratic over a freshly lexed document (the
-    root holds every token).  A cursor materializes the path from the root
-    to the current input subtree with explicit child indices, making
-    [advance] amortized O(1) and [descend] O(1) — the incremental parsers
-    drive their input stream through one. *)
+    Appendix A's stream operations are cursor operations: [pop_lookahead]
+    is {!advance}, [left_breakdown] is {!descend}, and the reduction
+    lookahead [redLa] is {!peek_terminal}.  A cursor materializes the
+    path from the root to the current input subtree with explicit child
+    indices, so [advance] is amortized O(1) and [descend] O(1), where
+    parent-pointer navigation would scan the parent's child array per
+    step — quadratic over a freshly lexed document, whose root holds
+    every token.  The incremental parsers drive their input stream
+    through one. *)
 
 type cursor
 
@@ -42,11 +27,12 @@ val cursor_at : Node.t -> cursor
 (** Current input subtree (the [Eos] sentinel at end). *)
 val current : cursor -> Node.t
 
-(** Move past the current subtree ([pop_lookahead]). *)
+(** Move past the current subtree: its right sibling, or the nearest
+    ancestor's right sibling, climbing past choice nodes. *)
 val advance : cursor -> unit
 
 (** Replace the current subtree by its first child (first alternative of
-    a choice); a node with no children is skipped ([left_breakdown]). *)
+    a choice); a node with no children (an ε production) is skipped. *)
 val descend : cursor -> unit
 
 (** Leftmost terminal at or after the cursor, without moving it. *)

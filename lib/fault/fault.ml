@@ -120,21 +120,6 @@ let skew_ms () =
 (* ------------------------------------------------------------------ *)
 (* Plan syntax.                                                        *)
 
-let plan_to_string p =
-  let rule (site, mode) =
-    match mode with
-    | At l ->
-        site_name site
-        ^ String.concat "" (List.map (fun n -> "@" ^ string_of_int n) l)
-    | Every k -> Printf.sprintf "%s/%d" (site_name site) k
-    | Prob pr -> Printf.sprintf "%s%%%g" (site_name site) pr
-  in
-  String.concat ";"
-    ((Printf.sprintf "seed=%d" p.seed
-      :: (if p.stall_ms <> 2. then [ Printf.sprintf "stall=%g" p.stall_ms ] else [])
-      @ (if p.skew_ms <> 50. then [ Printf.sprintf "skew=%g" p.skew_ms ] else []))
-    @ List.map rule p.rules)
-
 let plan_of_string s =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let clauses =

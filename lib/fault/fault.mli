@@ -52,8 +52,6 @@ val plan_of_string : string -> (plan, string) result
 
     e.g. ["seed=7;kill.mid@3;stall%0.05;sink.fail@9"]. *)
 
-val plan_to_string : plan -> string
-
 val install : plan -> unit
 (** Activate [plan], resetting all occurrence counters. *)
 

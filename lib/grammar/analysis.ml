@@ -113,13 +113,6 @@ let compute g =
   let follow = compute_follow g nullable first in
   { nullable; first; follow; num_terminals = Cfg.num_terminals g }
 
-let first_of_symbol g a = function
-  | Cfg.T t ->
-      let s = Bitset.create (Cfg.num_terminals g) in
-      Bitset.add s t;
-      s
-  | Cfg.N n -> Bitset.copy a.first.(n)
-
 let first_of_word _g a rhs ~from =
   first_of_word_sets ~num_terminals:a.num_terminals ~nullable:a.nullable
     ~first:a.first rhs ~from

@@ -18,8 +18,6 @@ val first : t -> int -> Bitset.t
 val follow : t -> int -> Bitset.t
 (** FOLLOW set of a nonterminal.  Do not mutate the result. *)
 
-val first_of_symbol : Cfg.t -> t -> Cfg.symbol -> Bitset.t
-
 (** [first_of_word g a rhs ~from] is [(s, eps)] where [s] is
     FIRST(rhs\[from..\]) and [eps] says whether the suffix derives ε. *)
 val first_of_word : Cfg.t -> t -> Cfg.symbol array -> from:int -> Bitset.t * bool

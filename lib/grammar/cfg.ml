@@ -5,12 +5,6 @@ let equal_symbol a b =
   | T x, T y | N x, N y -> x = y
   | T _, N _ | N _, T _ -> false
 
-let compare_symbol a b =
-  match a, b with
-  | T x, T y | N x, N y -> compare x y
-  | T _, N _ -> -1
-  | N _, T _ -> 1
-
 type assoc = Left | Right | Nonassoc
 type seq_kind = Not_seq | Seq
 type prod_role = Plain | Seq_empty | Seq_one | Seq_cons
@@ -55,9 +49,6 @@ let productions_of g nt = g.by_lhs.(nt)
 let iter_productions g f = Array.iter f g.productions
 let fold_productions g f acc = Array.fold_left f acc g.productions
 
-let rhs_mentions g p sym =
-  Array.exists (equal_symbol sym) g.productions.(p).rhs
-
 let operator_terminal g p =
   (* The terminal at the second right-hand position of an infix-shaped
      production [A -> B op ...]: the operator in the interpretation the
@@ -72,8 +63,6 @@ let operator_terminal g p =
 let start g = g.start
 let seq_kind g nt = g.seq_kinds.(nt)
 let term_prec g t = g.term_precs.(t)
-
-let pp_symbol g ppf s = Format.pp_print_string ppf (symbol_name g s)
 
 let production_name g i = g.production_names.(i)
 let pp_production g ppf i = Format.pp_print_string ppf (production_name g i)

@@ -11,7 +11,6 @@
 type symbol = T of int | N of int
 
 val equal_symbol : symbol -> symbol -> bool
-val compare_symbol : symbol -> symbol -> int
 
 type assoc = Left | Right | Nonassoc
 
@@ -69,10 +68,6 @@ val iter_productions : t -> (production -> unit) -> unit
 (** [fold_productions g f acc] folds [f] over the productions in id order. *)
 val fold_productions : t -> ('a -> production -> 'a) -> 'a -> 'a
 
-(** [rhs_mentions g p sym] — does production [p]'s right-hand side contain
-    [sym]? *)
-val rhs_mentions : t -> int -> symbol -> bool
-
 val operator_terminal : t -> int -> int option
 (** The terminal at the second right-hand position of production [p]
     ([A -> B op …]): the {e operator} of the interpretation the
@@ -88,7 +83,6 @@ val start : t -> int
 val seq_kind : t -> int -> seq_kind
 val term_prec : t -> int -> (int * assoc) option
 
-val pp_symbol : t -> Format.formatter -> symbol -> unit
 val production_name : t -> int -> string
 (** ["lhs -> x y"] ([ε] for an empty right-hand side), rendered once when
     the grammar is made. *)

@@ -15,6 +15,3 @@ val num_states : t -> int
 val next : t -> int -> char -> int
 val accept : t -> int -> int option
 
-(** [is_dead t s] — no outgoing transitions and not accepting (scanning can
-    stop). *)
-val is_dead : t -> int -> bool

@@ -1,9 +1,5 @@
 type token = { term : int; text : string; trivia : string; lookahead : int }
 
-let pp_token ppf t =
-  Format.fprintf ppf "{term=%d; text=%S; trivia=%S; la=%d}" t.term t.text
-    t.trivia t.lookahead
-
 type error = { error_pos : int }
 
 exception Lex_error of error

@@ -12,8 +12,6 @@ type token = {
   lookahead : int;  (** bytes examined beyond the lexeme's end *)
 }
 
-val pp_token : Format.formatter -> token -> unit
-
 type error = {
   error_pos : int;  (** byte offset where no rule matched *)
 }

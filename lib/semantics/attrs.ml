@@ -40,11 +40,10 @@ and compute t e nid =
   | Node.Term _ -> t.leaf n
   | Node.Prod p ->
       t.rule (Cfg.production t.g p) (Array.map (eval t) n.Node.kids)
-  | Node.Choice ci ->
-      if ci.selected >= 0 && ci.selected < Array.length n.Node.kids then
-        (* Disambiguated: transparent, per §4.2(d). *)
-        eval t n.Node.kids.(ci.selected)
-      else t.choice (Array.map (eval t) n.Node.kids)
+  | Node.Choice _ -> (
+      match Node.chosen n with
+      | Some alt -> (* Disambiguated: transparent, per §4.2(d). *) eval t alt
+      | None -> t.choice (Array.map (eval t) n.Node.kids))
   | Node.Error _ ->
       (* Isolated error region: no production applies.  Degrade to the
          ambiguity combinator over the raw token values — total, so

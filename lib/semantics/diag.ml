@@ -274,13 +274,8 @@ let classify g mode ids (pr : Cfg.production) =
    everything outside the items — the root, the path down to the item
    spine and the spine itself — with the running file scope. *)
 
-let choice_alt (n : Node.t) ci =
-  let i =
-    if ci.Node.selected >= 0 && ci.Node.selected < Array.length n.Node.kids then
-      ci.Node.selected
-    else 0
-  in
-  n.Node.kids.(i)
+let choice_alt (n : Node.t) =
+  match Node.chosen n with Some alt -> alt | None -> n.Node.kids.(0)
 
 type dwalker = {
   da : t;
@@ -406,7 +401,7 @@ let rec dwalk w (n : Node.t) =
     match n.Node.kind with
     | Node.Choice ci ->
         if w.da.mode = Clike then decide_choice w n ci;
-        dwalk w (choice_alt n ci)
+        dwalk w (choice_alt n)
     | Node.Term _ | Node.Bos | Node.Eos _ -> w.tok <- w.tok + Node.token_count n
     | Node.Prod p when w.da.shapes.(p) = S_compound ->
         w.blocks <- [] :: w.blocks;
@@ -473,9 +468,9 @@ type wst = {
    recording the node dependency: a selection flipped from outside
    arrives as [touch] and re-runs every cell whose walk crossed this
    node. *)
-let alt w (n : Node.t) ci =
+let alt w (n : Node.t) =
   Query.depend_node w.e n;
-  choice_alt n ci
+  choice_alt n
 
 let lookup w ns name =
   let rec go = function
@@ -529,7 +524,7 @@ let rec wexpr w (n : Node.t) : ex =
       Enone
   | Node.Root ->
       Eseq (Array.to_list (Array.map (wexpr w) n.Node.kids))
-  | Node.Choice ci -> wexpr w (alt w n ci)
+  | Node.Choice _ -> wexpr w (alt w n)
   | Node.Prod p -> (
       let kids = n.Node.kids in
       match w.a.shapes.(p) with
@@ -568,7 +563,7 @@ let rec wexpr w (n : Node.t) : ex =
    in the type namespace and stays symbolic. *)
 let rec wtype_spec w (n : Node.t) : sts =
   match n.Node.kind with
-  | Node.Choice ci -> wtype_spec w (alt w n ci)
+  | Node.Choice _ -> wtype_spec w (alt w n)
   | Node.Prod _ when Array.length n.Node.kids = 1 -> (
       match n.Node.kids.(0).Node.kind with
       | Node.Term i ->
@@ -600,7 +595,7 @@ let rec wdeclarator w (n : Node.t) : (string * int) option =
       let tok = w.tok in
       w.tok <- w.tok + 1;
       if i.Node.term = w.a.ids.id_t then Some (i.Node.text, tok) else None
-  | Node.Choice ci -> wdeclarator w (alt w n ci)
+  | Node.Choice _ -> wdeclarator w (alt w n)
   | Node.Prod _ | Node.Error _ | Node.Root ->
       Array.fold_left
         (fun acc k ->
@@ -619,7 +614,7 @@ let rec walk w (n : Node.t) =
   | Node.Bos | Node.Eos _ -> ()
   | Node.Error _ -> w.tok <- w.tok + Node.token_count n
   | Node.Root -> Array.iter (walk w) n.Node.kids
-  | Node.Choice ci -> walk w (alt w n ci)
+  | Node.Choice _ -> walk w (alt w n)
   | Node.Prod p -> (
       let kids = n.Node.kids in
       let pr = Cfg.production w.a.g p in
@@ -972,7 +967,7 @@ let spine ~item w (top : Node.t) =
     match n.Node.kind with
     | Node.Choice ci ->
         if a.mode = Clike then decide_choice w n ci;
-        down (choice_alt n ci) conses
+        down (choice_alt n) conses
     | Node.Prod p when (Cfg.production a.g p).Cfg.role = Cfg.Seq_cons ->
         down n.Node.kids.(0) (n :: conses)
     | _ -> (n, conses)
@@ -1055,7 +1050,6 @@ let decide a ?(on_select = ignore) root =
   let _, w, names =
     Fun.protect ~finally:(fun () -> a.on_flip <- ignore) (fun () -> frame a root)
   in
-  ignore (Query.collect a.engine);
   {
     typedef_names = names;
     typedef_decls = w.d_typedefs;

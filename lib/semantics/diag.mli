@@ -6,8 +6,8 @@
       namespace of its leading identifier.  Its one input is the item's
       {e visible-typedef restriction}: the file-scope typedef names
       declared before the item, restricted to the leading identifiers of
-      its choices.  Typedefs local to a block are resolved inside the
-      cell.  A keystroke re-decides the rebuilt item and any item whose
+      its choices.  Typedef names local to a block are resolved inside
+      the cell.  A keystroke re-decides the rebuilt item and any item whose
       restriction changed; every other decision validates clean.
     + {e Scope graph construction} — per top-level item (a statement of
       [calc], an external declaration of the C-like subsets), a summary
@@ -76,7 +76,7 @@ type result = {
 }
 
 (** Every typedef decision of one run, totalled over the document
-    ({!decide}; [Typedefs.report] is a view of it). *)
+    ({!decide}). *)
 type decisions = {
   typedef_names : string list;  (** file-scope typedef names, sorted *)
   typedef_decls : int;  (** typedef declarations walked, any scope *)
@@ -117,10 +117,15 @@ val touch : t -> Parsedag.Node.t -> unit
 
 val decide : t -> ?on_select:(Parsedag.Node.t -> unit) -> Parsedag.Node.t -> decisions
 (** Run the typedef decisions alone over the tree rooted at [root]:
-    fetch every item's decision cell, collect dead cells, and total the
-    counters.  [on_select] sees each choice node whose selection a
-    decision changed.  On a grammar without a typedef namespace nothing
-    is decided. *)
+    fetch every item's decision cell and total the counters.  [on_select]
+    sees each choice node whose selection a decision changed.  On a
+    grammar without a typedef namespace nothing is decided.
+
+    [decide] then {!run} on the same tree is one pass and one engine:
+    [run] validates the decisions clean and sweeps the cells neither
+    used.  [decide] sweeps nothing itself, so the analysis cells of the
+    previous [run] survive it; a long-lived analyzer that only decides
+    sweeps with [Query.collect (engine t)]. *)
 
 val run : t -> ?typedefs:string list -> Parsedag.Node.t -> result
 (** Analyze the committed tree rooted at [root] (pass the session

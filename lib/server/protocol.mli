@@ -134,4 +134,6 @@ val outcome_to_json : Iglr.Session.outcome -> Json.t
 (** [{"status":"parsed",...stats}] or [{"status":"recovered",...}]. *)
 
 val edit_to_json : edit_op -> Json.t
+(** One entry of an [edit] request's [edits] list. *)
+
 val regions_to_json : Iglr.Session.region list -> Json.t

@@ -262,13 +262,6 @@ let with_request rid f =
     Fun.protect ~finally:(fun () -> sh.sh_ctx <- saved) f
   end
 
-let request_id () =
-  if not !on then None
-  else
-    match shards.(Metrics.domain_slot ()) with
-    | Some { sh_ctx = ""; _ } | None -> None
-    | Some sh -> Some sh.sh_ctx
-
 let shard_events sh =
   let r = sh.sh_ring in
   let first = max 0 (sh.sh_next - r.r_cap) in

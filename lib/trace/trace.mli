@@ -85,9 +85,6 @@ val with_request : string -> (unit -> 'a) -> 'a
     carries an extra [("rid", Str rid)] argument.  Brackets nest
     (restores the previous id); a no-op (one branch) when disabled. *)
 
-val request_id : unit -> string option
-(** The request id currently set on this domain, if any. *)
-
 (** {1 Reading the stream} *)
 
 val events : unit -> event list

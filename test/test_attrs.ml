@@ -109,8 +109,9 @@ let test_choice_combination () =
         ~choice:(fun vs -> Array.fold_left max 0 vs)
     in
     if selected then begin
-      let sem = Semantics.Typedefs.create c.Language.grammar in
-      ignore (Semantics.Typedefs.analyze sem (Session.root s))
+      let d = Semantics.Diag.create c.Language.grammar in
+      ignore (Semantics.Diag.decide d (Session.root s));
+      ignore (Semantics.Diag.run d (Session.root s))
     end;
     Attrs.eval ev (Session.root s)
   in

@@ -788,44 +788,23 @@ let daemon_replay lang base (seed, count) =
    recovery — the flag-only fallback deliberately retains a damaged,
    uncommitted tree), the incrementally-maintained analysis — bindings,
    diagnostics, inferred types, and (for C) the typedef report — must
-   render identically to a from-scratch recompute by fresh analyzers on
+   render identically to a from-scratch recompute by a fresh analyzer on
    the same dag.  This is the query engine's correctness contract:
    validation, early cutoff and push-invalidation may skip work, never
    change answers. *)
 module Diag = Semantics.Diag
-module Typedefs = Semantics.Typedefs
 
-let with_typedefs lang =
-  (* The C subsets need semantic disambiguation before name analysis;
-     calc has no choice nodes and no typedef namespace. *)
-  Languages.Registry.name_of lang <> "calc"
-
-let make_analyzers lang =
-  let d = Diag.create lang.Language.grammar in
-  let tds =
-    if with_typedefs lang then begin
-      let tds =
-        Typedefs.create ~policy:Typedefs.Namespace_only lang.Language.grammar
-      in
-      Typedefs.on_select tds (Diag.touch d);
-      Some tds
-    end
-    else None
-  in
-  (d, tds)
-
-let run_analysis (d, tds) root =
-  match tds with
-  | None -> (Diag.run d root, [])
-  | Some tds ->
-      let tr = Typedefs.analyze tds root in
-      ( Diag.run d ~typedefs:(Typedefs.global_typedefs tds) root,
-        [
-          ("typedefs", tr.Typedefs.typedefs);
-          ("choices", tr.Typedefs.choices);
-          ("unresolved", tr.Typedefs.unresolved);
-          ("errors", List.length tr.Typedefs.errors);
-        ] )
+(* One analyzer: the typedef decisions (a no-op on calc, which has no
+   choice nodes and no typedef namespace), then the analyses over them. *)
+let run_analysis d root =
+  let t = Diag.decide d root in
+  ( Diag.run d root,
+    [
+      ("typedefs", t.Diag.typedef_decls);
+      ("choices", t.Diag.choices);
+      ("unresolved", t.Diag.unresolved);
+      ("errors", List.length t.Diag.sem_errors);
+    ] )
 
 let query_replay lang base (seed, count) =
   let table = Language.table lang in
@@ -836,10 +815,9 @@ let query_replay lang base (seed, count) =
   (match outcome0 with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> QCheck.Test.fail_report "base program rejected");
-  let inc = make_analyzers lang in
-  let d, _ = inc in
+  let d = Diag.create lang.Language.grammar in
   Session.on_commit s (fun ~watermark root -> Diag.commit d ~watermark root);
-  ignore (run_analysis inc (Session.root s));
+  ignore (run_analysis d (Session.root s));
   let text = ref base in
   List.for_all
     (fun (e : Edit_gen.edit) ->
@@ -852,8 +830,8 @@ let query_replay lang base (seed, count) =
         | Session.Recovered { isolated; _ } -> isolated > 0
       in
       if committed then begin
-        let r, tsum = run_analysis inc (Session.root s) in
-        let scratch = make_analyzers lang in
+        let r, tsum = run_analysis d (Session.root s) in
+        let scratch = Diag.create lang.Language.grammar in
         let r0, tsum0 = run_analysis scratch (Session.root s) in
         if not (String.equal (Diag.render r) (Diag.render r0)) then
           QCheck.Test.fail_reportf
@@ -879,10 +857,9 @@ let query_reuse_replay lang base (seed, count) =
   (match outcome0 with
   | Session.Parsed _ -> ()
   | Session.Recovered _ -> QCheck.Test.fail_report "base program rejected");
-  let inc = make_analyzers lang in
-  let d, _ = inc in
+  let d = Diag.create lang.Language.grammar in
   Session.on_commit s (fun ~watermark root -> Diag.commit d ~watermark root);
-  ignore (run_analysis inc (Session.root s));
+  ignore (run_analysis d (Session.root s));
   let edits = Edit_gen.token_edits ~seed ~count (Session.text s) in
   List.for_all
     (fun (e : Edit_gen.edit) ->
@@ -893,7 +870,7 @@ let query_reuse_replay lang base (seed, count) =
       | Session.Recovered _ ->
           QCheck.Test.fail_report "neutral token edit broke the parse");
       let c0 = (Query.stats (Diag.engine d)).Query.computes in
-      let r, _ = run_analysis inc (Session.root s) in
+      let r, _ = run_analysis d (Session.root s) in
       let recomputed = (Query.stats (Diag.engine d)).Query.computes - c0 in
       let total = Query.cells (Diag.engine d) in
       if recomputed >= total then
@@ -901,7 +878,7 @@ let query_reuse_replay lang base (seed, count) =
           "no semantic reuse on a single-token edit: recomputed %d of %d \
            cells"
           recomputed total;
-      let scratch = make_analyzers lang in
+      let scratch = Diag.create lang.Language.grammar in
       let r0, _ = run_analysis scratch (Session.root s) in
       if not (String.equal (Diag.render r) (Diag.render r0)) then
         QCheck.Test.fail_report

@@ -181,7 +181,6 @@ let test_domain_safety () =
 module Session = Iglr.Session
 module Language = Languages.Language
 module Diag = Semantics.Diag
-module Typedefs = Semantics.Typedefs
 
 let parse_session lang text =
   let s, outcome =
