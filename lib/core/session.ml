@@ -348,70 +348,64 @@ let run_hook t ~watermark =
     (fun hook -> hook ~watermark (Document.root t.doc))
     (List.rev t.on_commit)
 
+(* Flag-only recovery, the history-based rung of §4.3: the previous
+   structure stays and the pending modifications are marked
+   unincorporated.  Returns how many tokens it flagged. *)
+let flag_pending t ~watermark (error : Glr.error) =
+  (* No commit: keep the watermark so the eventual committing reparse
+     dirties everything allocated since the last commit. *)
+  t.pending_watermark <- Some watermark;
+  let flagged = ref 0 in
+  List.iter
+    (fun (l : Node.t) ->
+      if not l.Node.error then begin
+        l.Node.error <- true;
+        incr flagged
+      end)
+    (Document.changed_tokens t.doc);
+  (* A fully-committed document (the initial parse, or a reparse after
+     commit) has no pending modifications to flag; mark the failure token
+     itself so the damage still shows up in [error_regions] instead of
+     reporting a clean tree. *)
+  if !flagged = 0 then begin
+    let leaves = Document.leaves t.doc in
+    let n = Array.length leaves in
+    if n > 0 then begin
+      let at = max 0 (min error.Glr.offset_tokens (n - 1)) in
+      if not leaves.(at).Node.error then begin
+        leaves.(at).Node.error <- true;
+        incr flagged
+      end
+    end
+  end;
+  !flagged
+
 (* The degradation ladder after a failed (or budget-exhausted) full
    parse: try local isolation under the same absolute deadline; fall
-   back to the history-based flag-only recovery of §4.3 (previous
-   structure retained, pending modifications marked unincorporated). *)
+   back to flag-only recovery.  Only isolation commits a tree. *)
 let recover t ~t0 ~deadline ~cancel ~degraded ~watermark (error : Glr.error) =
   Metrics.incr m_recoveries;
   let location = location_of_token t error.Glr.offset_tokens in
-  match isolate t ~deadline ~cancel error with
-  | Some (rs, tot, stats) ->
-      Metrics.incr m_isolations;
-      let degraded = degraded || stats.Glr.degraded in
-      if degraded then Metrics.incr m_degraded;
-      t.errors <- true;
-      Metrics.observe_since m_reparse_ms t0;
-      run_hook t ~watermark;
-      if Trace.enabled () then
-        Trace.instant Trace.Session "recovered"
-          [
-            ("isolated", Trace.Int (List.length rs));
-            ("flagged", Trace.Int tot);
-            ("at", Trace.Int error.Glr.offset_tokens);
-            ("degraded", Trace.Bool degraded);
-          ];
-      Recovered
-        { flagged = tot; isolated = List.length rs; degraded; error; location }
-  | None ->
-      if degraded then Metrics.incr m_degraded;
-      (* No commit: keep the watermark so the eventual committing
-         reparse dirties everything allocated since the last commit. *)
-      t.pending_watermark <- Some watermark;
-      let flagged = ref 0 in
-      List.iter
-        (fun (l : Node.t) ->
-          if not l.Node.error then begin
-            l.Node.error <- true;
-            incr flagged
-          end)
-        (Document.changed_tokens t.doc);
-      (* A fully-committed document (the initial parse, or a reparse
-         after commit) has no pending modifications to flag; mark the
-         failure token itself so the damage still shows up in
-         [error_regions] instead of reporting a clean tree. *)
-      if !flagged = 0 then begin
-        let leaves = Document.leaves t.doc in
-        let n = Array.length leaves in
-        if n > 0 then begin
-          let at = max 0 (min error.Glr.offset_tokens (n - 1)) in
-          if not leaves.(at).Node.error then begin
-            leaves.(at).Node.error <- true;
-            incr flagged
-          end
-        end
-      end;
-      t.errors <- true;
-      Metrics.observe_since m_reparse_ms t0;
-      if Trace.enabled () then
-        Trace.instant Trace.Session "recovered"
-          [
-            ("isolated", Trace.Int 0);
-            ("flagged", Trace.Int !flagged);
-            ("at", Trace.Int error.Glr.offset_tokens);
-            ("degraded", Trace.Bool degraded);
-          ];
-      Recovered { flagged = !flagged; isolated = 0; degraded; error; location }
+  let flagged, isolated, degraded =
+    match isolate t ~deadline ~cancel error with
+    | Some (rs, tot, stats) ->
+        Metrics.incr m_isolations;
+        (tot, List.length rs, degraded || stats.Glr.degraded)
+    | None -> (flag_pending t ~watermark error, 0, degraded)
+  in
+  if degraded then Metrics.incr m_degraded;
+  t.errors <- true;
+  Metrics.observe_since m_reparse_ms t0;
+  if isolated > 0 then run_hook t ~watermark;
+  if Trace.enabled () then
+    Trace.instant Trace.Session "recovered"
+      [
+        ("isolated", Trace.Int isolated);
+        ("flagged", Trace.Int flagged);
+        ("at", Trace.Int error.Glr.offset_tokens);
+        ("degraded", Trace.Bool degraded);
+      ];
+  Recovered { flagged; isolated; degraded; error; location }
 
 let reparse_owned ?cancel t =
   (* The per-edit root span: every glr/gss/reuse/commit event of this

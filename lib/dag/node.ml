@@ -162,6 +162,26 @@ let adjust_token_count n delta =
   n.tcount <- n.tcount + delta;
   up n.parent
 
+let splice_kids p ~at ~del nodes =
+  let old = p.kids and m = Array.length nodes in
+  let tail = Array.length old - at - del in
+  if at < 0 || del < 0 || tail < 0 then invalid_arg "Node.splice_kids";
+  let kids =
+    if at + m + tail = 0 then [||]
+    else Array.make (at + m + tail) (if m > 0 then nodes.(0) else old.(0))
+  in
+  Array.blit old 0 kids 0 at;
+  Array.blit nodes 0 kids at m;
+  Array.blit old (at + del) kids (at + m) tail;
+  p.kids <- kids;
+  let up = Some p in
+  Array.iter (fun k -> k.parent <- up) nodes;
+  let removed = ref 0 in
+  for i = at to at + del - 1 do
+    removed := !removed + old.(i).tcount
+  done;
+  adjust_token_count p (sum_tcount nodes - !removed)
+
 let rec first_terminal n =
   match n.kind with
   | Term _ -> Some n

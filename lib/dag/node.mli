@@ -119,8 +119,17 @@ val token_count : t -> int
 val refresh_token_count : t -> unit
 
 (** [adjust_token_count n delta] — add [delta] to [n]'s count and every
-    ancestor's (used by the document when splicing terminals). *)
+    ancestor's (used by {!splice_kids}). *)
 val adjust_token_count : t -> int -> unit
+
+(** [splice_kids p ~at ~del nodes] replaces kids [at .. at+del-1] of [p]
+    with [nodes] (one new kid array), points each inserted node's parent
+    at [p], and adjusts the counts of [p] and its ancestors by the net
+    change.  It marks nothing as changed: callers mark what their edit
+    means.  Removed kids keep their parent pointers.  The one way the
+    document rewrites a kid array.
+    @raise Invalid_argument when the range is not within [p]'s kids. *)
+val splice_kids : t -> at:int -> del:int -> t array -> unit
 
 (** Leftmost terminal descendant (via first alternatives), if any. *)
 val first_terminal : t -> t option

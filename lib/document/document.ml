@@ -130,35 +130,17 @@ let index_in_parent (p : Node.t) (n : Node.t) =
   in
   find 0
 
-let remove_from_parent (n : Node.t) =
+let parent_of (n : Node.t) =
   match n.Node.parent with
-  | None -> invalid_arg "Document: leaf without parent"
-  | Some p ->
-      let i = index_in_parent p n in
-      p.Node.kids <-
-        Array.append (Array.sub p.Node.kids 0 i)
-          (Array.sub p.Node.kids (i + 1) (Array.length p.Node.kids - i - 1));
-      Node.adjust_token_count p (-Node.token_count n);
-      Node.mark_changed p
+  | Some p -> p
+  | None -> invalid_arg "Document: node without parent"
 
-let insert_kids (p : Node.t) ~at (nodes : Node.t array) =
-  p.Node.kids <-
-    Array.concat
-      [
-        Array.sub p.Node.kids 0 at;
-        nodes;
-        Array.sub p.Node.kids at (Array.length p.Node.kids - at);
-      ];
-  let added =
-    Array.fold_left (fun acc k -> acc + Node.token_count k) 0 nodes
-  in
-  Node.adjust_token_count p added;
-  Array.iter
-    (fun k ->
-      k.Node.parent <- Some p;
-      Node.mark_changed k)
-    nodes;
-  Node.mark_changed p
+(* Unlink [n] from its parent; returns the parent and the slot [n] had. *)
+let remove_from_parent n =
+  let p = parent_of n in
+  let at = index_in_parent p n in
+  Node.splice_kids p ~at ~del:1 [||];
+  (p, at)
 
 let eos_of t = t.root.Node.kids.(Array.length t.root.Node.kids - 1)
 
@@ -250,25 +232,19 @@ let edit t ~pos ~del ~insert =
      of the first replaced leaf (or sit just before eos when appending);
      the remaining replaced leaves are unlinked from their own parents. *)
   if r.Relex.replaced > 0 || Array.length new_terms > 0 then begin
-    let insert_parent, insert_at =
-      if r.Relex.first < n then begin
-        let anchor = t.leaves.(r.Relex.first) in
-        match anchor.Node.parent with
-        | Some p -> (p, index_in_parent p anchor)
-        | None -> invalid_arg "Document: leaf without parent"
-      end
-      else
-        let eos = eos_of t in
-        match eos.Node.parent with
-        | Some p -> (p, index_in_parent p eos)
-        | None -> invalid_arg "Document: eos without parent"
+    let anchor =
+      if r.Relex.first < n then t.leaves.(r.Relex.first) else eos_of t
     in
+    let insert_parent = parent_of anchor in
+    let insert_at = index_in_parent insert_parent anchor in
     (* Unlink replaced leaves.  The anchor's slot index was captured above;
        removing the anchor first keeps [insert_at] pointing at its spot. *)
     for i = r.Relex.first to r.Relex.first + r.Relex.replaced - 1 do
-      remove_from_parent t.leaves.(i)
+      Node.mark_changed (fst (remove_from_parent t.leaves.(i)))
     done;
-    insert_kids insert_parent ~at:insert_at new_terms
+    Node.splice_kids insert_parent ~at:insert_at ~del:0 new_terms;
+    Array.iter Node.mark_changed new_terms;
+    Node.mark_changed insert_parent
   end;
   (match r.Relex.trailing with
   | Some trailing -> set_trailing t trailing
@@ -342,18 +318,9 @@ let detach_leaves t ~lo ~hi =
   let undo = ref [] in
   for i = lo to hi do
     let leaf = t.leaves.(i) in
-    match leaf.Node.parent with
-    | None -> invalid_arg "Document.detach_leaves: leaf without parent"
-    | Some p ->
-        let idx = index_in_parent p leaf in
-        p.Node.kids <-
-          Array.append
-            (Array.sub p.Node.kids 0 idx)
-            (Array.sub p.Node.kids (idx + 1)
-               (Array.length p.Node.kids - idx - 1));
-        Node.adjust_token_count p (-Node.token_count leaf);
-        Node.mark_changed p;
-        undo := { d_leaf = leaf; d_parent = p; d_index = idx } :: !undo
+    let p, idx = remove_from_parent leaf in
+    Node.mark_changed p;
+    undo := { d_leaf = leaf; d_parent = p; d_index = idx } :: !undo
   done;
   !undo
 
@@ -362,40 +329,34 @@ let reattach undo =
      pass replays the exact inverse operations. *)
   List.iter
     (fun { d_leaf; d_parent; d_index } ->
-      d_parent.Node.kids <-
-        Array.concat
-          [
-            Array.sub d_parent.Node.kids 0 d_index;
-            [| d_leaf |];
-            Array.sub d_parent.Node.kids d_index
-              (Array.length d_parent.Node.kids - d_index);
-          ];
-      d_leaf.Node.parent <- Some d_parent;
-      Node.adjust_token_count d_parent (Node.token_count d_leaf);
+      Node.splice_kids d_parent ~at:d_index ~del:0 [| d_leaf |];
       Node.mark_changed d_parent)
     undo
+
+(* [a]'s parent [c] is a choice: put [a], the on-path alternative, in
+   [c]'s slot.  Counts stay exact: alternatives share their terminals, and
+   a splice below [a] adjusted [c]'s count too.  False when [c] has no
+   parent. *)
+let flatten_choice (c : Node.t) (a : Node.t) =
+  match c.Node.parent with
+  | None -> false
+  | Some q ->
+      q.Node.kids.(index_in_parent q c) <- a;
+      a.Node.parent <- Some q;
+      true
 
 (* Highest ancestor of [anchor] whose yield still starts at [anchor]:
    splicing just before it puts the error run at statement level rather
    than deep inside the following subtree.  Choice nodes on the way are
-   flattened to the on-path alternative — alternatives share their
-   terminals, so the substitution preserves yield and token counts, and
-   it guarantees the spliced error node never sits under a choice (whose
-   alternatives must agree on one yield). *)
+   flattened, which guarantees the spliced error node never sits under a
+   choice (whose alternatives must agree on one yield). *)
 let rec climb_anchor (anchor : Node.t) (a : Node.t) =
   match a.Node.parent with
   | None -> a
   | Some p -> (
       match p.Node.kind with
       | Node.Root -> a
-      | Node.Choice _ -> (
-          match p.Node.parent with
-          | None -> a
-          | Some q ->
-              let i = index_in_parent q p in
-              q.Node.kids.(i) <- a;
-              a.Node.parent <- Some q;
-              climb_anchor anchor a)
+      | Node.Choice _ -> if flatten_choice p a then climb_anchor anchor a else a
       | _ ->
           if
             match Node.first_terminal p with
@@ -409,9 +370,10 @@ let splice_error t ~message ~lo ~hi =
     invalid_arg "Document.splice_error: bad range";
   let kids = Array.sub t.leaves lo (hi - lo + 1) in
   let e = Node.make_error ~message kids in
+  let up = Some e in
   Array.iter
     (fun (k : Node.t) ->
-      k.Node.parent <- Some e;
+      k.Node.parent <- up;
       k.Node.changed <- false;
       k.Node.nested <- false)
     kids;
@@ -419,42 +381,22 @@ let splice_error t ~message ~lo ~hi =
     if hi + 1 < Array.length t.leaves then t.leaves.(hi + 1) else eos_of t
   in
   let a = climb_anchor anchor anchor in
-  match a.Node.parent with
-  | None -> invalid_arg "Document.splice_error: detached anchor"
-  | Some p ->
-      let at = index_in_parent p a in
-      p.Node.kids <-
-        Array.concat
-          [
-            Array.sub p.Node.kids 0 at;
-            [| e |];
-            Array.sub p.Node.kids at (Array.length p.Node.kids - at);
-          ];
-      e.Node.parent <- Some p;
-      Node.adjust_token_count p (Node.token_count e);
-      (* Walk to the root: clear states so the spine over an error region
-         never state-matches (integration of the flagged run is
-         re-attempted on every later reparse, succeeding once the text is
-         repaired), and flatten any choice ancestor — the insertion grew
-         this alternative's yield, so the alternatives no longer agree;
-         keep the on-path interpretation.  [adjust_token_count] above
-         already updated every node on this chain, so the substitution
-         leaves all counts exact. *)
-      let rec fixup (n : Node.t) =
-        n.Node.state <- Node.nostate;
-        match n.Node.parent with
-        | None -> ()
-        | Some q -> (
-            match q.Node.kind with
-            | Node.Choice _ -> (
-                match q.Node.parent with
-                | None -> ()
-                | Some r ->
-                    let i = index_in_parent r q in
-                    r.Node.kids.(i) <- n;
-                    n.Node.parent <- Some r;
-                    fixup n)
-            | _ -> fixup q)
-      in
-      fixup p;
-      e
+  let p = parent_of a in
+  Node.splice_kids p ~at:(index_in_parent p a) ~del:0 [| e |];
+  (* Walk to the root: clear states so the spine over an error region
+     never state-matches (integration of the flagged run is re-attempted
+     on every later reparse, succeeding once the text is repaired), and
+     flatten any choice ancestor — the insertion grew this alternative's
+     yield, so the alternatives no longer agree; keep the on-path
+     interpretation. *)
+  let rec fixup (n : Node.t) =
+    n.Node.state <- Node.nostate;
+    match n.Node.parent with
+    | None -> ()
+    | Some q -> (
+        match q.Node.kind with
+        | Node.Choice _ -> if flatten_choice q n then fixup n
+        | _ -> fixup q)
+  in
+  fixup p;
+  e

@@ -72,9 +72,11 @@ val changed_tokens : t -> Parsedag.Node.t list
 
     Local error recovery masks a damaged token run out of the tree,
     reparses the remainder, and splices the run back as an explicit error
-    node.  These operations keep token counts and parent links exact; the
-    leaves array and the text are never touched (masked terminals stay in
-    the document, only their tree attachment changes). *)
+    node.  Every kid-array rewrite here and in {!edit} goes through
+    {!Parsedag.Node.splice_kids}, which keeps token counts and parent
+    links exact; each operation marks changes itself.  The leaves array
+    and the text are never touched (masked terminals stay in the
+    document, only their tree attachment changes). *)
 
 type detach
 (** Undo record for one detached leaf. *)
@@ -85,17 +87,20 @@ type detach
 val detach_leaves : t -> lo:int -> hi:int -> detach list
 
 (** [reattach undo] — exact inverse of the {!detach_leaves} that produced
-    [undo]: every leaf returns to its recorded parent and slot. *)
+    [undo]: every leaf returns to its recorded parent and slot, and every
+    touched kid array, parent link and count is as before.  The parents
+    stay marked changed. *)
 val reattach : detach list -> unit
 
 (** [splice_error t ~message ~lo ~hi] wraps (currently detached) leaves
     [lo..hi] in a fresh error node and splices it into the tree at the
     token-order position just before leaf [hi+1] (or before eos), at the
     highest ancestor whose yield starts there.  Choice nodes on the climb
-    are flattened to the on-path alternative.  Ancestor states are
-    cleared to {!Parsedag.Node.nostate} so the region is re-offered to
-    the parser on every later reparse; the error subtree's change bits
-    are cleared (it is part of the committed version).  Returns the error
-    node. *)
+    and above the insertion point are flattened to the on-path
+    alternative, so the error node never sits under a choice.  Ancestor
+    states are cleared to {!Parsedag.Node.nostate} so the region is
+    re-offered to the parser on every later reparse; the error subtree's
+    change bits are cleared (it is part of the committed version) and
+    nothing is marked changed.  Returns the error node. *)
 val splice_error :
   t -> message:string -> lo:int -> hi:int -> Parsedag.Node.t

@@ -402,6 +402,120 @@ let test_create_oracle () =
         Alcotest.failf "%s: only %d lexable programs checked" name !programs)
     Languages.Registry.all
 
+(* Error-isolation surgery, driven as [Session]'s isolation loop drives
+   it: runs are sorted, disjoint and non-adjacent, and are detached as
+   one undo stack.  The generated C programs mix plain statements with
+   [t (v);] and [f (x);], each a choice between a declaration and a call,
+   so choice nodes sit on the anchor climbs. *)
+let c = Languages.C_subset.language
+
+let parsed_c seed =
+  let st = Random.State.make [| seed |] in
+  let stmts = [| "t (v);"; "f (x);"; "x = x + 1;"; "int y;"; "{ x = 2; }" |] in
+  let body () =
+    String.concat " "
+      (List.init
+         (2 + Random.State.int st 6)
+         (fun _ -> stmts.(Random.State.int st (Array.length stmts))))
+  in
+  let text =
+    "typedef int t;\n"
+    ^ String.concat ""
+        (List.init 6 (fun i ->
+             Printf.sprintf "int g%d () { int x; %s }\n" i (body ())))
+  in
+  fst
+    (Iglr.Session.create ~table:(Language.table c) ~lexer:(Language.lexer c)
+       text)
+
+let normalize_runs rs =
+  let rec merge = function
+    | (l1, h1) :: (l2, h2) :: rest when l2 <= h1 + 1 ->
+        merge ((l1, max h1 h2) :: rest)
+    | r :: rest -> r :: merge rest
+    | [] -> []
+  in
+  merge (List.sort_uniq compare rs)
+
+let detach_runs doc rs =
+  List.fold_left
+    (fun acc (lo, hi) -> Document.detach_leaves doc ~lo ~hi @ acc)
+    [] rs
+
+let test_detach_reattach () =
+  for seed = 1 to 20 do
+    let s = parsed_c seed in
+    let doc = Iglr.Session.document s in
+    let n = Document.token_count doc in
+    let st = Random.State.make [| seed |] in
+    let runs =
+      normalize_runs
+        (List.init
+           (1 + Random.State.int st 3)
+           (fun _ ->
+             let lo = Random.State.int st n in
+             (lo, min (n - 1) (lo + Random.State.int st 8))))
+    in
+    let before = ref [] in
+    Node.iter
+      (fun (k : Node.t) ->
+        before :=
+          (k, Array.copy k.Node.kids, k.Node.parent, k.Node.tcount) :: !before)
+      (Document.root doc);
+    Document.reattach (detach_runs doc runs);
+    List.iter
+      (fun ((k : Node.t), kids, parent, tcount) ->
+        let what = Printf.sprintf "seed %d node %d" seed k.Node.nid in
+        Alcotest.(check bool) ("kids " ^ what) true
+          (Array.length kids = Array.length k.Node.kids
+          && Array.for_all2 ( == ) kids k.Node.kids);
+        Alcotest.(check bool) ("parent " ^ what) true
+          (match (parent, k.Node.parent) with
+          | Some p, Some q -> p == q
+          | None, None -> true
+          | _ -> false);
+        Alcotest.(check int) ("tcount " ^ what) tcount k.Node.tcount)
+      !before
+  done
+
+(* Each run is the isolation unit around a random leaf; when the masked
+   program parses, the runs are spliced back as error nodes. *)
+let test_splice_error () =
+  let table = Language.table c in
+  let spliced = ref 0 in
+  for seed = 1 to 40 do
+    let s = parsed_c seed in
+    let doc = Iglr.Session.document s in
+    let text = Document.text doc in
+    let n = Document.token_count doc in
+    let st = Random.State.make [| seed |] in
+    let runs =
+      normalize_runs
+        (List.init
+           (1 + Random.State.int st 3)
+           (fun _ -> Iglr.Session.isolation_unit s (Random.State.int st n)))
+    in
+    let undo = detach_runs doc runs in
+    match Iglr.Glr.parse table (Document.root doc) with
+    | exception Iglr.Glr.Parse_error _ -> Document.reattach undo
+    | _ ->
+        incr spliced;
+        List.iter
+          (fun (lo, hi) ->
+            ignore (Document.splice_error doc ~message:"masked" ~lo ~hi))
+          runs;
+        let root = Document.root doc in
+        List.iter
+          (fun v ->
+            Alcotest.failf "seed %d: %a" seed Analyze.Check.pp_violation v)
+          (Analyze.Check.dag ~allow_pending:true ~expect_text:text table root);
+        Alcotest.(check string)
+          (Printf.sprintf "yield, seed %d" seed)
+          text (Node.text_yield root)
+  done;
+  if !spliced < 20 then
+    Alcotest.failf "only %d of 40 masked programs parsed" !spliced
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -434,4 +548,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_multi_edit;
     Alcotest.test_case "create = scratch build, every language" `Quick
       test_create_oracle;
+    Alcotest.test_case "surgery: detach then reattach restores" `Quick
+      test_detach_reattach;
+    Alcotest.test_case "surgery: splice_error keeps the dag sane" `Quick
+      test_splice_error;
   ]
