@@ -560,14 +560,25 @@ let check_cmd =
        ~doc:"Parse a file and validate the parse dag's structural invariants")
     Term.(const run $ lang_arg $ file_arg)
 
+(* The language's semantic analyzer.  A language without semantic
+   analysis is a usage error: exit 3. *)
+let semantic_analyzer ~tool lang =
+  let g = lang.Languages.Language.grammar in
+  if not (Semantics.Diag.supported g) then begin
+    Printf.eprintf
+      "%s: language %s has no semantic analysis (supported: languages with \
+       assignment statements or C-like declarations)\n"
+      tool
+      (Languages.Registry.name_of lang);
+    exit 3
+  end;
+  Semantics.Diag.create g
+
 let sem_cmd =
   let run lang file =
+    let analyzer = semantic_analyzer ~tool:"sem" lang in
     let s, _ = make_session lang (read_input file) in
-    let d =
-      Semantics.Diag.decide
-        (Semantics.Diag.create lang.Languages.Language.grammar)
-        (Iglr.Session.root s)
-    in
+    let d = Semantics.Diag.decide analyzer (Iglr.Session.root s) in
     (* Both policies select the declaration; only C++'s counts the rule. *)
     let prefer_decl =
       match lang.Languages.Language.ambig.Languages.Language.sem_policy with
@@ -598,14 +609,7 @@ let diag_cmd =
              $(b,iglrc ambig) and $(b,iglrc filtcomp)).")
   in
   let run lang file json =
-    (* A language without semantic analysis is a usage error: exit 3. *)
-    if not (Semantics.Diag.supported lang.Languages.Language.grammar) then begin
-      Printf.eprintf
-        "diag: language %s has no semantic analysis (supported: languages \
-         with assignment statements or C-like declarations)\n"
-        (Languages.Registry.name_of lang);
-      exit 3
-    end;
+    let analyzer = semantic_analyzer ~tool:"diag" lang in
     analysis ~tool:"diag" ~json ~header:false lang @@ fun name lang ->
     let s, outcome = make_session lang (read_input file) in
     let syntax_error =
@@ -614,11 +618,7 @@ let diag_cmd =
       | Iglr.Session.Recovered { error; location; _ } ->
           Some (location, error.Iglr.Glr.message)
     in
-    let r =
-      Semantics.Diag.run
-        (Semantics.Diag.create lang.Languages.Language.grammar)
-        (Iglr.Session.root s)
-    in
+    let r = Semantics.Diag.run analyzer (Iglr.Session.root s) in
     let loc tok = Iglr.Session.location_of_token s tok in
     let text ppf =
       Option.iter

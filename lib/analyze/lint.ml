@@ -41,27 +41,6 @@ let warnings ds = List.filter (fun d -> severity d = Warning) ds
 (* ------------------------------------------------------------------ *)
 (* Grammar hygiene.                                                    *)
 
-(* Productivity fixpoint: a nonterminal is productive iff some production
-   has every nonterminal of its rhs already productive. *)
-let productive_nts g =
-  let ok = Array.make (Cfg.num_nonterminals g) false in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Cfg.iter_productions g (fun p ->
-        if not ok.(p.Cfg.lhs) then
-          let all =
-            Array.for_all
-              (function Cfg.T _ -> true | Cfg.N n -> ok.(n))
-              p.Cfg.rhs
-          in
-          if all then begin
-            ok.(p.Cfg.lhs) <- true;
-            changed := true
-          end)
-  done;
-  ok
-
 (* Reachability from the start symbol through production right-hand
    sides. *)
 let reachable_nts g =
@@ -165,13 +144,14 @@ let unused_prec_levels g =
   |> List.sort compare
 
 let grammar_diagnostics g =
-  let productive = productive_nts g in
+  let yields = Grammar.Yield.shortest_yields g in
+  let productive n = yields (Cfg.N n) <> None in
   let reachable = reachable_nts g in
   let analysis = Analysis.compute g in
   let nts = ref [] in
   for n = Cfg.num_nonterminals g - 1 downto 0 do
     if not reachable.(n) then nts := Unreachable_nt n :: !nts
-    else if not productive.(n) then nts := Unproductive_nt n :: !nts
+    else if not (productive n) then nts := Unproductive_nt n :: !nts
   done;
   (* A production is useless when it can never appear in a terminal
      derivation even though its lhs otherwise can. *)
@@ -180,11 +160,11 @@ let grammar_diagnostics g =
       (fun acc p ->
         let mentions_unproductive =
           Array.exists
-            (function Cfg.N n -> not productive.(n) | Cfg.T _ -> false)
+            (function Cfg.N n -> not (productive n) | Cfg.T _ -> false)
             p.Cfg.rhs
         in
         if mentions_unproductive && reachable.(p.Cfg.lhs)
-           && productive.(p.Cfg.lhs)
+           && productive p.Cfg.lhs
         then Useless_production p.Cfg.p_id :: acc
         else acc)
       []

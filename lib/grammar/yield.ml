@@ -1,7 +1,7 @@
 (* Shortest terminal yield of every nonterminal (None when unproductive),
-   by cost relaxation to a fixpoint.  Moved here from lib/analyze/lint so
-   the lint shortest-example search and the ambiguity witness generator
-   share one implementation. *)
+   by cost relaxation to a fixpoint.  Lint's productivity check and
+   shortest-example search and the ambiguity witness generator share this
+   one implementation. *)
 let yield_fixpoint g =
   let nn = Cfg.num_nonterminals g in
   let cost = Array.make nn max_int in

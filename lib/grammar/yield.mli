@@ -1,9 +1,9 @@
 (** Sentence generation from a grammar: shortest terminal yields, bounded
     sentence enumeration, and minimal surrounding contexts.
 
-    This is the single home for yield expansion — both the lint
-    shortest-example search and the ambiguity witness generator build on
-    it, so the two can never drift apart.  Everything here is
+    This is the single home for yield expansion — lint's productivity
+    check and shortest-example search and the ambiguity witness generator
+    build on it, so they can never drift apart.  Everything here is
     deterministic: fixpoints relax in production-id order and the
     enumeration queue is FIFO, so repeated runs produce identical output
     (golden tests rely on this). *)

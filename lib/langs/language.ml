@@ -38,9 +38,8 @@ let spec_of_rule = function
   | Iglr.Syn_filter.Fewest_nodes -> Lrtab.Compile.Opaque "fewest-nodes"
   | Iglr.Syn_filter.Custom _ -> Lrtab.Compile.Opaque "custom"
 
-let make ~name ~grammar ?(algo = Lrtab.Table.LALR) ?(ambig = default_ambig)
-    ~rules () =
-  let conflict_table = lazy (Lrtab.Table.build ~algo grammar) in
+let make ~name ~grammar ?(ambig = default_ambig) ~rules () =
+  let conflict_table = lazy (Lrtab.Table.build grammar) in
   let compiled =
     lazy
       (Lrtab.Compile.compile

@@ -66,7 +66,6 @@ val spec_of_rule : Iglr.Syn_filter.rule -> Lrtab.Compile.spec
 val make :
   name:string ->
   grammar:Grammar.Cfg.t ->
-  ?algo:Lrtab.Table.algo ->
   ?ambig:ambig_spec ->
   rules:Lexgen.Spec.rule list ->
   unit ->
@@ -78,7 +77,7 @@ val table : t -> Lrtab.Table.t
     [max_residual = 0] and the committed certificates forbid. *)
 
 val conflict_table : t -> Lrtab.Table.t
-(** The conflict-retaining table, before filter compilation. *)
+(** The conflict-retaining LALR(1) table, before filter compilation. *)
 
 val lexer : t -> Lexgen.Spec.t
 
