@@ -1051,7 +1051,7 @@ let overhead () =
 (* ------------------------------------------------------------------ *)
 (* Static ambiguity analysis: analyzer cost and coverage drift.        *)
 
-(* The analyzer runs at build time (@ambig-smoke), so what matters here
+(* The analyzer runs at build time (@cli-smoke), so what matters here
    is that a grammar change neither blows up the witness search nor
    drifts the committed coverage.  Timing is absolute analyze time per
    language at the witness bound K = 5 (the bound the smoke alias
