@@ -23,19 +23,6 @@ let kind_name (n : Node.t) =
 let is_error_kid (k : Node.t) =
   match k.Node.kind with Node.Error _ -> true | _ -> false
 
-(* Is [n] an interior node of a sequence spine (i.e. the leftmost kid of a
-   same-nonterminal Seq_cons production)?  Spine checks run only at spine
-   roots so a spine of length k is walked once, not k times. *)
-let spine_interior g (n : Node.t) =
-  match n.Node.parent with
-  | Some ({ Node.kind = Node.Prod q; _ } as p) ->
-      let prod = Cfg.production g q in
-      prod.Cfg.role = Cfg.Seq_cons
-      && Cfg.seq_kind g prod.Cfg.lhs = Cfg.Seq
-      && Array.length p.Node.kids > 0
-      && p.Node.kids.(0) == n
-  | _ -> false
-
 let dag ?(allow_pending = false) ?expect_text table root =
   let g = Table.grammar table in
   let num_states = Table.num_states table in
@@ -227,11 +214,12 @@ let dag ?(allow_pending = false) ?expect_text table root =
   (* Sequence balance: at every spine root, the flattened view must agree
      with the spine — no element may itself be a node of the spine's own
      sequence nonterminal (a missed spine link), and the elements' tokens
-     must be covered by the spine's count. *)
+     must be covered by the spine's count.  Checking at the roots only
+     walks a spine of length k once, not k times. *)
   Node.iter
     (fun n ->
       match Node.symbol g n with
-      | `N nt when Cfg.seq_kind g nt = Cfg.Seq && not (spine_interior g n) ->
+      | `N nt when Sequence.is_spine_root g n ->
           let elements = Sequence.elements g n in
           List.iteri
             (fun i (e : Node.t) ->

@@ -1,6 +1,6 @@
 module Node = Parsedag.Node
 module Document = Vdoc.Document
-module Cfg = Grammar.Cfg
+module Sequence = Parsedag.Sequence
 
 (* Reparse latency distribution across every session in the process;
    log-ish bucket bounds in milliseconds. *)
@@ -124,26 +124,6 @@ let token_end_byte t j =
 
 let grammar t = Lrtab.Table.grammar t.table
 
-(* [n] is a sequence element: its parent — through choice wrappers — is a
-   [Seq_one]/[Seq_cons] production of a sequence nonterminal with [n] in
-   the element slot (the last kid in every spine pattern). *)
-let rec is_seq_element g (n : Node.t) =
-  match n.Node.parent with
-  | None -> false
-  | Some p -> (
-      match p.Node.kind with
-      | Node.Choice _ -> is_seq_element g p
-      | Node.Prod pr -> (
-          let prod = Cfg.production g pr in
-          Cfg.seq_kind g prod.Cfg.lhs = Cfg.Seq
-          &&
-          match prod.Cfg.role with
-          | Cfg.Seq_one | Cfg.Seq_cons ->
-              Array.length p.Node.kids > 0
-              && p.Node.kids.(Array.length p.Node.kids - 1) == n
-          | Cfg.Seq_empty | Cfg.Plain -> false)
-      | _ -> false)
-
 (* Walk the parent path up from leaf [i], offering each node and its
    leaf-index span to [f] until it answers [Some _].  Spans come from
    arithmetic, not lookups (Appendix A's cover()): a parent's first leaf
@@ -178,7 +158,7 @@ let isolation_unit t i =
   let unit (n : Node.t) s =
     match n.Node.kind with
     | Node.Error _ -> Some s
-    | _ -> if is_seq_element g n then Some s else None
+    | _ -> if Sequence.is_element g n then Some s else None
   in
   match find_up t i unit with Some s -> s | None -> (i, i)
 
@@ -190,7 +170,7 @@ let isolation_unit t i =
 let escalate t (lo, hi) =
   let g = grammar t in
   let covers (n : Node.t) (l, h) =
-    if is_seq_element g n && l <= lo && hi <= h && (l < lo || hi < h) then
+    if Sequence.is_element g n && l <= lo && hi <= h && (l < lo || hi < h) then
       Some (l, h)
     else None
   in

@@ -200,29 +200,32 @@ let reference_error_regions s =
            r_message = msg;
          })
 
+(* The parent-path element test that [Sequence.is_element] replaced:
+   [n]'s parent, through choice wrappers, lists one element of a sequence
+   and [n] is its last kid. *)
+let rec reference_is_element g (n : Node.t) =
+  match n.Node.parent with
+  | None -> false
+  | Some p -> (
+      match p.Node.kind with
+      | Node.Choice _ -> reference_is_element g p
+      | Node.Prod pr -> (
+          let prod = Grammar.Cfg.production g pr in
+          Grammar.Cfg.seq_kind g prod.Grammar.Cfg.lhs = Grammar.Cfg.Seq
+          &&
+          match prod.Grammar.Cfg.role with
+          | Grammar.Cfg.Seq_one | Grammar.Cfg.Seq_cons ->
+              Array.length p.Node.kids > 0
+              && p.Node.kids.(Array.length p.Node.kids - 1) == n
+          | Grammar.Cfg.Seq_empty | Grammar.Cfg.Plain -> false)
+      | _ -> false)
+
 (* The hashed climb that [Session.isolation_unit] replaced. *)
 let reference_unit s i =
   let g = Lrtab.Table.grammar (Session.table s) in
   let doc = Session.document s in
   let idx_tbl = leaf_index doc in
   let leaves = Vdoc.Document.leaves doc in
-  let rec is_seq_element (n : Node.t) =
-    match n.Node.parent with
-    | None -> false
-    | Some p -> (
-        match p.Node.kind with
-        | Node.Choice _ -> is_seq_element p
-        | Node.Prod pr -> (
-            let prod = Grammar.Cfg.production g pr in
-            Grammar.Cfg.seq_kind g prod.Grammar.Cfg.lhs = Grammar.Cfg.Seq
-            &&
-            match prod.Grammar.Cfg.role with
-            | Grammar.Cfg.Seq_one | Grammar.Cfg.Seq_cons ->
-                Array.length p.Node.kids > 0
-                && p.Node.kids.(Array.length p.Node.kids - 1) == n
-            | Grammar.Cfg.Seq_empty | Grammar.Cfg.Plain -> false)
-        | _ -> false)
-  in
   let existing =
     match leaves.(i).Node.parent with
     | Some ({ Node.kind = Node.Error _; _ } as e) -> reference_span idx_tbl e
@@ -232,7 +235,7 @@ let reference_unit s i =
   | Some sp -> sp
   | None -> (
       let rec climb (n : Node.t) =
-        if is_seq_element n then reference_span idx_tbl n
+        if reference_is_element g n then reference_span idx_tbl n
         else match n.Node.parent with Some p -> climb p | None -> None
       in
       match climb leaves.(i) with Some sp -> sp | None -> (i, i))
