@@ -306,6 +306,29 @@ let session_busy () =
   | exception Session.Busy -> ()
   | _ -> Alcotest.fail "re-entrant reparse did not raise Busy"
 
+(* The scheduler forgets a document once its queue is idle and empty:
+   after a thousand one-job keys have come and gone (as [open-project]
+   opens a fresh document per file), it holds about what it holds after
+   ten.  What may remain is the key table's bucket array, sized by the
+   peak number of keys in flight. *)
+let scheduler_forgets_keys () =
+  let words keys =
+    let t = Server.Scheduler.create ~jobs:1 in
+    for k = 1 to keys do
+      Server.Scheduler.submit t ~key:(Printf.sprintf "f%d" k) ignore
+    done;
+    Server.Scheduler.drain t;
+    Alcotest.(check (list (pair string int))) "no pending keys" []
+      (Server.Scheduler.depths t);
+    let w = Obj.reachable_words (Obj.repr t) in
+    Server.Scheduler.shutdown t;
+    w
+  in
+  let few = words 10 and many = words 1000 in
+  if many > few + 2048 then
+    Alcotest.failf "scheduler holds %d words after 1000 keys, %d after 10"
+      many few
+
 let suite =
   [
     Alcotest.test_case "8 docs x interleaved edits = oracle replay" `Quick
@@ -316,4 +339,6 @@ let suite =
       budget_degrades_deterministically;
     Alcotest.test_case "re-entrant session use raises Busy" `Quick
       session_busy;
+    Alcotest.test_case "scheduler forgets idle documents" `Quick
+      scheduler_forgets_keys;
   ]
