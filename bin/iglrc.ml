@@ -759,10 +759,17 @@ let replay_edits ?(before_last = ignore) ?(after = fun _ _ -> ()) session
       after i (Iglr.Session.reparse session))
     edits
 
-let replay_script ?before_last session script =
-  Option.iter
-    (fun path -> replay_edits ?before_last session (edits_of_script path))
-    script
+(* The prologue of trace/dot/explain: parse [file], noting on stderr an
+   initial parse that recovered, then replay the edit script (if any).
+   Returns the session and the script's edits. *)
+let parse_then_replay ?before_last lang file script =
+  let session, outcome = make_session lang (read_input file) in
+  (match outcome with
+  | Iglr.Session.Parsed _ -> ()
+  | Iglr.Session.Recovered _ -> prerr_endline "note: initial parse recovered");
+  let edits = Option.fold ~none:[] ~some:edits_of_script script in
+  replay_edits ?before_last session edits;
+  (session, edits)
 
 (* dot/explain render the committed dag, so they refuse to describe a
    corrupt one: run the sanitizer first and fail fast.  Recovery leaves
@@ -794,7 +801,7 @@ let errors_cmd =
     | Iglr.Session.Recovered { error; flagged; isolated; degraded; location }
       ->
         print_recovered stdout ~flagged ~isolated ~degraded ~error ~location);
-    replay_script session script;
+    Option.iter (fun p -> replay_edits session (edits_of_script p)) script;
     match Iglr.Session.error_regions session with
     | [] -> print_endline "no error regions"
     | regions ->
@@ -847,15 +854,9 @@ let trace_cmd =
           ~doc:"Output file for the Chrome trace-event JSON.")
   in
   let run lang file script out =
-    let text = read_input file in
     Trace.set_enabled true;
     Trace.clear ();
-    let session, outcome = make_session lang text in
-    (match outcome with
-    | Iglr.Session.Parsed _ -> ()
-    | Iglr.Session.Recovered _ ->
-        prerr_endline "note: initial parse recovered");
-    replay_script session script;
+    ignore (parse_then_replay lang file script);
     Trace.set_enabled false;
     if Trace.dropped () > 0 then
       Printf.eprintf "warning: ring overflow, %d event(s) dropped\n"
@@ -892,18 +893,18 @@ let dot_cmd =
              active) instead of the committed parse dag.")
   in
   let run lang file script gss =
-    let text = read_input file in
     if gss then begin
       Trace.set_enabled true;
       Trace.clear ()
     end;
-    let session, _ = make_session lang text in
     (* Node-id watermark taken just before the last edit: nodes that
        survive the final reparse with a smaller id were reused from the
        previous version. *)
     let watermark = ref max_int in
-    replay_script session script ~before_last:(fun () ->
-        watermark := Parsedag.Node.allocated ());
+    let session, _ =
+      parse_then_replay lang file script ~before_last:(fun () ->
+          watermark := Parsedag.Node.allocated ())
+    in
     if gss then begin
       Trace.set_enabled false;
       let snapshot =
@@ -944,24 +945,19 @@ let dot_cmd =
 
 let explain_cmd =
   let run lang file script =
-    let text = read_input file in
-    let session, outcome = make_session lang text in
-    (match outcome with
-    | Iglr.Session.Parsed _ -> ()
-    | Iglr.Session.Recovered _ ->
-        prerr_endline "note: initial parse recovered");
-    let edits = edits_of_script script in
+    (* Replay every edit but trace only the last one: the report describes
+       a single reparse against a settled document. *)
+    let session, edits =
+      parse_then_replay lang file (Some script) ~before_last:(fun () ->
+          Trace.set_enabled true;
+          Trace.clear ())
+    in
+    Trace.set_enabled false;
     let n = List.length edits in
     if n = 0 then begin
       prerr_endline "explain: empty edit script";
       exit 1
     end;
-    (* Replay every edit but trace only the last one: the report describes
-       a single reparse against a settled document. *)
-    replay_edits session edits ~before_last:(fun () ->
-        Trace.set_enabled true;
-        Trace.clear ());
-    Trace.set_enabled false;
     guard_dag "explain" session;
     let r = Trace.Explain.of_events (Trace.events ()) in
     (* Token offset -> character offset, via the document's leaf starts. *)
