@@ -342,68 +342,66 @@ let find_witness st ~prods ~nts =
 (* ------------------------------------------------------------------ *)
 (* Filter-coverage replay.                                             *)
 
-let replay st (w : witness) =
-  let cfg = st.cfg and g = st.g in
-  let tokens_of tws =
+let run_pipeline table rules tws =
+  let tokens =
     List.map
       (fun (term, text) -> { Scanner.term; text; trivia = " "; lookahead = 0 })
       tws
   in
-  let parse tws =
-    match Glr.parse_tokens cfg.a_table (tokens_of tws) ~trailing:"" with
-    | root, _ -> Some root
-    | exception Glr.Parse_error _ -> None
-  in
-  let apply_syn root =
-    if cfg.a_syn_filters <> [] then
-      ignore (Syn_filter.apply g cfg.a_syn_filters root);
-    root
-  in
-  match parse w.w_tokens with
+  match Glr.parse_tokens table tokens ~trailing:"" with
+  | exception Glr.Parse_error _ -> None
+  | root, _ ->
+      if rules <> [] then
+        ignore (Syn_filter.apply (Table.grammar table) rules root);
+      Some root
+
+let replay st (w : witness) =
+  let cfg = st.cfg and g = st.g in
+  let choices root = Parsedag.Stats.((measure root).choice_nodes) in
+  match run_pipeline cfg.a_table [] w.w_tokens with
   | None ->
       (* Precedence filtering only ever *narrows* choices, except
          nonassoc combinations which can reject outright — either way
          the ambiguity is statically killed. *)
       (Resolved_static, "witness rejected by the statically filtered table")
+  | Some root when choices root = 0 ->
+      (Resolved_static, "parses deterministically under the filtered table")
   | Some root ->
-      if Parsedag.Stats.((measure root).choice_nodes) = 0 then
-        (Resolved_static, "parses deterministically under the filtered table")
+      if cfg.a_syn_filters <> [] then
+        ignore (Syn_filter.apply g cfg.a_syn_filters root);
+      if choices root = 0 then
+        (Resolved_syntactic, "resolved by dynamic syntactic filters")
+      else if not cfg.a_semantic then
+        ( Retained_unresolved,
+          "choice nodes survive all filters (no semantic policy)" )
       else
-        let root = apply_syn root in
-        if Parsedag.Stats.((measure root).choice_nodes) = 0 then
-          (Resolved_syntactic, "resolved by dynamic syntactic filters")
-        else if not cfg.a_semantic then
-          ( Retained_unresolved,
-            "choice nodes survive all filters (no semantic policy)" )
+        let semantically_resolved tws =
+          match run_pipeline cfg.a_table cfg.a_syn_filters tws with
+          | None -> false
+          | Some root ->
+              let d = Diag.decide (Diag.create g) root in
+              d.Diag.choices > 0 && d.Diag.unresolved = 0
+        in
+        if semantically_resolved w.w_tokens then
+          (Resolved_semantic, "semantic filter decides every choice")
+        else if cfg.a_sem_preamble = [] then
+          (Retained_unresolved, "semantic filter leaves choices unresolved")
         else
-          let semantically_resolved tws =
-            match parse tws with
-            | None -> false
-            | Some root ->
-                let d = Diag.decide (Diag.create g) (apply_syn root) in
-                d.Diag.choices > 0 && d.Diag.unresolved = 0
+          let preamble =
+            List.map
+              (fun name ->
+                let t = Cfg.find_terminal g name in
+                (t, if name = "id" then "x" else name))
+              cfg.a_sem_preamble
           in
-          if semantically_resolved w.w_tokens then
-            (Resolved_semantic, "semantic filter decides every choice")
-          else if cfg.a_sem_preamble = [] then
-            ( Retained_unresolved,
-              "semantic filter leaves choices unresolved" )
+          if semantically_resolved (preamble @ w.w_tokens) then
+            ( Resolved_semantic,
+              "semantic filter decides every choice given the typedef \
+               preamble" )
           else
-            let preamble =
-              List.map
-                (fun name ->
-                  let t = Cfg.find_terminal g name in
-                  (t, if name = "id" then "x" else name))
-                cfg.a_sem_preamble
-            in
-            if semantically_resolved (preamble @ w.w_tokens) then
-              ( Resolved_semantic,
-                "semantic filter decides every choice given the typedef \
-                 preamble" )
-            else
-              ( Retained_unresolved,
-                "semantic filter leaves choices unresolved even with the \
-                 typedef preamble" )
+            ( Retained_unresolved,
+              "semantic filter leaves choices unresolved even with the \
+               typedef preamble" )
 
 (* ------------------------------------------------------------------ *)
 (* Class assembly.                                                     *)

@@ -1,8 +1,6 @@
 module Cfg = Grammar.Cfg
 module Table = Lrtab.Table
 module Compile = Lrtab.Compile
-module Scanner = Lexgen.Scanner
-module Glr = Iglr.Glr
 module Syn_filter = Iglr.Syn_filter
 module J = Metrics.Json
 
@@ -118,26 +116,9 @@ let lint_rules table ~rules ~specs =
 (* ------------------------------------------------------------------ *)
 (* Soundness certification (the expensive path).                       *)
 
-(* Parse a token-id/lexeme list through a (table, post-parse rules)
-   pipeline; [None] = rejected.  This is the whole dynamic pipeline the
-   compiled one must be indistinguishable from — semantic filters run
-   after both and see the same dag, so they need no replay here. *)
-let run_pipeline table rules tws =
-  let g = Table.grammar table in
-  let tokens =
-    List.map
-      (fun (term, text) -> { Scanner.term; text; trivia = " "; lookahead = 0 })
-      tws
-  in
-  match Glr.parse_tokens table tokens ~trailing:"" with
-  | exception Glr.Parse_error _ -> None
-  | root, _ ->
-      if rules <> [] then ignore (Syn_filter.apply g rules root);
-      Some root
-
 let equal_outcome dyn_table dyn_rules comp_table comp_rules tws =
-  match run_pipeline dyn_table dyn_rules tws,
-        run_pipeline comp_table comp_rules tws with
+  match Ambig.run_pipeline dyn_table dyn_rules tws,
+        Ambig.run_pipeline comp_table comp_rules tws with
   | None, None -> Ok `Both_rejected
   | Some _, None -> Error "dynamic accepts, compiled rejects"
   | None, Some _ -> Error "compiled accepts, dynamic rejects"
