@@ -203,6 +203,12 @@ let chosen n =
       Some n.kids.(c.selected)
   | _ -> None
 
+let alt n =
+  match (n.kind, chosen n) with
+  | _, Some a -> a
+  | Choice _, None -> n.kids.(0)
+  | _ -> n
+
 let mark_changed n =
   n.changed <- true;
   let rec up = function

@@ -140,6 +140,10 @@ val first_terminal : t -> t option
     embedded-tree view of §4.2(d). *)
 val chosen : t -> t option
 
+(** The selected (else the first) alternative of a choice node; any other
+    node itself.  The path every one-reading walk follows. *)
+val alt : t -> t
+
 (** {1 Change tracking} *)
 
 (** [mark_changed n] sets the local bit and propagates [nested] to the

@@ -47,10 +47,7 @@ let measure root =
   let seen = Hashtbl.create 256 in
   let rec walk n =
     match n.Node.kind with
-    | Node.Choice _ -> (
-        match Node.chosen n with
-        | Some alt -> walk alt
-        | None -> walk n.Node.kids.(0))
+    | Node.Choice _ -> walk (Node.alt n)
     | Node.Term _ | Node.Prod _ | Node.Error _ | Node.Bos | Node.Eos _
     | Node.Root ->
         if not (Hashtbl.mem seen n.Node.nid) then begin
