@@ -162,3 +162,40 @@ let dynamic_session lang text =
     ~lexer:(Language.lexer lang) lang.Language.ambig.Language.syn_filters text
 
 let count_choices root = Parsedag.Stats.((measure root).choice_nodes)
+
+(* One digit-bearing program per bundled language that the deterministic
+   baselines can parse: every registry language whose parse table is
+   conflict-free, so a new deterministic language fails here until it
+   brings a program. *)
+let deterministic_programs =
+  lazy
+    (let module Language = Languages.Language in
+     let program = function
+       | "calc" -> "a = 11;\nb = (a + 22) * 3;\nc = b / 4;\n"
+       | "tiny" ->
+           "proc f1 ( ) { a = 1 + 2; print a * 3; }\n\
+            proc g2 ( ) { if (a1) { b = (4 + a) * 5; } else { print 6; }\n\
+           \  while (b) { b = b + 7; } }\n"
+       | "modula2" ->
+           "MODULE m1;\n\
+            VAR x : INTEGER;\n\
+            PROCEDURE p2; BEGIN y := y DIV 2; END p2;\n\
+            BEGIN\n\
+            IF x < 10 THEN x := x + 1; ELSE x := 0; END;\n\
+            WHILE x # 0 DO x := x - 3 * x4; END;\n\
+            END m1.\n"
+       | "lisp" -> "(define (f1 x) (+ x 1 (g2 3)))\n'(a4 5 \"s6\") 78\n"
+       | "java" ->
+           "class P1 {\n\
+           \  int x2;\n\
+           \  int d() { int d3 = x2 * 4 + 5; return d3; }\n\
+           \  void r() { x2 = 6; if (x2 == 7) x2 = 8; else x2 = 9; }\n\
+            }\n"
+       | name -> failwith ("no deterministic baseline program for " ^ name)
+     in
+     List.filter_map
+       (fun (name, lang) ->
+         if Lrtab.Table.is_deterministic (Language.table lang) then
+           Some (name, lang, program name)
+         else None)
+       Languages.Registry.all)
