@@ -427,7 +427,7 @@ let sec5_incremental () =
     !total /. float_of_int (2 * count) *. 1e3
   in
   let det_ms = baseline_ms Iglr.Inc_lr.parse in
-  let sf_ms = baseline_ms Iglr.Sf_lr.parse in
+  let sf_ms = baseline_ms Iglr.Inc_lr.parse_sentential in
   Printf.printf "program: %d lines; %d reparses each\n" lines (2 * count);
   Printf.printf "%-28s %10s %14s\n" "Parser" "ms/reparse" "vs batch";
   Printf.printf "%-28s %10.3f %13.0fx\n" "sentential-form incremental" sf_ms

@@ -62,6 +62,11 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
+(** [term_of n] — the terminal id a peeked terminal stands for: its
+    terminal, or end of input at the [eos] sentinel.
+    @raise Invalid_argument on any other node. *)
+val term_of : Parsedag.Node.t -> int
+
 type config = {
   state_matching : bool;
       (** subtree reuse via state-matching; [false] decomposes every
