@@ -79,10 +79,3 @@ let elements g node =
         if step = Element then acc := Node.alt n :: !acc);
     List.rev !acc
   end
-
-let spine_depth g node = List.length (elements g node)
-
-let rec max_depth (n : Node.t) =
-  let n = Node.alt n in
-  if Array.length n.Node.kids = 0 then 1
-  else 1 + Array.fold_left (fun acc k -> max acc (max_depth k)) 0 n.Node.kids

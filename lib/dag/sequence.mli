@@ -34,12 +34,3 @@ val walk : Grammar.Cfg.t -> Node.t -> (step -> Node.t -> unit) -> unit
     resolved to the selected (or first) alternative.  For a node that is
     no sequence node, the singleton list. *)
 val elements : Grammar.Cfg.t -> Node.t -> Node.t list
-
-(** [spine_depth g node] — length of the left-recursive spine (the list
-    length); the paper's motivation for balancing: access to the i-th
-    element costs O(depth - i). *)
-val spine_depth : Grammar.Cfg.t -> Node.t -> int
-
-(** [max_depth node] — structural depth of the whole subtree (via first
-    alternatives); the quantity that bounds incremental reparse cost. *)
-val max_depth : Node.t -> int
