@@ -547,11 +547,15 @@ let do_diag t r ~metrics () =
           e.Pool.analysis <- Some d;
           d
     in
-    (* [Session.measure] scopes the delta to this domain: the query.*
-       counters in it are exactly this request's compute/hit/backdate
-       activity. *)
-    let res, d =
-      Session.measure (fun () -> Semantics.Diag.run analysis (Session.root s))
+    let run () = Semantics.Diag.run analysis (Session.root s) in
+    (* Measured only when asked: [Session.measure] scopes the delta to
+       this domain, so the query.* counters in it are exactly this
+       request's compute/hit/backdate activity. *)
+    let res, metrics_field =
+      if metrics then
+        let res, d = Session.measure run in
+        (res, [ ("metrics", Metrics.to_json d) ])
+      else (run (), [])
     in
     let loc tok =
       let l = Session.location_of_token s tok in
@@ -573,7 +577,7 @@ let do_diag t r ~metrics () =
                    ("backdated", Json.Int qs.Query.backdated);
                  ] );
            ]
-         @ if metrics then [ ("metrics", Metrics.to_json d) ] else []))
+         @ metrics_field))
   end
 
 (* Ambiguity reports are a property of the language, not of the

@@ -172,6 +172,69 @@ let happy_path () =
   | Json.Bool true -> ()
   | j -> Alcotest.failf "close returned %s" (Json.to_line j)
 
+(* A diag request measures its metric delta only under [metrics:true];
+   the delta is this request's own query activity. *)
+let diag_metrics_on_request () =
+  with_engine @@ fun _ req ->
+  ignore (result (req (open_req ~text:"a = 1;\nb = a + 2;\n" ())));
+  let diag id params =
+    result
+      (req
+         (obj
+            [
+              ("id", Json.Int id);
+              ("method", Json.String "diag");
+              ("params", Json.Obj (("doc", Json.String "d") :: params));
+            ]))
+  in
+  let computes r = int "computes" (member "query" r) in
+  let plain = diag 2 [] in
+  Alcotest.(check bool) "no metrics unless asked" true
+    (Json.member "metrics" plain = None);
+  ignore
+    (result
+       (req
+          (obj
+             [
+               ("id", Json.Int 3);
+               ("method", Json.String "edit");
+               ( "params",
+                 Json.Obj
+                   [
+                     ("doc", Json.String "d");
+                     ( "edits",
+                       Json.List
+                         [
+                           Json.Obj
+                             [
+                               ("pos", Json.Int 0);
+                               ("del", Json.Int 1);
+                               ("insert", Json.String "c");
+                             ];
+                         ] );
+                   ] );
+             ])));
+  ignore
+    (result
+       (req
+          (obj
+             [
+               ("id", Json.Int 4);
+               ("method", Json.String "parse");
+               ("params", Json.Obj [ ("doc", Json.String "d") ]);
+             ])));
+  let measured = diag 5 [ ("metrics", Json.Bool true) ] in
+  let recomputed =
+    Option.value ~default:0
+      (Option.bind
+         (Json.member "query.recomputed" (member "metrics" measured))
+         Json.to_int)
+  in
+  Alcotest.(check bool) "the edit recomputes cells" true (recomputed > 0);
+  Alcotest.(check int) "delta = this request's recomputes"
+    (computes measured - computes plain)
+    recomputed
+
 let server_stats () =
   with_engine @@ fun engine req ->
   ignore (result (req (open_req ~doc:"a" ())));
@@ -446,6 +509,8 @@ let suite =
     Alcotest.test_case "happy path: open/edit/parse/errors/stats/close" `Quick
       happy_path;
     Alcotest.test_case "server-wide stats" `Quick server_stats;
+    Alcotest.test_case "diag measures only under metrics:true" `Quick
+      diag_metrics_on_request;
     Alcotest.test_case "malformed JSON -> -32700" `Quick malformed_json;
     Alcotest.test_case "non-object request -> -32600" `Quick non_object;
     Alcotest.test_case "missing method -> -32600, id echoed" `Quick
