@@ -520,7 +520,7 @@ let chaos_fuzz () =
               complement (Engine.jobs engine)))
   done
 
-(* The committed chaos plan (the one @chaos-smoke replays through the
+(* The committed chaos plan (the one @daemon-smoke replays through the
    daemon binary) must uphold the same invariant at the engine level. *)
 let committed_plan = "seed=42;stall=2;kill.pre@2;kill.mid@4;worker.raise@6"
 
