@@ -94,9 +94,14 @@ let settle_crash job ~started =
 (* A job on [key] has settled (lock held): put the key back on the ready
    queue if it has more work, else forget it — an idle key with an empty
    queue holds nothing, and documents come and go for the daemon's whole
-   life. *)
+   life.  [Hashtbl.remove] never shrinks the bucket array, so the table
+   is reset to its initial size when its last key goes: a burst of keys
+   leaves nothing behind once it has drained. *)
 let settle t key dq =
-  if dq_empty dq then Hashtbl.remove t.keys key
+  if dq_empty dq then begin
+    Hashtbl.remove t.keys key;
+    if Hashtbl.length t.keys = 0 then Hashtbl.reset t.keys
+  end
   else begin
     dq.state <- Queued;
     Queue.push key t.ready;

@@ -308,9 +308,9 @@ let session_busy () =
 
 (* The scheduler forgets a document once its queue is idle and empty:
    after a thousand one-job keys have come and gone (as [open-project]
-   opens a fresh document per file), it holds about what it holds after
-   ten.  What may remain is the key table's bucket array, sized by the
-   peak number of keys in flight. *)
+   opens a fresh document per file), it holds what it holds after ten:
+   the key table shrinks back to its initial size once the last key is
+   forgotten. *)
 let scheduler_forgets_keys () =
   let words keys =
     let t = Server.Scheduler.create ~jobs:1 in
@@ -325,7 +325,7 @@ let scheduler_forgets_keys () =
     w
   in
   let few = words 10 and many = words 1000 in
-  if many > few + 2048 then
+  if many > few + 64 then
     Alcotest.failf "scheduler holds %d words after 1000 keys, %d after 10"
       many few
 
