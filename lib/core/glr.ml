@@ -55,7 +55,6 @@ let fresh_stats () =
    once at the end of [parse] — the hot loop only pays for the lookahead
    state-check classification below, a counter bump per subtree shift
    attempt. *)
-let m_parse_span = Metrics.timer "glr.parse"
 let m_parses = Metrics.counter "glr.parses"
 let m_parse_errors = Metrics.counter "glr.parse_errors"
 let m_reductions = Metrics.counter "glr.reductions"
@@ -886,7 +885,6 @@ let parse ?(config = default_config) ?(budget = no_budget) ?deadline ?cancel
   | _ -> invalid_arg "Glr.parse: not a document root");
   Trace.span Trace.Glr "parse" @@ fun () ->
   process_modifications root;
-  let t0 = Metrics.start () in
   let gss0 = Gss.allocated () in
   let deadline =
     match deadline with
@@ -906,7 +904,6 @@ let parse ?(config = default_config) ?(budget = no_budget) ?deadline ?cancel
    with (Parse_error _ | Budget_exhausted _) as e ->
      Metrics.incr m_parse_errors;
      record_run r ~gss0;
-     Metrics.stop m_parse_span t0;
      raise e);
   (match r.accepting with
   | Some p -> (
@@ -920,7 +917,6 @@ let parse ?(config = default_config) ?(budget = no_budget) ?deadline ?cancel
       | [] -> assert false)
   | None -> assert false);
   record_run r ~gss0;
-  Metrics.stop m_parse_span t0;
   r.stats
 
 let parse_tokens ?(config = default_config) ?budget ?deadline ?cancel table

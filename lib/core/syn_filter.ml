@@ -14,7 +14,6 @@ type report = { examined : int; filtered : int; remaining : int }
 let m_apply_calls = Metrics.counter "filter.apply_calls"
 let m_examined = Metrics.counter "filter.choices_examined"
 let m_resolved = Metrics.counter "filter.choices_resolved"
-let m_apply_span = Metrics.timer "filter.apply"
 
 let rule_name = function
   | Prefer_production n -> "prefer-production:" ^ n
@@ -80,7 +79,6 @@ let decide g rule (choice : Node.t) =
 
 let apply g rules root =
   Metrics.incr m_apply_calls;
-  let t0 = Metrics.start () in
   let examined = ref 0 and filtered = ref 0 in
   let rec decide_rules choice = function
     | [] -> None
@@ -116,7 +114,6 @@ let apply g rules root =
   walk root;
   Metrics.add m_examined !examined;
   Metrics.add m_resolved !filtered;
-  Metrics.stop m_apply_span t0;
   let report =
     { examined = !examined; filtered = !filtered;
       remaining = !examined - !filtered }

@@ -45,7 +45,6 @@ val rule_name : rule -> string
 (** [apply g rules root] — run the rules (first decisive rule wins) over
     every choice node, splicing out resolved choices.  Safe to run
     repeatedly.  Counts its work under the [filter.*] metrics
-    ([apply_calls], [choices_examined], [choices_resolved], and the
-    [filter.apply] timer) so the zero-overhead claim of static filter
-    compilation is checkable. *)
+    ([apply_calls], [choices_examined], [choices_resolved]) so the
+    zero-overhead claim of static filter compilation is checkable. *)
 val apply : Grammar.Cfg.t -> rule list -> Parsedag.Node.t -> report

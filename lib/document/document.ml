@@ -5,7 +5,6 @@ module Scanner = Lexgen.Scanner
    versus kept (including tokens rescanned to an identical value and
    trimmed back — those count as reused, since their tree nodes are). *)
 let m_edits = Metrics.counter "vdoc.edits"
-let m_relex_span = Metrics.timer "vdoc.relex"
 let m_tokens_relexed = Metrics.counter "vdoc.tokens_relexed"
 let m_tokens_reused = Metrics.counter "vdoc.tokens_reused"
 
@@ -168,9 +167,8 @@ let edit t ~pos ~del ~insert =
   (* Relex before touching the tree so a lex error leaves us unchanged. *)
   let r =
     Trace.span Trace.Relex "relex" @@ fun () ->
-    Metrics.time m_relex_span (fun () ->
-        Relex.relex ~lexer:t.lexer ~leaves:t.leaves ~starts:t.starts
-          ~la_bound:t.la_bound ~pos ~del ~insert ~new_text)
+    Relex.relex ~lexer:t.lexer ~leaves:t.leaves ~starts:t.starts
+      ~la_bound:t.la_bound ~pos ~del ~insert ~new_text
   in
   let n = Array.length t.leaves in
   (* Trim replacement tokens that are identical to the leaves they would

@@ -6,7 +6,6 @@ module Json = Metrics.Json
    module level like real instrumentation does. *)
 let c1 = Metrics.counter "test.c1"
 let c2 = Metrics.counter "test.c2"
-let t1 = Metrics.timer "test.t1"
 let p1 = Metrics.peak "test.p1"
 let h1 = Metrics.histogram "test.h1" ~bounds:[| 1.0; 10.0 |]
 
@@ -70,13 +69,21 @@ let peaks_and_gauge_diff () =
   let d = Metrics.diff (Metrics.snapshot ()) before in
   Alcotest.(check int) "gauge raised" 11 (Metrics.count d "test.p1")
 
-let timers () =
-  let before = Metrics.snapshot () in
-  Metrics.time t1 (fun () -> ignore (Sys.opaque_identity (List.init 100 Fun.id)));
-  let d = Metrics.diff (Metrics.snapshot ()) before in
-  Alcotest.(check int) "one span" 1 (Metrics.span_events d "test.t1");
-  if Metrics.span_seconds d "test.t1" < 0. then
-    Alcotest.fail "negative span"
+(* [local_count] reads one counter of the calling domain's shard: it
+   sees this domain's increments, not another domain's. *)
+let local_count () =
+  let before = Metrics.local_count "test.c1" in
+  Metrics.add c1 3;
+  Alcotest.(check int) "own increments" (before + 3)
+    (Metrics.local_count "test.c1");
+  Domain.join (Domain.spawn (fun () -> Metrics.add c1 5));
+  Alcotest.(check int) "another domain's increments stay in its shard"
+    (before + 3)
+    (Metrics.local_count "test.c1");
+  Alcotest.(check int) "agrees with local_snapshot"
+    (Metrics.count (Metrics.local_snapshot ()) "test.c1")
+    (Metrics.local_count "test.c1");
+  Alcotest.(check int) "unknown name reads 0" 0 (Metrics.local_count "test.nope")
 
 let disabled_is_noop () =
   Metrics.set_enabled false;
@@ -86,10 +93,8 @@ let disabled_is_noop () =
       let before = Metrics.snapshot () in
       Metrics.incr c1;
       Metrics.observe h1 5.0;
-      Metrics.stop t1 (Metrics.start ());
       let d = Metrics.diff (Metrics.snapshot ()) before in
-      Alcotest.(check int) "counter frozen" 0 (Metrics.count d "test.c1");
-      Alcotest.(check int) "timer frozen" 0 (Metrics.span_events d "test.t1"))
+      Alcotest.(check int) "counter frozen" 0 (Metrics.count d "test.c1"))
 
 let histogram_buckets () =
   let before = Metrics.snapshot () in
@@ -141,7 +146,7 @@ let suite =
     Alcotest.test_case "counters and diff" `Quick counters_and_diff;
     Alcotest.test_case "share" `Quick share;
     Alcotest.test_case "peaks survive diff" `Quick peaks_and_gauge_diff;
-    Alcotest.test_case "timers" `Quick timers;
+    Alcotest.test_case "local count" `Quick local_count;
     Alcotest.test_case "disabled is a no-op" `Quick disabled_is_noop;
     Alcotest.test_case "histogram buckets" `Quick histogram_buckets;
     Alcotest.test_case "json round-trip" `Quick json_roundtrip;

@@ -138,7 +138,7 @@ let events_carry_rid () =
     evs
 
 (* Counters compared against the oracle: deterministic parse work.
-   Timers and latency histograms are excluded (wall-clock). *)
+   Latency histograms are excluded (wall-clock). *)
 let compared_keys =
   [
     "glr.nodes_created";
