@@ -53,6 +53,7 @@ let e_worker = -32006
 let e_overloaded = -32007
 let e_shutting_down = -32008
 let e_unsupported = -32009
+let e_unparsed = -32010
 
 (* ------------------------------------------------------------------ *)
 (* Decoding.                                                           *)
