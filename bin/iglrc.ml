@@ -961,8 +961,10 @@ let explain_cmd =
     guard_dag "explain" session;
     let r = Trace.Explain.of_events (Trace.events ()) in
     (* Token offset -> character offset, via the document's leaf starts. *)
-    let starts = Vdoc.Document.leaf_starts (Iglr.Session.document session) in
-    let char_offset tok = starts.(min tok (Array.length starts - 1)) in
+    let doc = Iglr.Session.document session in
+    let char_offset tok =
+      Vdoc.Document.leaf_start doc (min tok (Vdoc.Document.token_count doc))
+    in
     let pos, del, insert = List.nth edits (n - 1) in
     Printf.printf "edit %d/%d: pos=%d del=%d insert=%S\n" n n pos del insert;
     Printf.printf "relex: %d token(s) rescanned, %d kept\n" r.Trace.Explain.tokens_relexed

@@ -21,6 +21,10 @@ type t = {
   doc : Document.t;
   mutable errors : bool;
   mutable unparsed : bool;  (* an edit applied since the last reparse *)
+  mutable spliced : Node.t list;
+      (* the error nodes the last committing isolation spliced, in source
+         order: every error node the tree can hold, since a clean parse
+         decomposes them all and a flag-only recovery keeps the tree *)
   mutable on_commit : (watermark:int -> Node.t -> unit) list;
       (* commit subscribers (newest first): invoked after every reparse
          that commits a tree, with the node-allocation watermark captured
@@ -98,24 +102,24 @@ let measure f =
 (* Locations.                                                          *)
 
 let location_of_token t k =
-  let starts = Document.leaf_starts t.doc in
-  let leaves = Document.leaves t.doc in
-  let k = max 0 (min k (Array.length leaves)) in
+  let n = Document.token_count t.doc in
+  let k = max 0 (min k n) in
   (* Token [k]'s text start, past its leading trivia; the end of the
      last token when [k] is the token count. *)
+  let start = Document.leaf_start t.doc k in
   let byte =
-    if k = Array.length leaves then starts.(k)
+    if k = n then start
     else
-      match leaves.(k).Node.kind with
-      | Node.Term inf -> starts.(k) + String.length inf.Node.trivia
-      | _ -> starts.(k)
+      match (Document.leaf t.doc k).Node.kind with
+      | Node.Term inf -> start + String.length inf.Node.trivia
+      | _ -> start
   in
   let line = Document.line_of t.doc byte in
-  let bol = (Document.line_starts t.doc).(line - 1) in
+  let bol = Document.line_start t.doc line in
   { offset_tokens = k; offset_bytes = byte; line; col = byte - bol + 1 }
 
 let token_end_byte t j =
-  (Document.leaf_starts t.doc).(max 0 (min (j + 1) (Document.token_count t.doc)))
+  Document.leaf_start t.doc (max 0 (min (j + 1) (Document.token_count t.doc)))
 
 (* ------------------------------------------------------------------ *)
 (* Local error isolation (§4.3 extended): mask the smallest enclosing
@@ -127,12 +131,24 @@ let token_end_byte t j =
 
 let grammar t = Lrtab.Table.grammar t.table
 
+(* How many leaves [p]'s kids left of [n] hold, or -1 when [n] is not
+   among [p]'s kids.  Choice alternatives share one yield, so stepping
+   into a choice moves nothing. *)
+let leaves_left_of (p : Node.t) (n : Node.t) =
+  let rec left (kids : Node.t array) n k acc =
+    if k >= Array.length kids then -1
+    else if kids.(k) == n then acc
+    else left kids n (k + 1) (acc + Node.token_count kids.(k))
+  in
+  match p.Node.kind with
+  | Node.Choice _ -> if left p.Node.kids n 0 0 < 0 then -1 else 0
+  | _ -> left p.Node.kids n 0 0
+
 (* Walk the parent path up from leaf [i], offering each node and its
    leaf-index span to [f] until it answers [Some _].  Spans come from
    arithmetic, not lookups (Appendix A's cover()): a parent's first leaf
    is its kid's first leaf minus the token counts of the kids left of
-   it; choice alternatives share one yield, so stepping into a choice
-   moves nothing.  O(parent-path length x arity). *)
+   it.  O(parent-path length x arity). *)
 let find_up t i f =
   let rec go (n : Node.t) lo =
     match f n (lo, lo + Node.token_count n - 1) with
@@ -140,15 +156,9 @@ let find_up t i f =
     | None -> (
         match n.Node.parent with
         | None -> None
-        | Some ({ Node.kind = Node.Choice _; _ } as p) -> go p lo
-        | Some p ->
-            let rec left k acc =
-              if k >= Array.length p.Node.kids || p.Node.kids.(k) == n then acc
-              else left (k + 1) (acc + Node.token_count p.Node.kids.(k))
-            in
-            go p (lo - left 0 0))
+        | Some p -> go p (lo - max 0 (leaves_left_of p n)))
   in
-  go (Document.leaves t.doc).(i) i
+  go (Document.leaf t.doc i) i
 
 (* Smallest isolation unit containing leaf [i], as a leaf-index span:
    the span of the enclosing error node when [i] sits in an already
@@ -184,22 +194,30 @@ let escalate t (lo, hi) =
       (max 0 (lo - w), min (Document.token_count t.doc - 1) (hi + w))
 
 (* Isolated error nodes with their leaf spans and messages, in source
-   order: one pass over the leaves, no hashing.  An error node's kids are
-   exactly a run of leaves, each pointing back at it (the sanitizer's
-   [error-node] rules), so a region starts at the leaf that is its
-   node's first kid. *)
+   order, from the nodes the last isolation spliced rather than a pass
+   over the leaves.  A node's first leaf index is [find_up]'s arithmetic
+   run to the root; a node that an edit emptied, or that is no longer
+   its parent's kid somewhere on the way up, is not in the tree.
+   O(error nodes x parent-path length x arity). *)
 let error_spans t =
-  let leaves = Document.leaves t.doc in
-  let spans = ref [] in
-  for i = Array.length leaves - 1 downto 0 do
-    match leaves.(i).Node.parent with
-    | Some ({ Node.kind = Node.Error info; _ } as e)
-      when e.Node.kids.(0) == leaves.(i) ->
-        let span = (i, i + Node.token_count e - 1) in
-        spans := (e, span, info.Node.message) :: !spans
-    | _ -> ()
-  done;
-  !spans
+  let root = Document.root t.doc in
+  let rec first_leaf (n : Node.t) lo =
+    match n.Node.parent with
+    | None -> if n == root then Some lo else None
+    | Some p ->
+        let k = leaves_left_of p n in
+        if k < 0 then None else first_leaf p (lo + k)
+  in
+  List.filter_map
+    (fun (e : Node.t) ->
+      match e.Node.kind with
+      | Node.Error info when Node.token_count e > 0 -> (
+          match first_leaf e 0 with
+          | Some lo ->
+              Some (e, (lo, lo + Node.token_count e - 1), info.Node.message)
+          | None -> None)
+      | _ -> None)
+    t.spliced
 
 (* Masked-stream token offset -> index in the full leaves array, given
    the sorted, disjoint, non-adjacent masked runs: each run at or before
@@ -279,12 +297,12 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
              t.table (Document.root t.doc)
          with
          | stats ->
-             List.iter
-               (fun (lo, hi) ->
-                 ignore
-                   (Document.splice_error t.doc ~message:error.Glr.message ~lo
-                      ~hi))
-               rs;
+             t.spliced <-
+               List.map
+                 (fun (lo, hi) ->
+                   Document.splice_error t.doc ~message:error.Glr.message ~lo
+                     ~hi)
+                 rs;
              result := Some (rs, tot, stats)
          | exception Glr.Parse_error e2 ->
              Document.reattach undo;
@@ -351,12 +369,11 @@ let flag_pending t ~watermark (error : Glr.error) =
      itself so the damage still shows up in [error_regions] instead of
      reporting a clean tree. *)
   if !flagged = 0 then begin
-    let leaves = Document.leaves t.doc in
-    let n = Array.length leaves in
+    let n = Document.token_count t.doc in
     if n > 0 then begin
-      let at = max 0 (min error.Glr.offset_tokens (n - 1)) in
-      if not leaves.(at).Node.error then begin
-        leaves.(at).Node.error <- true;
+      let leaf = Document.leaf t.doc (max 0 (min error.Glr.offset_tokens (n - 1))) in
+      if not leaf.Node.error then begin
+        leaf.Node.error <- true;
         incr flagged
       end
     end
@@ -425,10 +442,11 @@ let reparse_owned ?cancel t =
          state-matches and they always decompose), but flag-only
          recovery may have left error bits on terminals: clear them so
          [error_regions] reflects the clean state. *)
+      t.spliced <- [];
       if had_errors then
-        Array.iter
-          (fun (l : Node.t) -> l.Node.error <- false)
-          (Document.leaves t.doc);
+        for i = 0 to Document.token_count t.doc - 1 do
+          (Document.leaf t.doc i).Node.error <- false
+        done;
       run_hook t ~watermark;
       if stats.Glr.degraded then Metrics.incr m_degraded;
       Parsed stats
@@ -459,6 +477,7 @@ let create ?(config = Glr.default_config) ?(budget = Glr.no_budget) ~table
       doc;
       errors = false;
       unparsed = false;
+      spliced = [];
       on_commit = [];
       pending_watermark = None;
       owner = Mutex.create ();
@@ -491,8 +510,7 @@ let edit t ~pos ~del ~insert = owned t (fun () -> edit_owned t ~pos ~del ~insert
 (* Error-region reporting.                                             *)
 
 let error_regions t =
-  let leaves = Document.leaves t.doc in
-  let n = Array.length leaves in
+  let n = Document.token_count t.doc in
   let raw = ref (List.map (fun (_, span, msg) -> (span, msg)) (error_spans t)) in
   (* Flag-only recovery leaves error bits on terminals outside any error
      node: report maximal runs of those too. *)
@@ -501,7 +519,10 @@ let error_regions t =
     | Some { Node.kind = Node.Error _; _ } -> true
     | _ -> false
   in
-  let flagged i = leaves.(i).Node.error && not (inside_error leaves.(i)) in
+  let flagged i =
+    let l = Document.leaf t.doc i in
+    l.Node.error && not (inside_error l)
+  in
   let i = ref 0 in
   while !i < n do
     if flagged !i then begin

@@ -11,15 +11,15 @@ let m_tokens_reused = Metrics.counter "vdoc.tokens_reused"
 type t = {
   lexer : Lexgen.Spec.t;
   mutable root : Node.t;
-  mutable leaves : Node.t array;
+  leaves : Node.t Gap.t;
   mutable text : string;
-  (* The position index of this text version.  [starts.(i)] is the byte
-     offset where leaf [i] (its trivia first) begins, and [starts.(n)]
-     the end of the last leaf; [bols] the ascending line-start offsets,
-     0 first; [la_bound] the largest [lex_la] of any leaf, and
-     [la_holders] how many leaves have it. *)
-  mutable starts : int array;
-  mutable bols : int array;
+  (* The position index of this text version, in gap arrays that an edit
+     splices in place.  [starts] holds the byte offset where leaf [i]
+     (its trivia first) begins, then the end of the last leaf; [bols] the
+     ascending line-start offsets, 0 first; [la_bound] the largest
+     [lex_la] of any leaf, and [la_holders] how many leaves have it. *)
+  starts : Gap.Ints.t;
+  bols : Gap.Ints.t;
   mutable la_bound : int;
   mutable la_holders : int;
 }
@@ -31,38 +31,39 @@ let node_of_token (tok : Scanner.token) =
 let token_length (tok : Scanner.token) =
   String.length tok.Scanner.trivia + String.length tok.Scanner.text
 
-(* Offsets of the line starts inside [s], which begins at byte [base]. *)
-let line_starts_in ~base s =
-  let acc = ref [] in
-  String.iteri (fun i c -> if c = '\n' then acc := (base + i + 1) :: !acc) s;
-  Array.of_list (List.rev !acc)
+(* Writes the offsets of the line starts inside [s], which begins at byte
+   [base], into [a] from slot [at]; returns how many. *)
+let fill_line_starts a ~at ~base s =
+  let k = ref at in
+  String.iteri
+    (fun i c ->
+      if c = '\n' then begin
+        a.(!k) <- base + i + 1;
+        incr k
+      end)
+    s;
+  !k - at
 
-(* [a.(0..lo-1)], then [mid], then [a.(hi..)] shifted by [shift]. *)
-let splice a ~lo ~hi mid ~shift =
-  let m = Array.length mid and tail = Array.length a - hi in
-  let b = Array.make (lo + m + tail) 0 in
-  Array.blit a 0 b 0 lo;
-  Array.blit mid 0 b lo m;
-  for i = 0 to tail - 1 do
-    b.(lo + m + i) <- a.(hi + i) + shift
-  done;
-  b
+let count_newlines s =
+  let k = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr k) s;
+  !k
 
 let lex_la (leaf : Node.t) =
   match leaf.Node.kind with Node.Term i -> i.Node.lex_la | _ -> 0
 
-(* The largest [lex_la] among [leaves], and how many leaves have it. *)
-let max_count leaves =
+(* The largest [lex_la] among leaves [get 0 .. get (n-1)], and how many
+   of them have it. *)
+let max_count n get =
   let m = ref 0 and k = ref 0 in
-  Array.iter
-    (fun leaf ->
-      let v = lex_la leaf in
-      if v > !m then begin
-        m := v;
-        k := 1
-      end
-      else if v = !m then incr k)
-    leaves;
+  for i = 0 to n - 1 do
+    let v = lex_la (get i) in
+    if v > !m then begin
+      m := v;
+      k := 1
+    end
+    else if v = !m then incr k
+  done;
   (!m, !k)
 
 let create ~lexer text =
@@ -70,16 +71,17 @@ let create ~lexer text =
     Trace.span Trace.Lex "lex" @@ fun () -> Scanner.all lexer text
   in
   (* One pass over the tokens fills the root's kid array, the leaves and
-     their start offsets.  Nodes are made in source order, then eos, then
+     their start offsets, the index arrays with [Gap.slack] free slots
+     past their entries.  Nodes are made in source order, then eos, then
      bos. *)
   let n = List.length tokens in
   let leaves = ref [||] and kids = ref [||] in
-  let starts = Array.make (n + 1) 0 in
+  let starts = Array.make (n + 1 + Gap.slack) 0 in
   List.iteri
     (fun i (tok : Scanner.token) ->
       let leaf = node_of_token tok in
       if i = 0 then begin
-        leaves := Array.make n leaf;
+        leaves := Array.make (n + Gap.slack) leaf;
         kids := Array.make (n + 2) leaf
       end
       else begin
@@ -88,7 +90,6 @@ let create ~lexer text =
       end;
       starts.(i + 1) <- starts.(i) + token_length tok)
     tokens;
-  let leaves = !leaves in
   let eos = Node.make_eos ~trailing in
   let bos = Node.make_bos () in
   let kids = if n = 0 then [| bos; eos |] else !kids in
@@ -96,14 +97,22 @@ let create ~lexer text =
   kids.(n + 1) <- eos;
   let root = Node.make_root kids in
   Node.commit root;
-  let la_bound, la_holders = max_count leaves in
+  (* The gap holds bos, which the root keeps alive anyway. *)
+  let leaves =
+    Gap.of_prefix
+      (if n = 0 then Array.make Gap.slack bos else !leaves)
+      ~len:n ~fill:bos
+  in
+  let la_bound, la_holders = max_count n (Gap.get leaves) in
+  let bols = Array.make (count_newlines text + 1 + Gap.slack) 0 in
+  let lines = 1 + fill_line_starts bols ~at:1 ~base:0 text in
   {
     lexer;
     root;
     leaves;
     text;
-    starts;
-    bols = Array.append [| 0 |] (line_starts_in ~base:0 text);
+    starts = Gap.Ints.of_prefix starts ~len:(n + 1);
+    bols = Gap.Ints.of_prefix bols ~len:lines;
     la_bound;
     la_holders;
   }
@@ -111,14 +120,15 @@ let create ~lexer text =
 let root t = t.root
 let text t = t.text
 let length t = String.length t.text
-let leaves t = t.leaves
-let token_count t = Array.length t.leaves
-let leaf_starts t = t.starts
-let line_starts t = t.bols
+let token_count t = Gap.length t.leaves
+let leaf t i = Gap.get t.leaves i
+let leaf_start t i = Gap.Ints.get t.starts i
+let line_start t l = Gap.Ints.get t.bols (l - 1)
 let lookahead_bound t = t.la_bound
 
 let line_of t byte =
-  Relex.first_above t.bols ~lo:0 ~hi:(Array.length t.bols) byte
+  Relex.first_above (Gap.Ints.get t.bols) ~lo:0 ~hi:(Gap.Ints.length t.bols)
+    byte
 
 let index_in_parent (p : Node.t) (n : Node.t) =
   let rec find i =
@@ -156,21 +166,21 @@ let set_trailing t trailing =
 let edit t ~pos ~del ~insert =
   if pos < 0 || del < 0 || pos + del > String.length t.text then
     invalid_arg "Document.edit: range out of bounds";
+  let len = String.length t.text and ins = String.length insert in
   let new_text =
-    String.concat ""
-      [
-        String.sub t.text 0 pos;
-        insert;
-        String.sub t.text (pos + del) (String.length t.text - pos - del);
-      ]
+    let b = Bytes.create (len - del + ins) in
+    Bytes.blit_string t.text 0 b 0 pos;
+    Bytes.blit_string insert 0 b pos ins;
+    Bytes.blit_string t.text (pos + del) b (pos + ins) (len - pos - del);
+    Bytes.unsafe_to_string b
   in
+  let n = token_count t in
   (* Relex before touching the tree so a lex error leaves us unchanged. *)
   let r =
     Trace.span Trace.Relex "relex" @@ fun () ->
-    Relex.relex ~lexer:t.lexer ~leaves:t.leaves ~starts:t.starts
+    Relex.relex ~lexer:t.lexer ~count:n ~leaf:(leaf t) ~start:(leaf_start t)
       ~la_bound:t.la_bound ~pos ~del ~insert ~new_text
   in
-  let n = Array.length t.leaves in
   (* Trim replacement tokens that are identical to the leaves they would
      replace (tokens rescanned only because their lookahead reached the
      edit): keeping the old nodes preserves subtree reuse around the
@@ -190,7 +200,7 @@ let edit t ~pos ~del ~insert =
     and tokens = ref r.Relex.tokens in
     while
       !replaced > 0 && !tokens <> []
-      && token_equals_leaf (List.hd !tokens) t.leaves.(!first)
+      && token_equals_leaf (List.hd !tokens) (leaf t !first)
     do
       incr first;
       decr replaced;
@@ -199,7 +209,7 @@ let edit t ~pos ~del ~insert =
     let rev = ref (List.rev !tokens) in
     while
       !replaced > 0 && !rev <> []
-      && token_equals_leaf (List.hd !rev) t.leaves.(!first + !replaced - 1)
+      && token_equals_leaf (List.hd !rev) (leaf t (!first + !replaced - 1))
     do
       decr replaced;
       rev := List.tl !rev
@@ -231,14 +241,14 @@ let edit t ~pos ~del ~insert =
      the remaining replaced leaves are unlinked from their own parents. *)
   if r.Relex.replaced > 0 || Array.length new_terms > 0 then begin
     let anchor =
-      if r.Relex.first < n then t.leaves.(r.Relex.first) else eos_of t
+      if r.Relex.first < n then leaf t r.Relex.first else eos_of t
     in
     let insert_parent = parent_of anchor in
     let insert_at = index_in_parent insert_parent anchor in
     (* Unlink replaced leaves.  The anchor's slot index was captured above;
        removing the anchor first keeps [insert_at] pointing at its spot. *)
     for i = r.Relex.first to r.Relex.first + r.Relex.replaced - 1 do
-      Node.mark_changed (fst (remove_from_parent t.leaves.(i)))
+      Node.mark_changed (fst (remove_from_parent (leaf t i)))
     done;
     Node.splice_kids insert_parent ~at:insert_at ~del:0 new_terms;
     Array.iter Node.mark_changed new_terms;
@@ -250,20 +260,14 @@ let edit t ~pos ~del ~insert =
   (* The lookahead bound stays exact: the new tokens may raise it; when
      the last leaf holding it goes (an unterminated comment opener is
      closed, say) it is recomputed, one pass over the leaves. *)
-  let new_la, new_holders = max_count new_terms in
+  let new_la, new_holders =
+    max_count (Array.length new_terms) (Array.get new_terms)
+  in
   let lost = ref 0 in
   for i = r.Relex.first to r.Relex.first + r.Relex.replaced - 1 do
-    if lex_la t.leaves.(i) = t.la_bound then incr lost
+    if lex_la (leaf t i) = t.la_bound then incr lost
   done;
-  t.leaves <-
-    Array.concat
-      [
-        Array.sub t.leaves 0 r.Relex.first;
-        new_terms;
-        Array.sub t.leaves
-          (r.Relex.first + r.Relex.replaced)
-          (n - r.Relex.first - r.Relex.replaced);
-      ];
+  Gap.replace t.leaves ~at:r.Relex.first ~del:r.Relex.replaced new_terms;
   if new_la > t.la_bound then begin
     t.la_bound <- new_la;
     t.la_holders <- new_holders
@@ -272,38 +276,39 @@ let edit t ~pos ~del ~insert =
     t.la_holders <-
       t.la_holders - !lost + if new_la = t.la_bound then new_holders else 0;
     if t.la_holders = 0 then begin
-      let m, k = max_count t.leaves in
+      let m, k = max_count (token_count t) (leaf t) in
       t.la_bound <- m;
       t.la_holders <- k
     end
   end;
-  t.text <- new_text;
   (* Splice the index: the prefix stays, the new tokens' offsets follow
      from the first replaced leaf's, and the suffix moves by whatever the
      replacement changed its start by.  Line starts up to [pos] stay,
      those in the deleted bytes go, the inserted text's follow. *)
   let first = r.Relex.first in
   let ends = Array.make (Array.length new_terms) 0 in
-  let off = ref t.starts.(first) in
+  let off = ref (leaf_start t first) in
   List.iteri
     (fun i tok ->
       off := !off + token_length tok;
       ends.(i) <- !off)
     r.Relex.tokens;
-  t.starts <-
-    splice t.starts ~lo:(first + 1)
-      ~hi:(first + r.Relex.replaced + 1)
-      ends
-      ~shift:(!off - t.starts.(first + r.Relex.replaced));
-  t.bols <-
-    splice t.bols ~lo:(line_of t pos) ~hi:(line_of t (pos + del))
-      (line_starts_in ~base:pos insert)
-      ~shift:(String.length insert - del);
+  Gap.Ints.replace t.starts ~at:(first + 1) ~del:r.Relex.replaced ends
+    ~shift:(!off - leaf_start t (first + r.Relex.replaced));
+  let lo = line_of t pos and hi = line_of t (pos + del) in
+  let inserted = Array.make (count_newlines insert) 0 in
+  ignore (fill_line_starts inserted ~at:0 ~base:pos insert);
+  Gap.Ints.replace t.bols ~at:lo ~del:(hi - lo) inserted ~shift:(ins - del);
+  t.text <- new_text;
   r.Relex.replaced
 
 let changed_tokens t =
-  Array.to_list t.leaves
-  |> List.filter (fun (l : Node.t) -> l.Node.changed)
+  let acc = ref [] in
+  for i = token_count t - 1 downto 0 do
+    let l = leaf t i in
+    if l.Node.changed then acc := l :: !acc
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Error-isolation surgery (local error recovery).                     *)
@@ -311,14 +316,14 @@ let changed_tokens t =
 type detach = { d_leaf : Node.t; d_parent : Node.t; d_index : int }
 
 let detach_leaves t ~lo ~hi =
-  if lo < 0 || hi >= Array.length t.leaves || lo > hi then
+  if lo < 0 || hi >= token_count t || lo > hi then
     invalid_arg "Document.detach_leaves: bad range";
   let undo = ref [] in
   for i = lo to hi do
-    let leaf = t.leaves.(i) in
-    let p, idx = remove_from_parent leaf in
+    let d_leaf = leaf t i in
+    let p, idx = remove_from_parent d_leaf in
     Node.mark_changed p;
-    undo := { d_leaf = leaf; d_parent = p; d_index = idx } :: !undo
+    undo := { d_leaf; d_parent = p; d_index = idx } :: !undo
   done;
   !undo
 
@@ -364,9 +369,9 @@ let rec climb_anchor (anchor : Node.t) (a : Node.t) =
           else a)
 
 let splice_error t ~message ~lo ~hi =
-  if lo < 0 || hi >= Array.length t.leaves || lo > hi then
+  if lo < 0 || hi >= token_count t || lo > hi then
     invalid_arg "Document.splice_error: bad range";
-  let kids = Array.sub t.leaves lo (hi - lo + 1) in
+  let kids = Array.init (hi - lo + 1) (fun k -> leaf t (lo + k)) in
   let e = Node.make_error ~message kids in
   let up = Some e in
   Array.iter
@@ -376,7 +381,7 @@ let splice_error t ~message ~lo ~hi =
       k.Node.nested <- false)
     kids;
   let anchor =
-    if hi + 1 < Array.length t.leaves then t.leaves.(hi + 1) else eos_of t
+    if hi + 1 < token_count t then leaf t (hi + 1) else eos_of t
   in
   let a = climb_anchor anchor anchor in
   let p = parent_of a in

@@ -8,38 +8,37 @@ type result = {
   trailing : string option;
 }
 
-let rec first_above a ~lo ~hi x =
+let rec first_above get ~lo ~hi x =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in
-    if a.(mid) > x then first_above a ~lo ~hi:mid x
-    else first_above a ~lo:(mid + 1) ~hi x
+    if get mid > x then first_above get ~lo ~hi:mid x
+    else first_above get ~lo:(mid + 1) ~hi x
 
 let lex_la (n : Node.t) =
   match n.Node.kind with
   | Node.Term i -> i.Node.lex_la
   | _ -> invalid_arg "Relex: leaf is not a terminal"
 
-let relex ~lexer ~leaves ~starts ~la_bound ~pos ~del ~insert ~new_text =
-  let n = Array.length leaves in
+let relex ~lexer ~count:n ~leaf ~start ~la_bound ~pos ~del ~insert ~new_text =
   let delta = String.length insert - del in
   (* First leaf whose examined bytes reach the edit.  Leaf [i] ends at
-     [starts.(i+1)]: the first leaf ending past [pos] is damaged, and an
+     [start (i+1)]: the first leaf ending past [pos] is damaged, and an
      earlier one only if its lookahead reaches [pos], so the candidates
      are the leaves ending within [la_bound] bytes before it. *)
-  let leaf_ending_past x = first_above starts ~lo:1 ~hi:(n + 1) x - 1 in
+  let leaf_ending_past x = first_above start ~lo:1 ~hi:(n + 1) x - 1 in
   let at_pos = leaf_ending_past pos in
   let rec find i =
-    if i >= at_pos || starts.(i + 1) + lex_la leaves.(i) > pos then i
+    if i >= at_pos || start (i + 1) + lex_la (leaf i) > pos then i
     else find (i + 1)
   in
   let damage_lo = find (leaf_ending_past (pos - la_bound)) in
   (* Old tokens lying entirely after the edited region start at new-text
-     offset [starts.(j) + delta]; [j] walks them as the scan advances, and
+     offset [start j + delta]; [j] walks them as the scan advances, and
      the scan resynchronizes when it lands exactly on one. *)
   let rec scan acc cur j =
-    if j < n && starts.(j) + delta < cur then scan acc cur (j + 1)
-    else if j < n && starts.(j) + delta = cur then
+    if j < n && start j + delta < cur then scan acc cur (j + 1)
+    else if j < n && start j + delta = cur then
       {
         first = damage_lo;
         replaced = j - damage_lo;
@@ -60,5 +59,5 @@ let relex ~lexer ~leaves ~starts ~la_bound ~pos ~del ~insert ~new_text =
               Some (String.sub new_text cur (String.length new_text - cur));
           }
   in
-  scan [] starts.(damage_lo)
-    (first_above starts ~lo:0 ~hi:n (pos + del - 1))
+  scan [] (start damage_lo)
+    (first_above start ~lo:0 ~hi:n (pos + del - 1))

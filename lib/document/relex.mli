@@ -13,10 +13,10 @@
     of the old stream is guaranteed to reproduce and can be reused.
 
     The index makes the work proportional to the damage, not the
-    document: [starts] (the old leaves' byte offsets) locates the edit by
+    document: [start] (the old leaves' byte offsets) locates the edit by
     binary search, [la_bound] (an upper bound on every leaf's lookahead)
     bounds how far back a damaged leaf can lie, and resynchronization
-    walks [starts] from the end of the edit. *)
+    walks [start] from the end of the edit. *)
 
 type result = {
   first : int;  (** index of the first replaced leaf *)
@@ -26,16 +26,18 @@ type result = {
       (** new trailing trivia when the edit ran to end of text *)
 }
 
-(** [relex ~lexer ~leaves ~starts ~la_bound ~pos ~del ~insert ~new_text]
-    — [starts] has one entry per leaf, the byte offset where the leaf
-    (its trivia first) begins in the old text, plus a final entry for the
-    end of the last leaf; [la_bound] is at least every leaf's [lex_la].
+(** [relex ~lexer ~count ~leaf ~start ~la_bound ~pos ~del ~insert
+    ~new_text] — the old text has [count] leaves, [leaf i] for [i] in
+    [\[0, count)]; [start i] is the byte offset where leaf [i] (its trivia
+    first) begins in the old text, and [start count] the end of the last
+    leaf; [la_bound] is at least every leaf's [lex_la].
     @raise Lexgen.Scanner.Lex_error when the new text is unscannable and
     the spec has no catch-all rule. *)
 val relex :
   lexer:Lexgen.Spec.t ->
-  leaves:Parsedag.Node.t array ->
-  starts:int array ->
+  count:int ->
+  leaf:(int -> Parsedag.Node.t) ->
+  start:(int -> int) ->
   la_bound:int ->
   pos:int ->
   del:int ->
@@ -43,7 +45,7 @@ val relex :
   new_text:string ->
   result
 
-(** [first_above a ~lo ~hi x] — the least [i] in [\[lo, hi)] with
-    [a.(i) > x], or [hi] if there is none; [a] must be ascending on that
-    range.  Binary search, shared with the document's line index. *)
-val first_above : int array -> lo:int -> hi:int -> int -> int
+(** [first_above get ~lo ~hi x] — the least [i] in [\[lo, hi)] with
+    [get i > x], or [hi] if there is none; [get] must be ascending on
+    that range.  Binary search, shared with the document's line index. *)
+val first_above : (int -> int) -> lo:int -> hi:int -> int -> int

@@ -9,9 +9,10 @@ let calc = Languages.Calc.language
 let lexer () = Language.lexer calc
 
 let mk text = Document.create ~lexer:(lexer ()) text
+let leaves doc = Array.init (Document.token_count doc) (Document.leaf doc)
 
 let leaf_texts doc =
-  Document.leaves doc |> Array.to_list
+  leaves doc |> Array.to_list
   |> List.map (fun (l : Node.t) ->
          match l.Node.kind with
          | Node.Term i -> i.Node.text
@@ -38,9 +39,9 @@ let test_edit_replace_token () =
 
 let test_edit_damage_is_local () =
   let doc = mk "aa = bb + cc * dd;" in
-  let before = Document.leaves doc in
+  let before = leaves doc in
   ignore (Document.edit doc ~pos:5 ~del:2 ~insert:"xx");
-  let after = Document.leaves doc in
+  let after = leaves doc in
   (* Only the "bb" token is replaced; all other terminals are the same
      physical nodes. *)
   Alcotest.(check int) "same token count" (Array.length before)
@@ -73,12 +74,12 @@ let test_edit_joins_tokens () =
 
 let test_edit_trivia_only () =
   let doc = mk "a + b;" in
-  let before = Document.leaves doc in
+  let before = leaves doc in
   (* Insert spaces between "+" and "b": damages only the "b" token (its
      trivia changes). *)
   ignore (Document.edit doc ~pos:3 ~del:0 ~insert:"   ");
   Alcotest.(check string) "text" "a +    b;" (Document.text doc);
-  let after = Document.leaves doc in
+  let after = leaves doc in
   Alcotest.(check bool) "prefix reused" true (before.(0) == after.(0));
   Alcotest.(check bool) "suffix reused" true (before.(3) == after.(3))
 
@@ -213,9 +214,9 @@ let check_positions what s =
   let doc = Session.document s in
   let starts, bols, _ = Test_edit_fuzz.scratch_index (lexer ()) (Session.text s) in
   Alcotest.(check (array int)) (what ^ ": leaf starts") starts
-    (Document.leaf_starts doc);
+    (Test_edit_fuzz.leaf_starts_of doc);
   Alcotest.(check (array int)) (what ^ ": line starts") bols
-    (Document.line_starts doc);
+    (Test_edit_fuzz.line_starts_of doc);
   let n = Document.token_count doc in
   List.iter
     (fun k ->
@@ -348,7 +349,7 @@ let test_create_oracle () =
               if tokens <> [] then incr programs;
               let doc = Document.create ~lexer text in
               let what = Printf.sprintf "%s %S" name text in
-              let leaves = Document.leaves doc in
+              let leaves = leaves doc in
               let n = List.length tokens in
               Alcotest.(check int) ("token count " ^ what) n
                 (Array.length leaves);
@@ -366,9 +367,9 @@ let test_create_oracle () =
                 tokens;
               let starts, bols, _ = Test_edit_fuzz.scratch_index lexer text in
               Alcotest.(check (array int)) ("leaf starts " ^ what) starts
-                (Document.leaf_starts doc);
+                (Test_edit_fuzz.leaf_starts_of doc);
               Alcotest.(check (array int)) ("line starts " ^ what) bols
-                (Document.line_starts doc);
+                (Test_edit_fuzz.line_starts_of doc);
               Alcotest.(check int) ("lookahead bound " ^ what)
                 (List.fold_left
                    (fun m (t : Lexgen.Scanner.token) ->
@@ -516,6 +517,86 @@ let test_splice_error () =
   if !spliced < 20 then
     Alcotest.failf "only %d of 40 masked programs parsed" !spliced
 
+(* Gap arrays against the plain-array splice they replace: random
+   replaces at the front, the back and in between move the gap both ways
+   and, from a few slots of slack, past its capacity.  After every step
+   every read equals the reference, whose suffix an [Ints] replace also
+   shifts. *)
+module Gap = Vdoc.Gap
+
+let test_gap_reference () =
+  for seed = 1 to 300 do
+    let st = Random.State.make [| seed |] in
+    let n = Random.State.int st 40 in
+    let reference = Array.init n (fun i -> 3 * i) in
+    let slack = Random.State.int st 4 in
+    let prefix () = Array.append reference (Array.make slack 0) in
+    let g = Gap.of_prefix (prefix ()) ~len:n ~fill:(-1) in
+    let ints = Gap.Ints.of_prefix (prefix ()) ~len:n in
+    let reference = ref reference and shifted = ref reference in
+    for step = 1 to 20 do
+      let len = Array.length !reference in
+      let at =
+        match Random.State.int st 3 with
+        | 0 -> 0
+        | 1 -> len
+        | _ -> Random.State.int st (len + 1)
+      in
+      let del = Random.State.int st (len - at + 1) in
+      let src = Array.init (Random.State.int st 12) (fun _ -> Random.State.int st 1000) in
+      let shift = Random.State.int st 21 - 10 in
+      let splice a ~shift =
+        Array.concat
+          [
+            Array.sub a 0 at;
+            src;
+            Array.map (( + ) shift) (Array.sub a (at + del) (len - at - del));
+          ]
+      in
+      reference := splice !reference ~shift:0;
+      shifted := splice !shifted ~shift;
+      Gap.replace g ~at ~del src;
+      Gap.Ints.replace ints ~at ~del src ~shift;
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      Alcotest.(check (array int)) (what ^ ": gap") !reference
+        (Array.init (Gap.length g) (Gap.get g));
+      Alcotest.(check (array int)) (what ^ ": ints") !shifted
+        (Array.init (Gap.Ints.length ints) (Gap.Ints.get ints))
+    done
+  done
+
+(* An edit costs its damage, not the document: on a 2 000-line program a
+   one-byte edit allocates the new text (one copy) and a bounded amount
+   besides, however far the position index is from the edit. *)
+let test_edit_allocates_damage () =
+  let c = Languages.C_subset.language in
+  let text = Workload.Spec_gen.plain ~lines:2000 ~seed:11 in
+  let s =
+    fst
+      (Iglr.Session.create ~table:(Language.table c) ~lexer:(Language.lexer c)
+         text)
+  in
+  let bound = (String.length text / 8) + 1_000 in
+  let edit ~pos ~del ~insert =
+    let before = Gc.allocated_bytes () in
+    Iglr.Session.edit s ~pos ~del ~insert;
+    int_of_float (Gc.allocated_bytes () -. before) / 8
+  in
+  let mid = String.length text / 2 in
+  ignore (edit ~pos:mid ~del:0 ~insert:" ");
+  ignore (edit ~pos:mid ~del:1 ~insert:"");
+  for i = 1 to 20 do
+    let pos = mid + ((if i mod 2 = 0 then 1 else -1) * 97 * i) in
+    let check what words =
+      if words > bound then
+        Alcotest.failf "%s at %d allocated %d words, bound %d" what pos words
+          bound
+    in
+    check "insert" (edit ~pos ~del:0 ~insert:" ");
+    check "delete" (edit ~pos ~del:1 ~insert:"")
+  done;
+  Alcotest.(check string) "text restored" text (Iglr.Session.text s)
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -552,4 +633,8 @@ let suite =
       test_detach_reattach;
     Alcotest.test_case "surgery: splice_error keeps the dag sane" `Quick
       test_splice_error;
+    Alcotest.test_case "gap index = reference splice" `Quick
+      test_gap_reference;
+    Alcotest.test_case "edit allocates its damage" `Quick
+      test_edit_allocates_damage;
   ]

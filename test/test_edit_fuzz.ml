@@ -61,10 +61,22 @@ let batch lang text =
    scan of its text, and token locations must equal the linear
    reference below. *)
 
+(* The document's index read into plain arrays, for comparison. *)
+let leaves_of doc =
+  Array.init (Vdoc.Document.token_count doc) (Vdoc.Document.leaf doc)
+
+let leaf_starts_of doc =
+  Array.init (Vdoc.Document.token_count doc + 1) (Vdoc.Document.leaf_start doc)
+
+let line_starts_of doc =
+  Array.init
+    (Vdoc.Document.line_of doc (Vdoc.Document.length doc))
+    (fun i -> Vdoc.Document.line_start doc (i + 1))
+
 (* The linear scan over leaves and text that the position index
    replaced in [Session.location_of_token], kept as its oracle. *)
 let reference_location doc k =
-  let leaves = Vdoc.Document.leaves doc in
+  let leaves = leaves_of doc in
   let n = Array.length leaves in
   let k = max 0 (min k n) in
   let byte = ref 0 in
@@ -113,10 +125,10 @@ let check_positions ~rng lexer s =
   let doc = Session.document s in
   let text = Vdoc.Document.text doc in
   let starts, bols, tokens = scratch_index lexer text in
-  if Vdoc.Document.leaf_starts doc <> starts then
+  if leaf_starts_of doc <> starts then
     QCheck.Test.fail_reportf "leaf starts diverged from a scratch index of %S"
       text;
-  if Vdoc.Document.line_starts doc <> bols then
+  if line_starts_of doc <> bols then
     QCheck.Test.fail_reportf "line starts diverged from a scratch index of %S"
       text;
   let max_la =
@@ -142,7 +154,7 @@ let check_positions ~rng lexer s =
 
 (* Leaf nid -> index, the side table the dag-walk spans key on. *)
 let leaf_index doc =
-  let leaves = Vdoc.Document.leaves doc in
+  let leaves = leaves_of doc in
   let tbl = Hashtbl.create (2 * max 1 (Array.length leaves)) in
   Array.iteri (fun i (l : Node.t) -> Hashtbl.replace tbl l.Node.nid i) leaves;
   tbl
@@ -159,7 +171,7 @@ let reference_span idx_tbl (u : Node.t) =
    that [Session.error_regions] replaced, kept as its oracle. *)
 let reference_error_regions s =
   let doc = Session.document s in
-  let leaves = Vdoc.Document.leaves doc in
+  let leaves = leaves_of doc in
   let n = Array.length leaves in
   let idx_tbl = leaf_index doc in
   let raw = ref [] in
@@ -190,7 +202,7 @@ let reference_error_regions s =
     end
     else incr i
   done;
-  let starts = Vdoc.Document.leaf_starts doc in
+  let starts = leaf_starts_of doc in
   List.sort compare !raw
   |> List.map (fun (lo, k, msg) ->
          {
@@ -225,7 +237,7 @@ let reference_unit s i =
   let g = Lrtab.Table.grammar (Session.table s) in
   let doc = Session.document s in
   let idx_tbl = leaf_index doc in
-  let leaves = Vdoc.Document.leaves doc in
+  let leaves = leaves_of doc in
   let existing =
     match leaves.(i).Node.parent with
     | Some ({ Node.kind = Node.Error _; _ } as e) -> reference_span idx_tbl e
@@ -448,7 +460,7 @@ let check_decisions lang d s =
       (String.concat " " names) text;
   (* Anchors are absolute: a binding's token is its name's leaf, however
      many tokens error regions hold outside the items before it. *)
-  let leaves = Vdoc.Document.leaves (Session.document s) in
+  let leaves = leaves_of (Session.document s) in
   List.iter
     (fun (b : Semantics.Diag.binding) ->
       let at = b.Semantics.Diag.b_token in
@@ -1082,7 +1094,7 @@ let units_across_ambiguity () =
     | None -> false
   in
   let check_all () =
-    let leaves = Vdoc.Document.leaves (Session.document s) in
+    let leaves = leaves_of (Session.document s) in
     Array.iteri
       (fun k _ ->
         let got = Session.isolation_unit s k and want = reference_unit s k in

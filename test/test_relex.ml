@@ -30,7 +30,8 @@ let relex text ~pos ~del ~insert =
     String.sub text 0 pos ^ insert
     ^ String.sub text (pos + del) (String.length text - pos - del)
   in
-  ( Relex.relex ~lexer:(Lazy.force lexer) ~leaves ~starts ~la_bound ~pos ~del
+  ( Relex.relex ~lexer:(Lazy.force lexer) ~count:(Array.length leaves)
+      ~leaf:(Array.get leaves) ~start:(Array.get starts) ~la_bound ~pos ~del
       ~insert ~new_text,
     new_text )
 
