@@ -13,21 +13,46 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing.                                                           *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let hex = "0123456789abcdef"
+
+(* [s] from [i] on, escaped into [buf]; [s.[start..i-1]] is a run that
+   needs no escape, copied whole when it ends. *)
+let rec add_escaped buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex.[Char.code c lsr 4];
+            Buffer.add_char buf hex.[Char.code c land 15]);
+        add_escaped buf s (i + 1) (i + 1)
+    | _ -> add_escaped buf s start (i + 1)
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s 0 0;
+  Buffer.add_char buf '"'
+
+(* The decimal digits of [-n], for [n <= 0] (so [min_int] needs no
+   special case). *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
 
 let float_repr f =
   if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
@@ -40,12 +65,9 @@ let rec emit buf indent v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (float_repr f)
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+  | String s -> add_string buf s
   | List [] -> Buffer.add_string buf "[]"
   | List vs ->
       Buffer.add_string buf "[\n";
@@ -65,9 +87,8 @@ let rec emit buf indent v =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ",\n";
           Buffer.add_string buf (pad (indent + 2));
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\": ";
+          add_string buf k;
+          Buffer.add_string buf ": ";
           emit buf (indent + 2) v)
         fields;
       Buffer.add_char buf '\n';
@@ -101,9 +122,8 @@ let rec emit_line buf v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
+          add_string buf k;
+          Buffer.add_char buf ':';
           emit_line buf v)
         fields;
       Buffer.add_char buf '}'
@@ -147,41 +167,78 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  let hex4 () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let d i =
+      match s.[!pos + i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | 'A' .. 'F' as c -> Char.code c - 55
+      | _ -> fail "bad \\u escape"
+    in
+    let v = (d 0 lsl 12) lor (d 1 lsl 8) lor (d 2 lsl 4) lor d 3 in
+    pos := !pos + 4;
+    v
+  in
+  (* A [\u] escape's code point, a surrogate pair combined; [!pos] is
+     past the [u]. *)
+  let code_point () =
+    let c = hex4 () in
+    if c >= 0xDC00 && c <= 0xDFFF then fail "lone low surrogate"
+    else if c >= 0xD800 && c <= 0xDBFF then begin
+      if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+        fail "lone high surrogate";
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate";
+      0x10000 + ((c - 0xD800) lsl 10) + (lo - 0xDC00)
+    end
+    else c
+  in
+  (* The first ['"'] or backslash at or after [i]. *)
+  let rec run_end i =
+    if i >= n then begin
+      pos := n;
+      fail "unterminated string"
+    end
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
+  in
+  (* The rest of a string with escapes; [i] ends the run that starts at
+     [!pos]. *)
+  let rec unescape buf i =
+    Buffer.add_substring buf s !pos (i - !pos);
+    pos := i + 1;
+    if s.[i] = '"' then Buffer.contents buf
+    else begin
+      let c = if !pos < n then s.[!pos] else '\000' in
+      (match c with
+      | '"' | '\\' | '/' -> Buffer.add_char buf c
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'u' -> ()
+      | _ -> fail "bad escape");
+      advance ();
+      if c = 'u' then Buffer.add_utf_8_uchar buf (Uchar.of_int (code_point ()));
+      unescape buf (run_end !pos)
+    end
+  in
+  (* Runs between escapes are copied whole; a string without escapes is
+     one [String.sub]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* Only BMP codepoints; enough for our own output. *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    let i = run_end start in
+    if s.[i] = '"' then begin
+      pos := i + 1;
+      String.sub s start (i - start)
+    end
+    else unescape (Buffer.create (i - start + 16)) i
   in
   let parse_number () =
     let start = !pos in

@@ -128,6 +128,39 @@ let json_roundtrip () =
   | _ -> Alcotest.fail "malformed JSON accepted"
   | exception Json.Parse _ -> ()
 
+(* [\u] escapes decode to UTF-8, a surrogate pair to one code point; a
+   surrogate without its partner is malformed. *)
+let json_unicode_escapes () =
+  let decode lit =
+    match Json.of_string ("\"" ^ lit ^ "\"") with
+    | Json.String s -> s
+    | _ -> Alcotest.failf "%s: not a string" lit
+  in
+  Alcotest.(check string) "U+00E9" "caf\xc3\xa9" (decode "caf\\u00e9");
+  Alcotest.(check string) "U+20AC" "\xe2\x82\xac" (decode "\\u20AC");
+  Alcotest.(check string) "U+1F600 as a surrogate pair" "<\xf0\x9f\x98\x80>"
+    (decode "<\\ud83d\\ude00>");
+  List.iter
+    (fun lit ->
+      match Json.of_string ("\"" ^ lit ^ "\"") with
+      | _ -> Alcotest.failf "lone surrogate %s accepted" lit
+      | exception Json.Parse _ -> ())
+    [ "\\ud83d"; "\\ud83dx"; "\\ude00"; "\\ud83d\\u0041" ]
+
+(* The writer's escapes and integers, byte for byte. *)
+let json_emit_bytes () =
+  Alcotest.(check string) "compact line"
+    "[\"a\\\"\\\\\\n\\r\\t\\u0001\\u001f\xc3\xa9\",-4611686018427387904,0,-7,42]"
+    (Json.to_line
+       (Json.List
+          [
+            Json.String "a\"\\\n\r\t\x01\x1f\xc3\xa9";
+            Json.Int min_int;
+            Json.Int 0;
+            Json.Int (-7);
+            Json.Int 42;
+          ]))
+
 let snapshot_to_json () =
   let before = Metrics.snapshot () in
   Metrics.incr c1;
@@ -150,5 +183,8 @@ let suite =
     Alcotest.test_case "disabled is a no-op" `Quick disabled_is_noop;
     Alcotest.test_case "histogram buckets" `Quick histogram_buckets;
     Alcotest.test_case "json round-trip" `Quick json_roundtrip;
+    Alcotest.test_case "json \\u escapes decode to UTF-8" `Quick
+      json_unicode_escapes;
+    Alcotest.test_case "json writer bytes" `Quick json_emit_bytes;
     Alcotest.test_case "snapshot to_json" `Quick snapshot_to_json;
   ]

@@ -296,6 +296,19 @@ let malformed_json () =
   | Json.Null -> ()
   | j -> Alcotest.failf "parse-error id should be null, got %s" (Json.to_line j)
 
+(* A [\u] escape in the text reaches the document as UTF-8 bytes, so the
+   client's byte offsets match; a lone surrogate is malformed JSON. *)
+let unicode_text () =
+  let line = {|{"id":1,"method":"open","params":{"doc":"d","lang":"c","text":"a = 1; // caf\u00e9\n"}}|} in
+  (match Protocol.decode line with
+  | Ok (_, Protocol.Open { text; _ }) ->
+      Alcotest.(check string) "text bytes" "a = 1; // caf\xc3\xa9\n" text
+  | Ok _ -> Alcotest.fail "decoded to another request"
+  | Error (_, e) -> Alcotest.failf "refused: %s" e.Protocol.message);
+  with_engine @@ fun _ req ->
+  error ~code:Protocol.e_parse
+    (req {|{"id":1,"method":"open","params":{"doc":"d","lang":"c","text":"\ud800"}}|})
+
 let non_object () =
   with_engine @@ fun _ req ->
   error ~code:Protocol.e_invalid_request (req "[1,2,3]");
@@ -576,6 +589,7 @@ let suite =
     Alcotest.test_case "diag measures only under metrics:true" `Quick
       diag_metrics_on_request;
     Alcotest.test_case "malformed JSON -> -32700" `Quick malformed_json;
+    Alcotest.test_case "\\u escapes decode to UTF-8 text" `Quick unicode_text;
     Alcotest.test_case "non-object request -> -32600" `Quick non_object;
     Alcotest.test_case "missing method -> -32600, id echoed" `Quick
       missing_method;
