@@ -205,19 +205,24 @@ let rec put_args r i j bits = function
 
 (* The clock is wall time clamped to never run backwards past the
    shard's previous event, so each domain's stream is non-decreasing by
-   construction (and the merged stream is, because it is sorted). *)
+   construction (and the merged stream is, because it is sorted).  Only
+   span boundaries read it: an instant takes its shard's previous
+   timestamp, since nothing measures the time of a point. *)
 let record phase cat name args =
   if !on then begin
     let sh = my_shard () in
     let r = sh.sh_ring in
     let n = sh.sh_next in
     let i = n mod r.r_cap in
-    let t = Unix.gettimeofday () in
     let t =
-      if n = 0 then t
+      if n = 0 then Unix.gettimeofday ()
       else
-        Float.max t
-          (Float.Array.get r.r_ts (if i = 0 then r.r_cap - 1 else i - 1))
+        let prev =
+          Float.Array.get r.r_ts (if i = 0 then r.r_cap - 1 else i - 1)
+        in
+        match phase with
+        | Instant -> prev
+        | Begin | End -> Float.max (Unix.gettimeofday ()) prev
     in
     Float.Array.set r.r_ts i t;
     let si = i * strs_per in

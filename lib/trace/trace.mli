@@ -37,7 +37,11 @@ type phase = Begin | End | Instant
 
 type event = {
   seq : int;  (** per-domain emission index (dense, increasing) *)
-  ts : float;  (** seconds; monotone non-decreasing across the stream *)
+  ts : float;
+      (** seconds; monotone non-decreasing across the stream.  Only
+          [Begin] and [End] read the clock: an [Instant] carries the
+          previous timestamp of its domain's stream (the clock only for
+          a domain's first event). *)
   did : int;  (** id of the domain that recorded the event *)
   phase : phase;
   cat : cat;
