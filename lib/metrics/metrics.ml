@@ -91,7 +91,6 @@ type metric =
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let on = ref true
 
-let enabled () = !on
 let set_enabled b = on := b
 
 (* Registration typically happens when a module's top level runs — and

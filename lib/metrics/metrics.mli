@@ -71,7 +71,6 @@ val histogram : string -> bounds:float array -> histogram
 
 (** {1 Enabling} *)
 
-val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 (** {1 Hot-path updates} — no-ops (one branch) when disabled. *)
@@ -86,7 +85,7 @@ val start : unit -> float
 (** Timestamp for {!observe_since}, 0. when disabled. *)
 
 val now_ms : unit -> float
-(** Wall-clock milliseconds, independent of {!enabled}.  The registry's
+(** Wall-clock milliseconds, whatever {!set_enabled} chose.  The registry's
     clock, exposed so clients that must not link [unix] directly (the
     parser's deadline budget) share one time source. *)
 
