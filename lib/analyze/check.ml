@@ -179,13 +179,12 @@ let dag ?(allow_pending = false) ?expect_text table root =
             done)
           n.Node.kids
     | Node.Error _ ->
-        (* An error node wraps exactly the flagged token run: >= 1 kids,
-           all raw terminals whose parent is this node (so a scan of the
-           leaves finds every error region), count cached as their sum;
-           it carries nostate (never reusable by state matching) and the
-           error flag; it must not hang under a choice (alternatives must
-           share one terminal yield, which a damage region cannot
-           guarantee). *)
+        (* An error node wraps exactly the isolated token run: >= 1
+           kids, all raw terminals whose parent is this node (so each
+           leaf's parent path reaches its region), count cached as their
+           sum; it carries nostate (never reusable by state matching); it
+           must not hang under a choice (alternatives must share one
+           terminal yield, which a damage region cannot guarantee). *)
         let arity = Array.length n.Node.kids in
         if arity = 0 then add n "error-node" "error node with no kids";
         Array.iteri
@@ -202,8 +201,6 @@ let dag ?(allow_pending = false) ?expect_text table root =
         if n.Node.state <> Node.nostate then
           add n "error-node" "error node carries state %d, must be nostate"
             n.Node.state;
-        if not n.Node.error then
-          add n "error-node" "error node without its error flag";
         (match n.Node.parent with
         | Some { Node.kind = Node.Choice _; _ } ->
             add n "error-node" "error node is a choice alternative"

@@ -14,10 +14,9 @@
     - production shape: a [Prod p] node has exactly the kids prescribed by
       production [p]'s right-hand side, symbol for symbol (isolated error
       regions spliced among the kids are transparent to this rule);
-    - error nodes: ≥ 1 kids, all raw terminals (the flagged token run,
+    - error nodes: ≥ 1 kids, all raw terminals (the isolated token run,
       covered exactly by the cached count), carrying
-      {!Parsedag.Node.nostate} and the [error] flag, and never an
-      alternative of a choice;
+      {!Parsedag.Node.nostate}, and never an alternative of a choice;
     - choice nodes: ≥ 2 alternatives, none itself a choice, pairwise
       structurally distinct, sharing one yield, carrying
       {!Parsedag.Node.nostate};

@@ -25,6 +25,9 @@ type t = {
       (* the error nodes the last committing isolation spliced, in source
          order: every error node the tree can hold, since a clean parse
          decomposes them all and a flag-only recovery keeps the tree *)
+  mutable flagged : Node.t list;
+      (* the terminals flag-only recoveries marked unincorporated since
+         the last commit, in nid order; every commit empties it *)
   mutable on_commit : (watermark:int -> Node.t -> unit) list;
       (* commit subscribers (newest first): invoked after every reparse
          that commits a tree, with the node-allocation watermark captured
@@ -193,26 +196,29 @@ let escalate t (lo, hi) =
       let w = max 1 (hi - lo + 1) in
       (max 0 (lo - w), min (Document.token_count t.doc - 1) (hi + w))
 
-(* Isolated error nodes with their leaf spans and messages, in source
-   order, from the nodes the last isolation spliced rather than a pass
-   over the leaves.  A node's first leaf index is [find_up]'s arithmetic
-   run to the root; a node that an edit emptied, or that is no longer
-   its parent's kid somewhere on the way up, is not in the tree.
-   O(error nodes x parent-path length x arity). *)
-let error_spans t =
+(* Index of [n]'s first leaf: [find_up]'s arithmetic run to the root.
+   [None] when [n] is no longer its parent's kid somewhere on the way
+   up, i.e. not in the tree.  O(parent-path length x arity). *)
+let first_leaf t n =
   let root = Document.root t.doc in
-  let rec first_leaf (n : Node.t) lo =
+  let rec up (n : Node.t) lo =
     match n.Node.parent with
     | None -> if n == root then Some lo else None
     | Some p ->
         let k = leaves_left_of p n in
-        if k < 0 then None else first_leaf p (lo + k)
+        if k < 0 then None else up p (lo + k)
   in
+  up n 0
+
+(* Isolated error nodes with their leaf spans and messages, in source
+   order, from the nodes the last isolation spliced rather than a pass
+   over the leaves; a node an edit emptied or removed is dropped. *)
+let error_spans t =
   List.filter_map
     (fun (e : Node.t) ->
       match e.Node.kind with
       | Node.Error info when Node.token_count e > 0 -> (
-          match first_leaf e 0 with
+          match first_leaf t e with
           | Some lo ->
               Some (e, (lo, lo + Node.token_count e - 1), info.Node.message)
           | None -> None)
@@ -297,6 +303,7 @@ let isolate t ~deadline ~cancel (error : Glr.error) =
              t.table (Document.root t.doc)
          with
          | stats ->
+             t.flagged <- [];
              t.spliced <-
                List.map
                  (fun (lo, hi) ->
@@ -350,35 +357,27 @@ let run_hook t ~watermark =
     (List.rev t.on_commit)
 
 (* Flag-only recovery, the history-based rung of §4.3: the previous
-   structure stays and the pending modifications are marked
-   unincorporated.  Returns how many tokens it flagged. *)
+   structure stays and the pending modifications are listed as
+   unincorporated.  Returns how many tokens it newly flagged. *)
 let flag_pending t ~watermark (error : Glr.error) =
   (* No commit: keep the watermark so the eventual committing reparse
      dirties everything allocated since the last commit. *)
   t.pending_watermark <- Some watermark;
-  let flagged = ref 0 in
-  List.iter
-    (fun (l : Node.t) ->
-      if not l.Node.error then begin
-        l.Node.error <- true;
-        incr flagged
-      end)
-    (Document.changed_tokens t.doc);
+  let flag leaves =
+    let before = List.length t.flagged in
+    let by_nid (a : Node.t) (b : Node.t) = Int.compare a.Node.nid b.Node.nid in
+    t.flagged <- List.sort_uniq by_nid (List.rev_append leaves t.flagged);
+    List.length t.flagged - before
+  in
   (* A fully-committed document (the initial parse, or a reparse after
-     commit) has no pending modifications to flag; mark the failure token
+     commit) has no pending modifications to flag; flag the failure token
      itself so the damage still shows up in [error_regions] instead of
      reporting a clean tree. *)
-  if !flagged = 0 then begin
-    let n = Document.token_count t.doc in
-    if n > 0 then begin
-      let leaf = Document.leaf t.doc (max 0 (min error.Glr.offset_tokens (n - 1))) in
-      if not leaf.Node.error then begin
-        leaf.Node.error <- true;
-        incr flagged
-      end
-    end
-  end;
-  !flagged
+  let n = Document.token_count t.doc in
+  match flag (Document.changed_tokens t.doc) with
+  | 0 when n > 0 ->
+      flag [ Document.leaf t.doc (max 0 (min error.Glr.offset_tokens (n - 1))) ]
+  | k -> k
 
 (* The degradation ladder after a failed (or budget-exhausted) full
    parse: try local isolation under the same absolute deadline; fall
@@ -420,7 +419,6 @@ let reparse_owned ?cancel t =
     if t.budget.Glr.deadline_ms = infinity then infinity
     else Metrics.now_ms () +. t.budget.Glr.deadline_ms
   in
-  let had_errors = t.errors in
   (* Allocation watermark before the parse: nodes the reparse retains
      keep their nid <= watermark, freshly built structure sits above it.
      Commit subscribers use it to dirty exactly the changed subtrees.
@@ -439,14 +437,10 @@ let reparse_owned ?cancel t =
       Metrics.observe_since m_reparse_ms t0;
       t.errors <- false;
       (* Error nodes cannot survive a clean parse (their spine never
-         state-matches and they always decompose), but flag-only
-         recovery may have left error bits on terminals: clear them so
-         [error_regions] reflects the clean state. *)
+         state-matches and they always decompose), and the flagged
+         terminals are incorporated. *)
       t.spliced <- [];
-      if had_errors then
-        for i = 0 to Document.token_count t.doc - 1 do
-          (Document.leaf t.doc i).Node.error <- false
-        done;
+      t.flagged <- [];
       run_hook t ~watermark;
       if stats.Glr.degraded then Metrics.incr m_degraded;
       Parsed stats
@@ -478,6 +472,7 @@ let create ?(config = Glr.default_config) ?(budget = Glr.no_budget) ~table
       errors = false;
       unparsed = false;
       spliced = [];
+      flagged = [];
       on_commit = [];
       pending_watermark = None;
       owner = Mutex.create ();
@@ -510,32 +505,26 @@ let edit t ~pos ~del ~insert = owned t (fun () -> edit_owned t ~pos ~del ~insert
 (* Error-region reporting.                                             *)
 
 let error_regions t =
-  let n = Document.token_count t.doc in
-  let raw = ref (List.map (fun (_, span, msg) -> (span, msg)) (error_spans t)) in
-  (* Flag-only recovery leaves error bits on terminals outside any error
-     node: report maximal runs of those too. *)
-  let inside_error (l : Node.t) =
-    match l.Node.parent with
-    | Some { Node.kind = Node.Error _; _ } -> true
-    | _ -> false
+  (* Flagged terminals still in the tree and outside any error node, as
+     maximal runs of consecutive leaves. *)
+  let leaves =
+    List.filter_map
+      (fun (l : Node.t) ->
+        match l.Node.parent with
+        | Some { Node.kind = Node.Error _; _ } -> None
+        | _ -> first_leaf t l)
+      t.flagged
   in
-  let flagged i =
-    let l = Document.leaf t.doc i in
-    l.Node.error && not (inside_error l)
+  let rec runs = function
+    | [] -> []
+    | i :: rest -> (
+        match runs rest with
+        | ((lo, hi), msg) :: more when lo = i + 1 -> ((i, hi), msg) :: more
+        | more -> ((i, i), "unincorporated edit") :: more)
   in
-  let i = ref 0 in
-  while !i < n do
-    if flagged !i then begin
-      let j = ref !i in
-      while !j + 1 < n && flagged (!j + 1) do
-        incr j
-      done;
-      raw := ((!i, !j), "unincorporated edit") :: !raw;
-      i := !j + 1
-    end
-    else incr i
-  done;
-  List.sort compare !raw
+  List.map (fun (_, span, msg) -> (span, msg)) (error_spans t)
+  @ runs (List.sort Int.compare leaves)
+  |> List.sort compare
   |> List.map (fun ((lo, hi), msg) ->
          {
            r_start = location_of_token t lo;

@@ -26,7 +26,6 @@ type t = {
   mutable parent : t option;
   mutable changed : bool;
   mutable nested : bool;
-  mutable error : bool;
   mutable tcount : int;  (* cached terminal count of the subtree *)
 }
 
@@ -68,7 +67,6 @@ let fresh kind state kids =
     parent = None;
     changed = false;
     nested = false;
-    error = false;
     tcount;
   }
 
@@ -93,9 +91,7 @@ let make_error ~message kids =
       | _ -> invalid_arg "Node.make_error: non-terminal kid")
     kids;
   Metrics.incr m_errors;
-  let n = fresh (Error { message }) nostate kids in
-  n.error <- true;
-  n
+  fresh (Error { message }) nostate kids
 
 let make_bos () = fresh Bos nostate [||]
 let make_eos ~trailing = fresh (Eos { trailing }) nostate [||]

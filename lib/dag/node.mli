@@ -20,7 +20,8 @@
     implement the self-versioning document's damage tracking: the previous
     tree remains intact during a reparse, reused subtrees are shared by
     reference into the new tree, and parent pointers are repaired by
-    {!val:commit}. *)
+    {!val:commit}.  Flag-only recovery's marks are not node state: the
+    editing session lists them until its next commit. *)
 
 type kind =
   | Term of term_info
@@ -56,7 +57,6 @@ type t = {
   mutable parent : t option;
   mutable changed : bool;
   mutable nested : bool;
-  mutable error : bool;  (** carries unincorporated/erroneous material *)
   mutable tcount : int;
       (** cached terminal count; maintained by constructors,
           {!refresh_token_count} and {!adjust_token_count} *)
@@ -81,10 +81,11 @@ val make_prod : prod:int -> state:int -> t array -> t
 val make_choice : nt:int -> t array -> t
 
 (** [make_error ~message kids] — an error-region node over ≥1 terminal
-    kids (the unincorporated token run); its state is always {!nostate}
-    and its [error] flag is set.  The incremental parser decomposes error
-    nodes unconditionally, so the region is re-offered to the parser on
-    every later reparse until the text is fixed. *)
+    kids (the unincorporated token run); its state is always {!nostate},
+    and its kind is all that marks it as erroneous.  The incremental
+    parser decomposes error nodes unconditionally, so the region is
+    re-offered to the parser on every later reparse until the text is
+    fixed. *)
 val make_error : message:string -> t array -> t
 
 val make_bos : unit -> t

@@ -19,7 +19,6 @@ let pp g ppf root =
       Format.fprintf ppf " @%d" n.Node.state;
     if n.Node.changed then Format.pp_print_string ppf " *";
     if n.Node.nested then Format.pp_print_string ppf " ~";
-    if n.Node.error then Format.pp_print_string ppf " !";
     Format.pp_print_newline ppf ();
     Array.iter (walk (indent ^ "  ")) n.Node.kids
   in

@@ -167,9 +167,45 @@ let reference_span idx_tbl (u : Node.t) =
       | None -> None)
   | None -> None
 
+(* The flag-only half of the oracle: the terminals that flag-only
+   recoveries marked since the last commit, kept by the test from the
+   outcomes it sees.  A flag-only outcome marks the pending (changed)
+   terminals, or the failure token when none of those is new; any commit
+   clears the model.  The count of new marks must be the outcome's
+   [flagged]. *)
+type flag_model = { mutable marked : Node.t list }
+
+let flag_model () = { marked = [] }
+
+let observe model s = function
+  | Session.Parsed _ -> model.marked <- []
+  | Session.Recovered { isolated; _ } when isolated > 0 -> model.marked <- []
+  | Session.Recovered { flagged; error; _ } ->
+      let doc = Session.document s in
+      let fresh = List.filter (fun l -> not (List.memq l model.marked)) in
+      let marked =
+        match fresh (Vdoc.Document.changed_tokens doc) with
+        | [] ->
+            let n = Vdoc.Document.token_count doc in
+            if n = 0 then []
+            else
+              fresh
+                [
+                  Vdoc.Document.leaf doc
+                    (max 0 (min error.Glr.offset_tokens (n - 1)));
+                ]
+        | pending -> pending
+      in
+      if List.length marked <> flagged then
+        QCheck.Test.fail_reportf
+          "flag-only recovery flagged %d tokens, the model %d in %S" flagged
+          (List.length marked) (Session.text s);
+      model.marked <- marked @ model.marked
+
 (* The [Node.iter] walk over every reachable node, deduplicated by nid,
-   that [Session.error_regions] replaced, kept as its oracle. *)
-let reference_error_regions s =
+   that [Session.error_regions] replaced, kept as its oracle, with the
+   flag-only runs read from [model] over the leaves array. *)
+let reference_error_regions model s =
   let doc = Session.document s in
   let leaves = leaves_of doc in
   let n = Array.length leaves in
@@ -189,7 +225,9 @@ let reference_error_regions s =
     | Some { Node.kind = Node.Error _; _ } -> true
     | _ -> false
   in
-  let flagged i = leaves.(i).Node.error && not (inside_error leaves.(i)) in
+  let flagged i =
+    List.memq leaves.(i) model.marked && not (inside_error leaves.(i))
+  in
   let i = ref 0 in
   while !i < n do
     if flagged !i then begin
@@ -252,9 +290,10 @@ let reference_unit s i =
       in
       match climb leaves.(i) with Some sp -> sp | None -> (i, i))
 
-let check_recovery_spans ~rng s =
+let check_recovery_spans ~rng model s outcome =
+  observe model s outcome;
   let text = Session.text s in
-  if Session.error_regions s <> reference_error_regions s then
+  if Session.error_regions s <> reference_error_regions model s then
     QCheck.Test.fail_reportf "error regions diverged from the dag walk in %S"
       text;
   let n = Vdoc.Document.token_count (Session.document s) in
@@ -492,6 +531,7 @@ let replay lang base (seed, count) =
   | Session.Recovered _ -> QCheck.Test.fail_report "base program rejected");
   let decisions = decision_analyzer lang s in
   let rng = Random.State.make [| seed |] in
+  let model = flag_model () in
   let text = ref base in
   List.for_all
     (fun (e : Edit_gen.edit) ->
@@ -503,7 +543,7 @@ let replay lang base (seed, count) =
         QCheck.Test.fail_report "document text diverged from edit replay";
       let outcome = Session.reparse s in
       check_positions ~rng (Language.lexer lang) s;
-      check_recovery_spans ~rng s;
+      check_recovery_spans ~rng model s outcome;
       (if Trace.dropped () = 0 then
          match Trace.Check.well_formed (Trace.events ()) with
          | [] -> ()
@@ -536,9 +576,18 @@ let replay lang base (seed, count) =
              flagged), so there the commit-time sanitizer does not apply;
              the next clean parse after a repairing edit re-checks the
              full invariants. *)
-          if isolated > 0 then
+          if isolated > 0 then begin
             Analyze.Check.assert_dag ~expect_text:!text table
               (Session.root s);
+            if
+              List.exists
+                (fun (r : Session.region) ->
+                  r.Session.r_message = "unincorporated edit")
+                (Session.error_regions s)
+            then
+              QCheck.Test.fail_reportf
+                "an unincorporated edit outlived the commit in %S" !text
+          end;
           if not (Session.has_errors s) then
             QCheck.Test.fail_report "has_errors unset after recovery";
           true
@@ -594,11 +643,12 @@ let fault_replay lang base (seed, count) =
         ()
   in
   let index_rng = Random.State.make [| seed |] in
+  let model = flag_model () in
   for _ = 1 to count do
     step ();
     let outcome = Session.reparse s in
     check_positions ~rng:index_rng (Language.lexer lang) s;
-    check_recovery_spans ~rng:index_rng s;
+    check_recovery_spans ~rng:index_rng model s outcome;
     (match decisions with
     | Some d when committed outcome -> check_decisions lang d s
     | _ -> ());
@@ -920,12 +970,13 @@ let index_replay (seed, count) =
   List.iter
     (fun (_, lang) ->
       let lexer = Language.lexer lang in
-      let s, _ =
+      let s, outcome0 =
         Session.create ~table:(Language.table lang) ~lexer
           (frags (Random.State.int rng 30))
       in
+      let model = flag_model () in
       check_positions ~rng lexer s;
-      check_recovery_spans ~rng:unit_rng s;
+      check_recovery_spans ~rng:unit_rng model s outcome0;
       let decisions = decision_analyzer lang s in
       for _ = 1 to count do
         let len = String.length (Session.text s) in
@@ -938,7 +989,7 @@ let index_replay (seed, count) =
         | exception Lexgen.Scanner.Lex_error _ -> ());
         if Random.State.bool rng then begin
           let outcome = Session.reparse s in
-          check_recovery_spans ~rng:unit_rng s;
+          check_recovery_spans ~rng:unit_rng model s outcome;
           match decisions with
           | Some d when committed outcome -> check_decisions lang d s
           | _ -> ()
@@ -1083,17 +1134,19 @@ let units_across_ambiguity () =
     "typedef int a;\nint f () { x = 1; a * b; c * d; (a)(b); y = 2; }\n\
      int g () { e * f; w = (c)(d); z = 3; }\n"
   in
-  let s, _ =
+  let s, outcome0 =
     Session.create ~table:(Language.table lang) ~lexer:(Language.lexer lang)
       text
   in
+  let model = flag_model () in
   let rec through_choice (n : Node.t) =
     match n.Node.parent with
     | Some { Node.kind = Node.Choice _; _ } -> true
     | Some p -> through_choice p
     | None -> false
   in
-  let check_all () =
+  let check_all outcome =
+    observe model s outcome;
     let leaves = leaves_of (Session.document s) in
     Array.iteri
       (fun k _ ->
@@ -1102,18 +1155,20 @@ let units_across_ambiguity () =
           Alcotest.failf "unit of token %d is (%d, %d), the dag walk's (%d, %d)"
             k (fst got) (snd got) (fst want) (snd want))
       leaves;
-    if Session.error_regions s <> reference_error_regions s then
+    if Session.error_regions s <> reference_error_regions model s then
       Alcotest.fail "error regions diverged from the dag walk";
     Array.exists through_choice leaves
   in
-  Alcotest.(check bool) "some path crosses a choice" true (check_all ());
+  Alcotest.(check bool) "some path crosses a choice" true (check_all outcome0);
   let p = Str.search_forward (Str.regexp_string "y =") text 0 in
   Session.edit s ~pos:(p + 3) ~del:0 ~insert:" ) (";
-  (match Session.reparse s with
+  let outcome = Session.reparse s in
+  (match outcome with
   | Session.Recovered { isolated; _ } ->
       Alcotest.(check bool) "isolated" true (isolated > 0)
   | Session.Parsed _ -> Alcotest.fail "broken statement parsed");
-  Alcotest.(check bool) "a path still crosses a choice" true (check_all ())
+  Alcotest.(check bool) "a path still crosses a choice" true
+    (check_all outcome)
 
 let suite =
   [

@@ -108,8 +108,7 @@ let test_error_node_shape () =
             (Array.for_all
                (fun (k : Node.t) ->
                  match k.Node.kind with Node.Term _ -> true | _ -> false)
-               n.Node.kids);
-          Alcotest.(check bool) "error flag set" true n.Node.error
+               n.Node.kids)
       | _ -> ())
     (Session.root s)
 
@@ -289,6 +288,29 @@ let test_budget_max_nodes () =
   ignore (recovered (Session.reparse s));
   Alcotest.(check bool) "has_errors" true (Session.has_errors s)
 
+(* Flag-only recovery's marks last until the next commit and no longer:
+   an isolating reparse that commits the tree leaves only the region it
+   isolated, not the statement the budgeted attempt flagged before it. *)
+let test_commit_clears_flag_only_marks () =
+  let s, o = make calc "a = 1; b = 2; c = 3; d = 4;" in
+  ignore (parsed o);
+  Session.edit s ~pos:4 ~del:1 ~insert:"7";
+  Session.edit s ~pos:11 ~del:0 ~insert:"= ";
+  Session.set_budget s { Glr.no_budget with Glr.max_nodes = 1 };
+  let r = recovered (Session.reparse s) in
+  Alcotest.(check int) "flag-only" 0 r.isolated;
+  Session.set_budget s Glr.no_budget;
+  let r = recovered (Session.reparse s) in
+  Alcotest.(check int) "isolated" 1 r.isolated;
+  Alcotest.(check (list (pair int string)))
+    "only the isolated region"
+    [ (7, "b = = 2;") ]
+    (List.map
+       (fun (g : Session.region) ->
+         let lo = g.Session.r_start.Session.offset_bytes in
+         (lo, String.sub (Session.text s) lo (g.Session.r_end_byte - lo)))
+       (Session.error_regions s))
+
 let test_budget_deadline () =
   let budget = { Glr.no_budget with Glr.deadline_ms = 0. } in
   let s, o = make ~budget calc base_calc in
@@ -346,12 +368,8 @@ let test_check_dag_error_rules () =
   Alcotest.(check bool) "stateful error node flagged" true
     (Check.dag (Session.table s) (Session.root s) <> []);
   e.Node.state <- Node.nostate;
-  e.Node.error <- false;
-  Alcotest.(check bool) "unflagged error node flagged" true
-    (Check.dag (Session.table s) (Session.root s) <> []);
-  e.Node.error <- true;
   (* A kid whose parent points elsewhere would hide the region from the
-     leaves scan that finds error spans. *)
+     kid's parent-path climbs. *)
   let kid = e.Node.kids.(Array.length e.Node.kids - 1) in
   kid.Node.parent <- e.Node.parent;
   Alcotest.(check bool) "kid with a foreign parent flagged" true
@@ -481,6 +499,8 @@ let suite =
       test_reuse_outside_error;
     Alcotest.test_case "budget: max nodes" `Quick test_budget_max_nodes;
     Alcotest.test_case "budget: deadline" `Quick test_budget_deadline;
+    Alcotest.test_case "commit clears flag-only marks" `Quick
+      test_commit_clears_flag_only_marks;
     Alcotest.test_case "budget: max parsers" `Quick test_budget_max_parsers;
     Alcotest.test_case "budget: unbounded is invisible" `Quick
       test_budget_unbounded_matches_default;
