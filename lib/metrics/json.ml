@@ -141,27 +141,35 @@ let to_file path v = Out_channel.with_open_bin path (fun oc ->
 
 exception Parse of string
 
+(* Whether [word] sits in [s] at [at] (which has room for it). *)
+let rec matches_at s at word i =
+  i = String.length word
+  || (s.[at + i] = word.[i] && matches_at s at word (i + 1))
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* Bytes are read in place; ['\000'] past the end starts no token. *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let advance () = incr pos in
   let rec skip_ws () =
     match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
+    | ' ' | '\t' | '\n' | '\r' ->
         advance ();
         skip_ws ()
     | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
+    if peek () = c then advance () else fail (Printf.sprintf "expected %c" c)
   in
   let literal word v =
     let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then begin
+    if !pos + m <= n && matches_at s !pos word 0 then begin
       pos := !pos + m;
       v
     end
@@ -240,31 +248,38 @@ let of_string s =
     end
     else unescape (Buffer.create (i - start + 16)) i
   in
+  (* A signed run of at most 18 digits is built digit by digit (it
+     cannot overflow); any other number token takes the [String.sub]
+     path, with [int_of_string]'s and [float_of_string]'s rules. *)
   let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
+    let start = !pos and neg = peek () = '-' in
+    if neg || peek () = '+' then advance ();
+    let digits = !pos and v = ref 0 in
+    while match peek () with '0' .. '9' -> true | _ -> false do
+      v := (10 * !v) + Char.code s.[!pos] - 48;
       advance ()
     done;
-    let tok = String.sub s start (!pos - start) in
-    match int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail "bad number")
+    let whole = !pos - digits in
+    while is_num_char (peek ()) do advance () done;
+    if !pos = digits + whole && whole > 0 && whole <= 18 then
+      Int (if neg then - !v else !v)
+    else
+      let tok = String.sub s start (!pos - start) in
+      match int_of_string_opt tok with
+      | Some i -> Int i
+      | None -> (
+          match float_of_string_opt tok with
+          | Some f -> Float f
+          | None -> fail "bad number")
   in
   let rec parse_value () =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
+        if peek () = '}' then begin advance (); Obj [] end
         else
           let rec fields acc =
             skip_ws ();
@@ -274,30 +289,30 @@ let of_string s =
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' -> advance (); fields ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
+            | ',' -> advance (); fields ((k, v) :: acc)
+            | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
             | _ -> fail "expected , or }"
           in
           fields []
-    | Some '[' ->
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
+        if peek () = ']' then begin advance (); List [] end
         else
           let rec elems acc =
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' -> advance (); elems (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
+            | ',' -> advance (); elems (v :: acc)
+            | ']' -> advance (); List (List.rev (v :: acc))
             | _ -> fail "expected , or ]"
           in
           elems []
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   let v = parse_value () in
   skip_ws ();

@@ -161,6 +161,32 @@ let json_emit_bytes () =
             Json.Int 42;
           ]))
 
+(* Decoding reads bytes in place: a number or literal costs its own value
+   and the list cells holding it (8 words for an [Int] element: its box,
+   the accumulator's cons and [List.rev]'s), nothing per byte read. *)
+let json_scalars_allocate_their_values () =
+  let k = 500 in
+  let text =
+    Printf.sprintf "{\"ints\": [%s], \"lits\": [%s]}"
+      (String.concat ", "
+         (List.init k (fun i -> string_of_int ((i * 7919) - 1_000_000))))
+      (String.concat ", "
+         (List.init k (fun i -> [| "true"; "false"; "null" |].(i mod 3))))
+  in
+  ignore (Json.of_string text);
+  let before = Gc.minor_words () in
+  let v = Json.of_string text in
+  let words = Gc.minor_words () -. before in
+  (match v with
+  | Json.Obj [ ("ints", Json.List ints); ("lits", Json.List lits) ] ->
+      Alcotest.(check int) "ints" k (List.length ints);
+      Alcotest.(check int) "lits" k (List.length lits);
+      Alcotest.(check bool) "last int" true
+        (List.nth ints (k - 1) = Json.Int (((k - 1) * 7919) - 1_000_000))
+  | _ -> Alcotest.fail "number-heavy object decoded wrong");
+  if words > float_of_int ((8 * k) + (6 * k) + 200) then
+    Alcotest.failf "decoding %d scalars took %.0f minor words" (2 * k) words
+
 let snapshot_to_json () =
   let before = Metrics.snapshot () in
   Metrics.incr c1;
@@ -186,5 +212,7 @@ let suite =
     Alcotest.test_case "json \\u escapes decode to UTF-8" `Quick
       json_unicode_escapes;
     Alcotest.test_case "json writer bytes" `Quick json_emit_bytes;
+    Alcotest.test_case "json scalars allocate their values" `Quick
+      json_scalars_allocate_their_values;
     Alcotest.test_case "snapshot to_json" `Quick snapshot_to_json;
   ]
