@@ -150,7 +150,8 @@ val unparsed_edits : t -> bool
 
 (** [error_regions t] — the damaged regions of the current tree, in
     source order: isolated error nodes plus maximal runs of terminals
-    flagged by flag-only recovery.  Empty after a clean parse. *)
+    flagged by flag-only recovery since the last commit.  Empty after a
+    clean parse. *)
 val error_regions : t -> region list
 
 (** [isolation_unit t k] — the leaf-index span [(lo, hi)] that error
