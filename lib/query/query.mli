@@ -28,6 +28,12 @@
       since the previous sweep (dead keys accumulate as the dag rebuilds
       nodes under fresh ids).
 
+    A cell is addressed by (definition id, int key): no fetch hashes a
+    string.  A dependency edge points at its cell.  A swept cell is dead
+    and drops its value and edges; an edge to a dead cell, or to an input
+    read while unset, reads as changed.  A {e hit} is a fetch that runs
+    no user code.
+
     Dag integration: cells keyed by a {e retained} node's id never go
     stale by themselves — the parser's reuse discipline guarantees a
     retained production node's subtree is unchanged — so invalidation
@@ -71,12 +77,17 @@ val revision : t -> int
 type 'v def
 (** A query definition: a unique name, a compute function and a value
     equality used for early cutoff.  Definitions are engine-independent
-    (the compute function receives the engine); names must be unique
-    among the definitions and inputs used with one engine. *)
+    (the compute function receives the engine).  A definition's or
+    input's first cell in an engine claims its name there: another
+    definition or input with that name then raises [Invalid_argument]. *)
 
 val define : name:string -> ?equal:('v -> 'v -> bool) -> (t -> int -> 'v) -> 'v def
 (** [equal] defaults to structural equality guarded against functional
     values (incomparable values are treated as changed). *)
+
+val exclusive : t -> (unit -> 'a) -> 'a
+(** [exclusive t f] runs [f] holding the engine, so every call [f] makes
+    takes the owning path: no lock and no closure per call. *)
 
 val fetch : t -> 'v def -> int -> 'v
 (** Demand the query's value for a key: validate the cached cell or

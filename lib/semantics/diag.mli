@@ -69,9 +69,10 @@ type diag = { d_code : string; d_token : int; d_message : string }
 type result = {
   bindings : binding list;  (** exported bindings, source order *)
   diags : diag list;  (** sorted by token offset, then code *)
-  types : (int * ty) list;
+  types : (int * ty) list Lazy.t;
       (** computed types of statement expressions and initializers,
-          keyed by the expression's first token offset *)
+          keyed by the expression's first token offset; built when
+          forced ({!render} forces it), since no JSON answer carries it *)
   typedefs : string list;  (** file-scope typedef names in force, sorted *)
 }
 

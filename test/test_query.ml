@@ -132,6 +132,56 @@ let test_gc () =
   Query.set t int_in 2 20;
   Alcotest.(check int) "recreated" 40 (Query.fetch t double 2)
 
+(* A definition's name is claimed per engine by its first cell: a
+   second definition or an input under that name is refused there, while
+   the same definition serves any number of engines. *)
+let test_name_collision () =
+  let q1 = Query.define ~name:"t.same" (fun _ k -> k) in
+  let q2 = Query.define ~name:"t.same" (fun _ k -> k + 1) in
+  let i2 : int Query.input = Query.input ~name:"t.same" () in
+  let t = Query.create () in
+  Alcotest.(check int) "first definition" 1 (Query.fetch t q1 1);
+  Alcotest.check_raises "second definition"
+    (Invalid_argument
+       "Query: query name \"t.same\" already used by another definition")
+    (fun () -> ignore (Query.fetch t q2 1));
+  Alcotest.check_raises "input"
+    (Invalid_argument
+       "Query: input name \"t.same\" already used by another definition")
+    (fun () -> Query.set t i2 1 0);
+  let t2 = Query.create () in
+  Alcotest.(check int) "same definition, second engine" 1 (Query.fetch t2 q1 1);
+  Alcotest.(check int) "still served on the first" 1 (Query.fetch t q1 1)
+
+(* A cell that read an unset input depends on its absence: while the
+   input stays unset every fetch in a later revision recomputes it (a
+   compute, not a hit); once set, it recomputes once and then validates
+   clean. *)
+let test_unset_input () =
+  let t = Query.create () in
+  let bump =
+    let n = ref 0 in
+    fun () ->
+      incr n;
+      Query.set t int_in2 0 !n
+  in
+  let fetch_counting () =
+    bump ();
+    let s0 = Query.stats t in
+    let v = Query.fetch t double 5 in
+    let s1 = Query.stats t in
+    (v, s1.Query.computes - s0.Query.computes, s1.Query.hits - s0.Query.hits)
+  in
+  let check what want got =
+    Alcotest.(check (triple int int int)) what want got
+  in
+  check "first fetch computes" (0, 1, 0) (fetch_counting ());
+  check "unset: recomputes" (0, 1, 0) (fetch_counting ());
+  check "still unset: recomputes" (0, 1, 0) (fetch_counting ());
+  Query.set t int_in 5 4;
+  check "set: recomputes once" (8, 1, 0) (fetch_counting ());
+  check "then validates clean" (8, 0, 1) (fetch_counting ())
+
 (* Single-owner contract: the engine serialises entry per domain; a
    domain that loses the race gets [Busy] rather than corrupting cell
    state.  A deterministic schedule: one domain holds the engine inside
@@ -208,7 +258,7 @@ let test_diag_calc () =
   Alcotest.(check int) "four bindings" 4 (List.length r.Diag.bindings);
   (* Types: the three literal assignments are int; [w = q] has an
      unbound rhs and stays unknown. *)
-  let names = List.map (fun (_, ty) -> Diag.ty_name ty) r.Diag.types in
+  let names = List.map (fun (_, ty) -> Diag.ty_name ty) (Lazy.force r.Diag.types) in
   Alcotest.(check int) "int count" 3
     (List.length (List.filter (( = ) "int") names));
   Alcotest.(check int) "unknown count" 1
@@ -361,6 +411,8 @@ let suite =
     Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
     Alcotest.test_case "dead-cell GC" `Quick test_gc;
     Alcotest.test_case "single-owner domain safety" `Quick test_domain_safety;
+    Alcotest.test_case "name collisions" `Quick test_name_collision;
+    Alcotest.test_case "unset input recomputes" `Quick test_unset_input;
     Alcotest.test_case "calc diagnostics" `Quick test_diag_calc;
     Alcotest.test_case "calc division types" `Quick
       test_diag_calc_division_types;
