@@ -999,6 +999,36 @@ let index_replay (seed, count) =
     Languages.Registry.all;
   true
 
+(* Flag-only recovery followed by an isolating commit: after each edit
+   of a random script the session reparses under a one-node budget, which
+   can only flag the pending tokens, and on some steps again without a
+   budget, which commits and isolates what is still broken.  The flag
+   model clears at every commit, so the session must not report a flag
+   that an isolating commit reparsed. *)
+let budget_mix_replay lang base (seed, count) =
+  let s, outcome0 =
+    Session.create ~table:(Language.table lang) ~lexer:(Language.lexer lang)
+      base
+  in
+  (match outcome0 with
+  | Session.Parsed _ -> ()
+  | Session.Recovered _ -> QCheck.Test.fail_report "base program rejected");
+  let rng = Random.State.make [| seed; 0xf1a9 |] in
+  let model = flag_model () in
+  let reparse budget =
+    Session.set_budget s budget;
+    check_recovery_spans ~rng model s (Session.reparse s)
+  in
+  List.iter
+    (fun (e : Edit_gen.edit) ->
+      Session.edit s ~pos:e.Edit_gen.e_pos ~del:e.Edit_gen.e_del
+        ~insert:e.Edit_gen.e_insert;
+      reparse { Glr.no_budget with Glr.max_nodes = 1 };
+      if Random.State.bool rng then reparse Glr.no_budget)
+    (Edit_gen.random_script ~seed ~count base);
+  reparse Glr.no_budget;
+  true
+
 let arb_script =
   QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
 
@@ -1088,6 +1118,16 @@ let prop_fault_cpp_typedefs =
   QCheck.Test.make ~count:30
     ~name:"fault injection: C++ typedef decisions = reference walk" arb_script
     (fault_replay Languages.Cpp_subset.language base_typedefs)
+
+let prop_budget_mix_calc =
+  QCheck.Test.make ~count:60
+    ~name:"edit fuzz: calc flag-only then isolating reparses" arb_script
+    (budget_mix_replay Languages.Calc.language base_calc)
+
+let prop_budget_mix_c =
+  QCheck.Test.make ~count:60
+    ~name:"edit fuzz: C flag-only then isolating reparses" arb_script
+    (budget_mix_replay Languages.C_subset.language base_c)
 
 (* The §5 reuse invariant, asserted via the metrics layer: one token edit
    deep inside a balanced program must rebuild only the spine — under 10%
@@ -1189,6 +1229,8 @@ let suite =
     Test_seed.to_alcotest prop_fault_c;
     Test_seed.to_alcotest prop_fault_c_typedefs;
     Test_seed.to_alcotest prop_fault_cpp_typedefs;
+    Test_seed.to_alcotest prop_budget_mix_calc;
+    Test_seed.to_alcotest prop_budget_mix_c;
     Alcotest.test_case "reuse invariant: single-token edit >= 90%" `Quick
       reuse_invariant;
     Alcotest.test_case "isolation units across ambiguity" `Quick
