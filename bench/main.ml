@@ -1623,7 +1623,24 @@ let chaos_bench () =
      result must render identically to a from-scratch analysis of the
      same tree (the differential oracle's invariant, 100%);
    - per-edit diagnostic latency ships under the latency rule
-     (noise-floored at smoke scales). *)
+     (noise-floored at smoke scales);
+   - diag words: minor words one [Diag.run] allocates after a single-token
+     edit, per top-level item, under the ratio rule — a count, so it
+     gates at smoke scale where the latency cannot. *)
+
+(* Top-level items of a tree, as [Diag] finds them: the elements of the
+   first sequence spine on the selected path. *)
+let rec spine_items g (n : Node.t) =
+  if Parsedag.Sequence.is_sequence g n then
+    List.length (Parsedag.Sequence.elements g n)
+  else
+    match n.Node.kind with
+    | Node.Choice _ -> spine_items g (Node.alt n)
+    | _ ->
+        Array.fold_left
+          (fun acc k -> if acc > 0 then acc else spine_items g k)
+          0 n.Node.kids
+
 let semantic_bench () =
   header "Semantic queries: per-edit diag latency, cell reuse, scratch oracle";
   let module Diag = Semantics.Diag in
@@ -1651,6 +1668,7 @@ let semantic_bench () =
       let _, t_initial = time_once (fun () -> Diag.run d (Session.root s)) in
       let engine = Diag.engine d in
       let samples = ref [] in
+      let words_per_item = ref [] in
       let reuse_pcts = ref [] in
       let agree = ref 0 in
       let checks = ref 0 in
@@ -1659,8 +1677,15 @@ let semantic_bench () =
           ~insert:e.Edit_gen.e_insert;
         ignore (reparse_exn s);
         let c0 = (Query.stats engine).Query.computes in
+        let w0 = Gc.minor_words () in
         let r, t = time_once (fun () -> Diag.run d (Session.root s)) in
+        let words = Gc.minor_words () -. w0 in
         samples := t :: !samples;
+        words_per_item :=
+          (words
+          /. float_of_int
+               (max 1 (spine_items lang.Language.grammar (Session.root s))))
+          :: !words_per_item;
         let recomputed = (Query.stats engine).Query.computes - c0 in
         let total = Query.cells engine in
         reuse_pcts :=
@@ -1712,6 +1737,12 @@ let semantic_bench () =
         [ ("scratch_agree_pct", Json.Float agree_pct) ];
       record "semantic" ~experiment:"semantic" ~language:name ~case:"diag-edit"
         (timing_fields ~runs:(List.length !samples) t);
+      record "semantic" ~experiment:"semantic" ~language:name
+        ~case:"diag-words"
+        [
+          ("unit", Json.String "words/item");
+          ("ratio", Json.Float (mean !words_per_item));
+        ];
       record ~gate:false "semantic" ~experiment:"semantic" ~language:name
         ~case:"diag-initial"
         [ ("unit", Json.String "ms"); ("median", Json.Float (t_initial *. 1e3)) ])
