@@ -32,6 +32,15 @@ let dag ?(allow_pending = false) ?expect_text table root =
       (fun detail -> vs := { nid = n.Node.nid; rule; detail } :: !vs)
       fmt
   in
+  (* The shared "no parent" sentinel stays as [Node] made it: a write to
+     it would leak into every dag. *)
+  (let o = Node.orphan in
+   if
+     o.Node.parent != o || o.Node.flags <> 0 || o.Node.tcount <> 0
+     || Array.length o.Node.kids <> 0
+     || o.Node.state <> Node.nostate
+     || match o.Node.kind with Node.Root -> false | _ -> true
+   then add o "orphan" "the no-parent sentinel was written to");
   (* Root shape. *)
   (match root.Node.kind with
   | Node.Root ->
@@ -57,26 +66,23 @@ let dag ?(allow_pending = false) ?expect_text table root =
     (* Link symmetry: every non-root node hangs off a parent that owns it
        (shared terminals point along the first-alternative spine). *)
     if n != root then begin
-      (match n.Node.parent with
-      | None -> add n "parent-link" "reachable node has no parent"
-      | Some p ->
-          if not (Array.exists (fun k -> k == n) p.Node.kids) then
-            add n "parent-link" "parent %d does not list this node as a kid"
-              p.Node.nid);
+      let p = n.Node.parent in
+      if not (Node.has_parent n) then
+        add n "parent-link" "reachable node has no parent"
+      else if not (Array.exists (fun k -> k == n) p.Node.kids) then
+        add n "parent-link" "parent %d does not list this node as a kid"
+          p.Node.nid;
       match n.Node.kind with
       | Node.Root -> add n "root-shape" "interior node has kind root"
       | Node.Bos | Node.Eos _ ->
-          if
-            not
-              (match n.Node.parent with Some p -> p == root | None -> false)
-          then add n "sentinel" "sentinel below an interior node"
+          if p != root then add n "sentinel" "sentinel below an interior node"
       | Node.Term _ | Node.Prod _ | Node.Choice _ | Node.Error _ -> ()
     end;
     (* No change bits survive a commit (unless the caller is inspecting a
        mid-recovery dag whose damage is deliberately pending). *)
-    if (not allow_pending) && (n.Node.changed || n.Node.nested) then
+    if (not allow_pending) && Node.has_changes n then
       add n "change-bits" "change bits set after commit (changed=%b nested=%b)"
-        n.Node.changed n.Node.nested;
+        (Node.changed n) (Node.nested n);
     (* Parse-state validity against the table. *)
     if
       n.Node.state <> Node.nostate
@@ -100,8 +106,8 @@ let dag ?(allow_pending = false) ?expect_text table root =
         expected_tcount;
     match n.Node.kind with
     | Node.Term i ->
-        if i.Node.term < 0 || i.Node.term >= Cfg.num_terminals g then
-          add n "terminal" "terminal id %d out of range" i.Node.term;
+        if i.term < 0 || i.term >= Cfg.num_terminals g then
+          add n "terminal" "terminal id %d out of range" i.term;
         if Array.length n.Node.kids <> 0 then
           add n "terminal" "terminal with kids"
     | Node.Prod p ->
@@ -127,7 +133,7 @@ let dag ?(allow_pending = false) ?expect_text table root =
               (fun i (k : Node.t) ->
                 let matches =
                   match k.Node.kind, rhs.(i) with
-                  | Node.Term ti, Cfg.T t -> ti.Node.term = t
+                  | Node.Term ti, Cfg.T t -> ti.term = t
                   | Node.Prod q, Cfg.N m -> (Cfg.production g q).Cfg.lhs = m
                   | Node.Choice ci, Cfg.N m -> ci.Node.nt = m
                   | _ -> false
@@ -194,15 +200,14 @@ let dag ?(allow_pending = false) ?expect_text table root =
             | _ ->
                 add n "error-node" "kid %d has kind %s, error kids must be terminals"
                   i (kind_name k));
-            match k.Node.parent with
-            | Some p when p == n -> ()
-            | _ -> add n "error-node" "kid %d's parent is not this error node" i)
+            if k.Node.parent != n then
+              add n "error-node" "kid %d's parent is not this error node" i)
           n.Node.kids;
         if n.Node.state <> Node.nostate then
           add n "error-node" "error node carries state %d, must be nostate"
             n.Node.state;
-        (match n.Node.parent with
-        | Some { Node.kind = Node.Choice _; _ } ->
+        (match n.Node.parent.Node.kind with
+        | Node.Choice _ ->
             add n "error-node" "error node is a choice alternative"
         | _ -> ())
     | Node.Bos | Node.Eos _ | Node.Root -> ()

@@ -24,6 +24,8 @@
       real state of the table;
     - sequence balance: left-recursive sequence spines are well-formed and
       agree with {!Parsedag.Sequence}'s flattened view.
+    - the no-parent sentinel {!Parsedag.Node.orphan} is as [Node] made
+      it: nothing wrote to it (node id 0, rule ["orphan"]).
 
     Run it after every edit in the incremental tests: dag corruption is
     caught at the edit that introduces it, not at a later crash. *)

@@ -153,11 +153,11 @@ let nt_of g (n : Node.t) =
 
 (* A shifted terminal's trace label: its trivia and text, cut at 24
    bytes. *)
-let term_label (i : Node.term_info) =
-  let t = String.length i.trivia and x = String.length i.text in
-  if t + x <= 24 then i.trivia ^ i.text
-  else if t >= 24 then String.sub i.trivia 0 24 ^ "..."
-  else i.trivia ^ String.sub i.text 0 (24 - t) ^ "..."
+let term_label ~trivia ~text =
+  let t = String.length trivia and x = String.length text in
+  if t + x <= 24 then trivia ^ text
+  else if t >= 24 then String.sub trivia 0 24 ^ "..."
+  else trivia ^ String.sub text 0 (24 - t) ^ "..."
 
 (* Graphviz snapshot of the live GSS: parser tops as double circles,
    links labeled by the symbol of the dag node spanning them.  Emitted as
@@ -506,8 +506,8 @@ let trace_reuse r (la : Node.t) ok =
   else
     let reason =
       if not r.cfgc.state_matching then [ ("reason", Trace.Str "disabled") ]
-      else if la.Node.nested then [ ("reason", Trace.Str "pending-edit") ]
-      else if la.Node.changed then [ ("reason", Trace.Str "lookahead-change") ]
+      else if Node.nested la then [ ("reason", Trace.Str "pending-edit") ]
+      else if Node.changed la then [ ("reason", Trace.Str "lookahead-change") ]
       else if r.multiple_states then
         [ ("reason", Trace.Str "multiple-parsers") ]
       else if la.Node.state = Node.nostate then
@@ -616,7 +616,8 @@ let shifter r =
       let at = ("at", Trace.Int r.pos) in
       Trace.instant Trace.Glr "shift"
         (match la.Node.kind with
-        | Node.Term i -> [ ("yield", Trace.Str (term_label i)); parsers; at ]
+        | Node.Term { trivia; text; _ } ->
+            [ ("yield", Trace.Str (term_label ~trivia ~text)); parsers; at ]
         | _ ->
             [
               ("symbol", Trace.Str (symbol_name r.g la));
@@ -734,67 +735,67 @@ let process_modifications root =
     let prev_changed_term = ref false in
     Array.iter
       (fun (k : Node.t) ->
-        (if k.Node.changed && Node.is_terminal k then
+        (if Node.changed k && Node.is_terminal k then
            if not !prev_changed_term then changed_terms := k :: !changed_terms);
-        prev_changed_term := k.Node.changed && Node.is_terminal k;
+        prev_changed_term := Node.changed k && Node.is_terminal k;
         collect k)
       n.Node.kids
   in
   let rec collect (n : Node.t) =
-    if n.Node.nested then collect_kids collect n
-    else if n.Node.changed && not (Node.is_terminal n) then
+    if Node.nested n then collect_kids collect n
+    else if Node.changed n && not (Node.is_terminal n) then
       (* A structurally edited interior node: treat every terminal beneath
          as changed for right-context purposes. *)
       collect_kids collect n
   in
-  (if root.Node.changed && Node.is_terminal root then assert false);
+  (if Node.changed root && Node.is_terminal root then assert false);
   collect root;
   let prev_terminal (t : Node.t) =
     (* Climb until [t]'s subtree has a left neighbour, then descend to its
        rightmost terminal. *)
     let rec climb (n : Node.t) =
-      match n.Node.parent with
-      | None -> None
-      | Some p -> (
-          match p.Node.kind with
-          | Node.Choice _ -> climb p
-          | _ -> (
-              let idx =
-                let rec find i =
-                  if i >= Array.length p.Node.kids then None
-                  else if p.Node.kids.(i) == n then Some i
-                  else find (i + 1)
-                in
-                find 0
+      let p = n.Node.parent in
+      if not (Node.has_parent n) then None
+      else
+        match p.Node.kind with
+        | Node.Choice _ -> climb p
+        | _ -> (
+            let idx =
+              let rec find i =
+                if i >= Array.length p.Node.kids then None
+                else if p.Node.kids.(i) == n then Some i
+                else find (i + 1)
               in
-              match idx with
-              | None -> None
-              | Some 0 -> climb p
-              | Some i ->
-                  let rec rightmost_term j =
-                    if j < 0 then climb p
-                    else
-                      let k = p.Node.kids.(j) in
-                      let rec rightmost (n : Node.t) =
-                        match n.Node.kind with
-                        | Node.Term _ | Node.Bos -> Some n
-                        | Node.Eos _ -> None
-                        | Node.Choice _ -> rightmost n.Node.kids.(0)
-                        | Node.Prod _ | Node.Error _ | Node.Root ->
-                            let rec scan j =
-                              if j < 0 then None
-                              else
-                                match rightmost n.Node.kids.(j) with
-                                | Some t -> Some t
-                                | None -> scan (j - 1)
-                            in
-                            scan (Array.length n.Node.kids - 1)
-                      in
-                      (match rightmost k with
-                      | Some t -> Some t
-                      | None -> rightmost_term (j - 1))
-                  in
-                  rightmost_term (i - 1)))
+              find 0
+            in
+            match idx with
+            | None -> None
+            | Some 0 -> climb p
+            | Some i ->
+                let rec rightmost_term j =
+                  if j < 0 then climb p
+                  else
+                    let k = p.Node.kids.(j) in
+                    let rec rightmost (n : Node.t) =
+                      match n.Node.kind with
+                      | Node.Term _ | Node.Bos -> Some n
+                      | Node.Eos _ -> None
+                      | Node.Choice _ -> rightmost n.Node.kids.(0)
+                      | Node.Prod _ | Node.Error _ | Node.Root ->
+                          let rec scan j =
+                            if j < 0 then None
+                            else
+                              match rightmost n.Node.kids.(j) with
+                              | Some t -> Some t
+                              | None -> scan (j - 1)
+                          in
+                          scan (Array.length n.Node.kids - 1)
+                    in
+                    (match rightmost k with
+                    | Some t -> Some t
+                    | None -> rightmost_term (j - 1))
+                in
+                rightmost_term (i - 1))
     in
     climb t
   in
@@ -806,27 +807,26 @@ let process_modifications root =
           Node.mark_changed u;
           (* Mark ancestors whose yield ends at [u]. *)
           let rec up (n : Node.t) =
-            match n.Node.parent with
-            | None -> ()
-            | Some p -> (
-                match p.Node.kind with
-                | Node.Choice _ ->
-                    Node.mark_changed p;
-                    up p
-                | Node.Root -> ()
-                | _ ->
-                    (* [n] must be the last yield-bearing kid of [p]. *)
-                    let rec last_with_tokens i =
-                      if i < 0 then None
-                      else if Node.token_count p.Node.kids.(i) > 0 then Some i
-                      else last_with_tokens (i - 1)
-                    in
-                    let li = last_with_tokens (Array.length p.Node.kids - 1) in
-                    (match li with
-                    | Some i when p.Node.kids.(i) == n ->
-                        Node.mark_changed p;
-                        up p
-                    | _ -> ()))
+            let p = n.Node.parent in
+            if Node.has_parent n then
+              match p.Node.kind with
+              | Node.Choice _ ->
+                  Node.mark_changed p;
+                  up p
+              | Node.Root -> ()
+              | _ ->
+                  (* [n] must be the last yield-bearing kid of [p]. *)
+                  let rec last_with_tokens i =
+                    if i < 0 then None
+                    else if Node.token_count p.Node.kids.(i) > 0 then Some i
+                    else last_with_tokens (i - 1)
+                  in
+                  let li = last_with_tokens (Array.length p.Node.kids - 1) in
+                  (match li with
+                  | Some i when p.Node.kids.(i) == n ->
+                      Node.mark_changed p;
+                      up p
+                  | _ -> ())
           in
           up u)
     !changed_terms

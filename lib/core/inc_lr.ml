@@ -73,7 +73,7 @@ let run ~state_matching table root =
     let n = Traverse.current cursor in
     match n.Node.kind with
     | Node.Term i -> (
-        match single_action i.Node.term with
+        match single_action i.term with
         | Some (Table.Shift s) ->
             stats.Glr.shifted_terminals <- stats.Glr.shifted_terminals + 1;
             shift s n

@@ -114,7 +114,7 @@ let location_of_token t k =
     if k = n then start
     else
       match (Document.leaf t.doc k).Node.kind with
-      | Node.Term inf -> start + String.length inf.Node.trivia
+      | Node.Term inf -> start + String.length inf.trivia
       | _ -> start
   in
   let line = Document.line_of t.doc byte in
@@ -156,10 +156,11 @@ let find_up t i f =
   let rec go (n : Node.t) lo =
     match f n (lo, lo + Node.token_count n - 1) with
     | Some _ as r -> r
-    | None -> (
-        match n.Node.parent with
-        | None -> None
-        | Some p -> go p (lo - max 0 (leaves_left_of p n)))
+    | None ->
+        if Node.has_parent n then
+          let p = n.Node.parent in
+          go p (lo - max 0 (leaves_left_of p n))
+        else None
   in
   go (Document.leaf t.doc i) i
 
@@ -202,11 +203,12 @@ let escalate t (lo, hi) =
 let first_leaf t n =
   let root = Document.root t.doc in
   let rec up (n : Node.t) lo =
-    match n.Node.parent with
-    | None -> if n == root then Some lo else None
-    | Some p ->
-        let k = leaves_left_of p n in
-        if k < 0 then None else up p (lo + k)
+    if Node.has_parent n then
+      let p = n.Node.parent in
+      let k = leaves_left_of p n in
+      if k < 0 then None else up p (lo + k)
+    else if n == root then Some lo
+    else None
   in
   up n 0
 
@@ -510,8 +512,8 @@ let error_regions t =
   let leaves =
     List.filter_map
       (fun (l : Node.t) ->
-        match l.Node.parent with
-        | Some { Node.kind = Node.Error _; _ } -> None
+        match l.Node.parent.Node.kind with
+        | Node.Error _ -> None
         | _ -> first_leaf t l)
       t.flagged
   in

@@ -35,7 +35,7 @@ let operator_of g (alt : Node.t) =
   match alt.Node.kind with
   | Node.Prod _ when Array.length alt.Node.kids >= 2 -> (
       match alt.Node.kids.(1).Node.kind with
-      | Node.Term i -> Some (Cfg.terminal_name g i.Node.term)
+      | Node.Term i -> Some (Cfg.terminal_name g i.term)
       | _ -> None)
   | _ -> None
 
@@ -100,7 +100,7 @@ let apply g rules root =
             | Some i ->
                 let survivor = k.Node.kids.(i) in
                 parent.Node.kids.(slot) <- survivor;
-                survivor.Node.parent <- Some parent;
+                survivor.Node.parent <- parent;
                 incr filtered;
                 walk survivor
             | None ->

@@ -1,18 +1,16 @@
 type kind =
-  | Term of term_info
+  | Term of {
+      term : int;
+      mutable text : string;
+      mutable trivia : string;
+      mutable lex_la : int;
+    }
   | Prod of int
   | Choice of choice_info
   | Error of err_info
   | Bos
   | Eos of eos_info
   | Root
-
-and term_info = {
-  term : int;
-  mutable text : string;
-  mutable trivia : string;
-  mutable lex_la : int;
-}
 
 and choice_info = { nt : int; mutable selected : int }
 and err_info = { mutable message : string }
@@ -23,13 +21,36 @@ type t = {
   mutable kind : kind;
   mutable state : int;
   mutable kids : t array;
-  mutable parent : t option;
-  mutable changed : bool;
-  mutable nested : bool;
+  mutable parent : t;
+  mutable flags : int;
   mutable tcount : int;  (* cached terminal count of the subtree *)
 }
 
 let nostate = -1
+
+(* The parent of a root and of a node not yet linked: a node of its own
+   that no code writes to, so a parent is one word and climbs stop at it
+   without an option.  Node ids start at 1. *)
+let rec orphan =
+  {
+    nid = 0;
+    kind = Root;
+    state = nostate;
+    kids = [||];
+    parent = orphan;
+    flags = 0;
+    tcount = 0;
+  }
+
+let has_parent n = n.parent != orphan
+
+(* [flags]: bit 0 is the local change bit, bit 1 the nested one. *)
+let changed_bit = 1
+let nested_bit = 2
+let changed n = n.flags land changed_bit <> 0
+let nested n = n.flags land nested_bit <> 0
+let has_changes n = n.flags <> 0
+let clear_changes n = n.flags <- 0
 
 (* Node ids are allocated from a process-global atomic so dags built
    concurrently on several domains (the parse-service daemon) never share
@@ -59,21 +80,29 @@ let fresh kind state kids =
     | Choice _ -> if Array.length kids = 0 then 0 else kids.(0).tcount
     | Prod _ | Error _ | Root -> sum_tcount kids
   in
-  {
-    nid;
-    kind;
-    state;
-    kids;
-    parent = None;
-    changed = false;
-    nested = false;
-    tcount;
-  }
+  { nid; kind; state; kids; parent = orphan; flags = 0; tcount }
 
 let make_term ~term ~text ~trivia ~lex_la =
   fresh (Term { term; text; trivia; lex_la }) nostate [||]
 
-let make_prod ~prod ~state kids = fresh (Prod prod) state kids
+(* One immutable [Prod p] per production id, shared by every node of
+   that production.  The table only grows; two domains growing it at
+   once may each build a copy, and either is as good. *)
+let prods = Atomic.make [||]
+
+let rec prod_kind p =
+  let a = Atomic.get prods in
+  if p < Array.length a then a.(p)
+  else begin
+    let n = Array.length a in
+    let b =
+      Array.init (max (p + 1) (2 * n)) (fun i -> if i < n then a.(i) else Prod i)
+    in
+    ignore (Atomic.compare_and_set prods a b);
+    prod_kind p
+  end
+
+let make_prod ~prod ~state kids = fresh (prod_kind prod) state kids
 
 let make_choice ~nt alts =
   if Array.length alts < 2 then invalid_arg "Node.make_choice: < 2 alternatives";
@@ -118,7 +147,7 @@ let is_sentinel n =
 
 let symbol g n =
   match n.kind with
-  | Term i -> `T i.term
+  | Term { term; _ } -> `T term
   | Prod p -> `N (Grammar.Cfg.production g p).lhs
   | Choice c -> `N c.nt
   | Bos | Eos _ | Error _ | Root -> `Other
@@ -149,11 +178,11 @@ let refresh_token_count n =
     | Prod _ | Error _ | Root -> sum_tcount n.kids)
 
 let adjust_token_count n delta =
-  let rec up = function
-    | None -> ()
-    | Some p ->
-        p.tcount <- p.tcount + delta;
-        up p.parent
+  let rec up p =
+    if p != orphan then begin
+      p.tcount <- p.tcount + delta;
+      up p.parent
+    end
   in
   n.tcount <- n.tcount + delta;
   up n.parent
@@ -170,8 +199,7 @@ let splice_kids p ~at ~del nodes =
   Array.blit nodes 0 kids at m;
   Array.blit old (at + del) kids (at + m) tail;
   p.kids <- kids;
-  let up = Some p in
-  Array.iter (fun k -> k.parent <- up) nodes;
+  Array.iter (fun k -> k.parent <- p) nodes;
   let removed = ref 0 in
   for i = at to at + del - 1 do
     removed := !removed + old.(i).tcount
@@ -206,18 +234,14 @@ let alt n =
   | _ -> n
 
 let mark_changed n =
-  n.changed <- true;
-  let rec up = function
-    | None -> ()
-    | Some p ->
-        if not p.nested then begin
-          p.nested <- true;
-          up p.parent
-        end
+  n.flags <- n.flags lor changed_bit;
+  let rec up p =
+    if p != orphan && not (nested p) then begin
+      p.flags <- p.flags lor nested_bit;
+      up p.parent
+    end
   in
   up n.parent
-
-let has_changes n = n.changed || n.nested
 
 let commit root =
   (* Repair parents and clear flags, skipping intact subtrees: a kid whose
@@ -227,14 +251,10 @@ let commit root =
      Alternatives of a choice are visited in reverse so nodes shared
      between alternatives end up with first-alternative parents (the
      traversal spine). *)
-  let intact n k =
-    (match k.parent with Some p -> p == n | None -> false)
-    && (not k.changed) && not k.nested
-  in
+  let intact n k = k.parent == n && k.flags = 0 in
   let rec walk ~force n =
     Metrics.incr m_commit_walked;
-    n.changed <- false;
-    n.nested <- false;
+    n.flags <- 0;
     match n.kind with
     | Term _ | Bos | Eos _ -> ()
     | Choice _ ->
@@ -247,29 +267,24 @@ let commit root =
         let any_rebuilt =
           force || Array.exists (fun k -> not (intact n k)) n.kids
         in
-        if any_rebuilt then begin
-          let up = Some n in
+        if any_rebuilt then
           for i = Array.length n.kids - 1 downto 0 do
             let k = n.kids.(i) in
-            k.parent <- up;
+            k.parent <- n;
             walk ~force:true k
           done
-        end
     | Prod _ | Error _ | Root ->
-        (* One [Some n], made at the first kid that needs repair. *)
-        let up = ref None in
         for i = 0 to Array.length n.kids - 1 do
           let k = n.kids.(i) in
           if force || not (intact n k) then begin
-            if Option.is_none !up then up := Some n;
-            k.parent <- !up;
+            k.parent <- n;
             walk ~force k
           end
         done
   in
   Metrics.incr m_commits;
   Trace.span Trace.Commit "commit" @@ fun () ->
-  root.parent <- None;
+  root.parent <- orphan;
   walk ~force:false root
 
 let rec structural_equal a b =

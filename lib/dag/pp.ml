@@ -17,8 +17,8 @@ let pp g ppf root =
     Format.fprintf ppf "%s%s" indent (node_label g n);
     if n.Node.state <> Node.nostate then
       Format.fprintf ppf " @%d" n.Node.state;
-    if n.Node.changed then Format.pp_print_string ppf " *";
-    if n.Node.nested then Format.pp_print_string ppf " ~";
+    if Node.changed n then Format.pp_print_string ppf " *";
+    if Node.nested n then Format.pp_print_string ppf " ~";
     Format.pp_print_newline ppf ();
     Array.iter (walk (indent ^ "  ")) n.Node.kids
   in
@@ -98,7 +98,7 @@ let to_dot ?reused g root =
         match n.Node.kind with
         | Node.Term i ->
             Printf.sprintf "label=%S shape=box style=filled fillcolor=%s"
-              i.Node.text
+              i.text
               (if is_reused then "palegreen" else "lightgrey")
         | Node.Prod p ->
             let prod = Cfg.production g p in

@@ -11,26 +11,25 @@ let is_sequence g (n : Node.t) =
 let is_spine_root g (n : Node.t) =
   is_sequence g n
   &&
-  match n.Node.parent with
-  | Some ({ Node.kind = Node.Prod q; _ } as p) ->
+  let p = n.Node.parent in
+  match p.Node.kind with
+  | Node.Prod q ->
       not (role g q = Cfg.Seq_cons && is_sequence g p && p.Node.kids.(0) == n)
   | _ -> true
 
 let rec is_element g (n : Node.t) =
-  match n.Node.parent with
-  | None -> false
-  | Some p -> (
-      match p.Node.kind with
-      | Node.Choice _ -> is_element g p
-      | Node.Prod q -> (
-          is_sequence g p
-          &&
-          match role g q with
-          | Cfg.Seq_one | Cfg.Seq_cons ->
-              Array.length p.Node.kids > 0
-              && p.Node.kids.(Array.length p.Node.kids - 1) == n
-          | Cfg.Seq_empty | Cfg.Plain -> false)
-      | _ -> false)
+  let p = n.Node.parent in
+  match p.Node.kind with
+  | Node.Choice _ -> is_element g p
+  | Node.Prod q -> (
+      is_sequence g p
+      &&
+      match role g q with
+      | Cfg.Seq_one | Cfg.Seq_cons ->
+          Array.length p.Node.kids > 0
+          && p.Node.kids.(Array.length p.Node.kids - 1) == n
+      | Cfg.Seq_empty | Cfg.Plain -> false)
+  | _ -> false
 
 type step = Choice | Skip | Element
 

@@ -24,7 +24,7 @@ let rec deep_copy n =
     | Node.Eos e -> Node.make_eos ~trailing:e.trailing
     | Node.Root -> Node.make_root (Array.map deep_copy n.Node.kids)
   in
-  Array.iter (fun (k : Node.t) -> k.Node.parent <- Some c) c.Node.kids;
+  Array.iter (fun (k : Node.t) -> k.Node.parent <- c) c.Node.kids;
   c
 
 let m_runs = Metrics.counter "dag.unshare_runs"
@@ -39,16 +39,13 @@ let rec walk seen (n : Node.t) =
   let copies = ref 0 in
   for i = 0 to Array.length kids - 1 do
     let k = kids.(i) in
-    let intact =
-      (match k.Node.parent with Some p -> p == n | None -> false)
-      && not (Node.has_changes k)
-    in
+    let intact = k.Node.parent == n && not (Node.has_changes k) in
     if not intact then begin
       if Node.token_count k = 0 && not (Node.is_sentinel k) then
         if Hashtbl.mem seen k.Node.nid then begin
           let copy = deep_copy k in
           kids.(i) <- copy;
-          copy.Node.parent <- Some n;
+          copy.Node.parent <- n;
           incr copies
         end
         else Hashtbl.replace seen k.Node.nid ();

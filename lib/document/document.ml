@@ -50,7 +50,7 @@ let count_newlines s =
   !k
 
 let lex_la (leaf : Node.t) =
-  match leaf.Node.kind with Node.Term i -> i.Node.lex_la | _ -> 0
+  match leaf.Node.kind with Node.Term i -> i.lex_la | _ -> 0
 
 (* The largest [lex_la] among leaves [get 0 .. get (n-1)], and how many
    of them have it. *)
@@ -66,44 +66,61 @@ let max_count n get =
   done;
   (!m, !k)
 
+(* [a] with room for at least [n] entries, its first [len] kept. *)
+let grow a ~len n fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+(* [a]'s first [len] entries with [Gap.slack] free slots, copied only
+   when [a] holds many more. *)
+let fit a ~len =
+  if Array.length a <= len + (2 * Gap.slack) then a
+  else Array.sub a 0 (len + Gap.slack)
+
 let create ~lexer text =
-  let tokens, trailing =
-    Trace.span Trace.Lex "lex" @@ fun () -> Scanner.all lexer text
-  in
-  (* One pass over the tokens fills the root's kid array, the leaves and
-     their start offsets, the index arrays with [Gap.slack] free slots
-     past their entries.  Nodes are made in source order, then eos, then
-     bos. *)
-  let n = List.length tokens in
-  let leaves = ref [||] and kids = ref [||] in
-  let starts = Array.make (n + 1 + Gap.slack) 0 in
-  List.iteri
-    (fun i (tok : Scanner.token) ->
-      let leaf = node_of_token tok in
-      if i = 0 then begin
-        leaves := Array.make (n + Gap.slack) leaf;
-        kids := Array.make (n + 2) leaf
-      end
-      else begin
+  (* One scan streams each token into its leaf and its start offset and
+     keeps the lookahead bound; the root's kid array [bos; leaves; eos]
+     is one copy at the end, and the index arrays keep [Gap.slack] free
+     slots past their entries.  Nodes are made in source order, then
+     eos, then bos. *)
+  let cur = Scanner.cursor lexer text ~pos:0 in
+  let guess = (String.length text / 2) + Gap.slack in
+  let leaves = ref (Array.make guess Node.orphan) in
+  let starts = ref (Array.make (guess + 1) 0) in
+  let n = ref 0 and la_bound = ref 0 and la_holders = ref 0 in
+  Trace.span Trace.Lex "lex" (fun () ->
+      while Scanner.advance cur do
+        let i = !n in
+        let la = Scanner.lookahead cur in
+        let leaf =
+          Node.make_term ~term:(Scanner.term cur) ~text:(Scanner.text cur)
+            ~trivia:(Scanner.trivia cur) ~lex_la:la
+        in
+        leaves := grow !leaves ~len:i (i + 1 + Gap.slack) Node.orphan;
+        starts := grow !starts ~len:(i + 1) (i + 2 + Gap.slack) 0;
         !leaves.(i) <- leaf;
-        !kids.(i + 1) <- leaf
-      end;
-      starts.(i + 1) <- starts.(i) + token_length tok)
-    tokens;
-  let eos = Node.make_eos ~trailing in
+        !starts.(i + 1) <- Scanner.stop cur;
+        if la > !la_bound then begin
+          la_bound := la;
+          la_holders := 1
+        end
+        else if la = !la_bound then incr la_holders;
+        n := i + 1
+      done);
+  let n = !n in
+  let eos = Node.make_eos ~trailing:(Scanner.trailing cur) in
   let bos = Node.make_bos () in
-  let kids = if n = 0 then [| bos; eos |] else !kids in
-  kids.(0) <- bos;
+  let kids = Array.make (n + 2) bos in
+  Array.blit !leaves 0 kids 1 n;
   kids.(n + 1) <- eos;
   let root = Node.make_root kids in
   Node.commit root;
   (* The gap holds bos, which the root keeps alive anyway. *)
-  let leaves =
-    Gap.of_prefix
-      (if n = 0 then Array.make Gap.slack bos else !leaves)
-      ~len:n ~fill:bos
-  in
-  let la_bound, la_holders = max_count n (Gap.get leaves) in
+  let leaves = Gap.of_prefix (fit !leaves ~len:n) ~len:n ~fill:bos in
   let bols = Array.make (count_newlines text + 1 + Gap.slack) 0 in
   let lines = 1 + fill_line_starts bols ~at:1 ~base:0 text in
   {
@@ -111,10 +128,10 @@ let create ~lexer text =
     root;
     leaves;
     text;
-    starts = Gap.Ints.of_prefix starts ~len:(n + 1);
+    starts = Gap.Ints.of_prefix (fit !starts ~len:(n + 1)) ~len:(n + 1);
     bols = Gap.Ints.of_prefix bols ~len:lines;
-    la_bound;
-    la_holders;
+    la_bound = !la_bound;
+    la_holders = !la_holders;
   }
 
 let root t = t.root
@@ -140,9 +157,8 @@ let index_in_parent (p : Node.t) (n : Node.t) =
   find 0
 
 let parent_of (n : Node.t) =
-  match n.Node.parent with
-  | Some p -> p
-  | None -> invalid_arg "Document: node without parent"
+  if Node.has_parent n then n.Node.parent
+  else invalid_arg "Document: node without parent"
 
 (* Unlink [n] from its parent; returns the parent and the slot [n] had. *)
 let remove_from_parent n =
@@ -188,10 +204,10 @@ let edit t ~pos ~del ~insert =
   let token_equals_leaf (tok : Scanner.token) (leaf : Node.t) =
     match leaf.Node.kind with
     | Node.Term i ->
-        i.Node.term = tok.Scanner.term
-        && String.equal i.Node.text tok.Scanner.text
-        && String.equal i.Node.trivia tok.Scanner.trivia
-        && i.Node.lex_la = tok.Scanner.lookahead
+        i.term = tok.Scanner.term
+        && String.equal i.text tok.Scanner.text
+        && String.equal i.trivia tok.Scanner.trivia
+        && i.lex_la = tok.Scanner.lookahead
     | _ -> false
   in
   let r =
@@ -306,7 +322,7 @@ let changed_tokens t =
   let acc = ref [] in
   for i = token_count t - 1 downto 0 do
     let l = leaf t i in
-    if l.Node.changed then acc := l :: !acc
+    if Node.changed l then acc := l :: !acc
   done;
   !acc
 
@@ -341,12 +357,13 @@ let reattach undo =
    a splice below [a] adjusted [c]'s count too.  False when [c] has no
    parent. *)
 let flatten_choice (c : Node.t) (a : Node.t) =
-  match c.Node.parent with
-  | None -> false
-  | Some q ->
-      q.Node.kids.(index_in_parent q c) <- a;
-      a.Node.parent <- Some q;
-      true
+  let q = c.Node.parent in
+  Node.has_parent c
+  && begin
+       q.Node.kids.(index_in_parent q c) <- a;
+       a.Node.parent <- q;
+       true
+     end
 
 (* Highest ancestor of [anchor] whose yield still starts at [anchor]:
    splicing just before it puts the error run at statement level rather
@@ -354,31 +371,27 @@ let flatten_choice (c : Node.t) (a : Node.t) =
    flattened, which guarantees the spliced error node never sits under a
    choice (whose alternatives must agree on one yield). *)
 let rec climb_anchor (anchor : Node.t) (a : Node.t) =
-  match a.Node.parent with
-  | None -> a
-  | Some p -> (
-      match p.Node.kind with
-      | Node.Root -> a
-      | Node.Choice _ -> if flatten_choice p a then climb_anchor anchor a else a
-      | _ ->
-          if
-            match Node.first_terminal p with
-            | Some ft -> ft == anchor
-            | None -> false
-          then climb_anchor anchor p
-          else a)
+  let p = a.Node.parent in
+  match p.Node.kind with
+  | Node.Root -> a
+  | Node.Choice _ -> if flatten_choice p a then climb_anchor anchor a else a
+  | _ ->
+      if
+        match Node.first_terminal p with
+        | Some ft -> ft == anchor
+        | None -> false
+      then climb_anchor anchor p
+      else a
 
 let splice_error t ~message ~lo ~hi =
   if lo < 0 || hi >= token_count t || lo > hi then
     invalid_arg "Document.splice_error: bad range";
   let kids = Array.init (hi - lo + 1) (fun k -> leaf t (lo + k)) in
   let e = Node.make_error ~message kids in
-  let up = Some e in
   Array.iter
     (fun (k : Node.t) ->
-      k.Node.parent <- up;
-      k.Node.changed <- false;
-      k.Node.nested <- false)
+      k.Node.parent <- e;
+      Node.clear_changes k)
     kids;
   let anchor =
     if hi + 1 < token_count t then leaf t (hi + 1) else eos_of t
@@ -394,12 +407,11 @@ let splice_error t ~message ~lo ~hi =
      interpretation. *)
   let rec fixup (n : Node.t) =
     n.Node.state <- Node.nostate;
-    match n.Node.parent with
-    | None -> ()
-    | Some q -> (
-        match q.Node.kind with
-        | Node.Choice _ -> if flatten_choice q n then fixup n
-        | _ -> fixup q)
+    if Node.has_parent n then
+      let q = n.Node.parent in
+      match q.Node.kind with
+      | Node.Choice _ -> if flatten_choice q n then fixup n
+      | _ -> fixup q
   in
   fixup p;
   e

@@ -17,7 +17,7 @@ let rec first_above get ~lo ~hi x =
 
 let lex_la (n : Node.t) =
   match n.Node.kind with
-  | Node.Term i -> i.Node.lex_la
+  | Node.Term i -> i.lex_la
   | _ -> invalid_arg "Relex: leaf is not a terminal"
 
 let relex ~lexer ~count:n ~leaf ~start ~la_bound ~pos ~del ~insert ~new_text =

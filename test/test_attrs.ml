@@ -29,7 +29,7 @@ let value_evaluator () =
   Attrs.create g
     ~leaf:(fun n ->
       match n.Node.kind with
-      | Node.Term i when i.Node.term = num -> int_of_string i.Node.text
+      | Node.Term i when i.term = num -> int_of_string i.text
       | _ -> 0)
     ~rule:(fun prod kids ->
       let op i =

@@ -37,14 +37,14 @@ let test_yield () =
 let test_mark_and_commit () =
   let root, p, a, _ = small_tree () in
   Node.mark_changed a;
-  Alcotest.(check bool) "leaf changed" true a.Node.changed;
-  Alcotest.(check bool) "parent nested" true p.Node.nested;
-  Alcotest.(check bool) "root nested" true root.Node.nested;
+  Alcotest.(check bool) "leaf changed" true (Node.changed a);
+  Alcotest.(check bool) "parent nested" true (Node.nested p);
+  Alcotest.(check bool) "root nested" true (Node.nested root);
   Node.commit root;
   Alcotest.(check bool) "flags cleared" false (Node.has_changes a);
   Alcotest.(check bool) "root clean" false (Node.has_changes root);
   Alcotest.(check bool) "parents restored" true
-    (match a.Node.parent with Some x -> x == p | None -> false)
+    (a.Node.parent == p)
 
 let test_choice_invariants () =
   (try
@@ -63,7 +63,7 @@ let test_choice_invariants () =
   Node.commit root;
   (* Shared terminal ends up with the first alternative as parent. *)
   Alcotest.(check bool) "shared terminal parent = first alt" true
-    (match a.Node.parent with Some x -> x == alt1 | None -> false)
+    (a.Node.parent == alt1)
 
 let test_cursor_walk () =
   let a = term "a" and b = term "b" and c = term "c" in

@@ -15,7 +15,7 @@ let leaf_texts doc =
   leaves doc |> Array.to_list
   |> List.map (fun (l : Node.t) ->
          match l.Node.kind with
-         | Node.Term i -> i.Node.text
+         | Node.Term i -> i.text
          | _ -> assert false)
 
 let test_create () =
@@ -358,10 +358,10 @@ let test_create_oracle () =
                   match leaves.(i).Node.kind with
                   | Node.Term t ->
                       if
-                        t.Node.term <> tok.Lexgen.Scanner.term
-                        || t.Node.text <> tok.Lexgen.Scanner.text
-                        || t.Node.trivia <> tok.Lexgen.Scanner.trivia
-                        || t.Node.lex_la <> tok.Lexgen.Scanner.lookahead
+                        t.term <> tok.Lexgen.Scanner.term
+                        || t.text <> tok.Lexgen.Scanner.text
+                        || t.trivia <> tok.Lexgen.Scanner.trivia
+                        || t.lex_la <> tok.Lexgen.Scanner.lookahead
                       then Alcotest.failf "leaf %d differs in %s" i what
                   | _ -> Alcotest.failf "leaf %d is not a terminal in %s" i what)
                 tokens;
@@ -471,10 +471,7 @@ let test_detach_reattach () =
           (Array.length kids = Array.length k.Node.kids
           && Array.for_all2 ( == ) kids k.Node.kids);
         Alcotest.(check bool) ("parent " ^ what) true
-          (match (parent, k.Node.parent) with
-          | Some p, Some q -> p == q
-          | None, None -> true
-          | _ -> false);
+          (parent == k.Node.parent);
         Alcotest.(check int) ("tcount " ^ what) tcount k.Node.tcount)
       !before
   done
@@ -601,6 +598,41 @@ let test_edit_allocates_damage () =
   done;
   Alcotest.(check string) "text restored" text (Iglr.Session.text s)
 
+(* Opening a document allocates about what it keeps: a leaf per token
+   (node, terminal block, lexeme, trivia) and no scanner garbage — no
+   token record, list cell or per-byte option.  Parent figure 67.7 minor
+   words per token. *)
+let test_create_allocates_what_it_keeps () =
+  let c = Languages.C_subset.language in
+  let text = Workload.Spec_gen.plain ~lines:2000 ~seed:11 in
+  let lexer = Language.lexer c in
+  (* Empty the minor heap first, as in "edit allocates its damage". *)
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let doc = Document.create ~lexer text in
+  let words = Gc.minor_words () -. before in
+  let per_token = words /. float_of_int (Document.token_count doc) in
+  if per_token > 36. then
+    Alcotest.failf "Document.create allocated %.1f minor words per token" per_token
+
+(* §5: the dag should cost about a sentential-form tree plus a state
+   word.  Everything the session's root reaches — nodes, kid arrays,
+   terminal blocks, strings — stays at or under 30 words per token
+   (parent figure 37.4). *)
+let test_dag_footprint () =
+  let c = Languages.C_subset.language in
+  let text = Workload.Spec_gen.plain ~lines:2000 ~seed:11 in
+  let s, _ =
+    Iglr.Session.create ~table:(Language.table c) ~lexer:(Language.lexer c) text
+  in
+  let root = Iglr.Session.root s in
+  let per_token =
+    float_of_int (Obj.reachable_words (Obj.repr root))
+    /. float_of_int (Node.token_count root)
+  in
+  if per_token > 30. then
+    Alcotest.failf "the dag keeps %.1f words per token" per_token
+
 let suite =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -641,4 +673,8 @@ let suite =
       test_gap_reference;
     Alcotest.test_case "edit allocates its damage" `Quick
       test_edit_allocates_damage;
+    Alcotest.test_case "create allocates what it keeps" `Quick
+      test_create_allocates_what_it_keeps;
+    Alcotest.test_case "dag at the paper's footprint" `Quick
+      test_dag_footprint;
   ]

@@ -83,12 +83,12 @@ let reference_location doc k =
   for i = 0 to k - 1 do
     match leaves.(i).Node.kind with
     | Node.Term inf ->
-        byte := !byte + String.length inf.Node.trivia + String.length inf.Node.text
+        byte := !byte + String.length inf.trivia + String.length inf.text
     | _ -> ()
   done;
   (if k < n then
      match leaves.(k).Node.kind with
-     | Node.Term inf -> byte := !byte + String.length inf.Node.trivia
+     | Node.Term inf -> byte := !byte + String.length inf.trivia
      | _ -> ());
   let text = Vdoc.Document.text doc in
   let byte = min !byte (String.length text) in
@@ -221,9 +221,7 @@ let reference_error_regions model s =
       | _ -> ())
     (Session.root s);
   let inside_error (l : Node.t) =
-    match l.Node.parent with
-    | Some { Node.kind = Node.Error _; _ } -> true
-    | _ -> false
+    match l.Node.parent.Node.kind with Node.Error _ -> true | _ -> false
   in
   let flagged i =
     List.memq leaves.(i) model.marked && not (inside_error leaves.(i))
@@ -254,21 +252,21 @@ let reference_error_regions model s =
    [n]'s parent, through choice wrappers, lists one element of a sequence
    and [n] is its last kid. *)
 let rec reference_is_element g (n : Node.t) =
-  match n.Node.parent with
-  | None -> false
-  | Some p -> (
-      match p.Node.kind with
-      | Node.Choice _ -> reference_is_element g p
-      | Node.Prod pr -> (
-          let prod = Grammar.Cfg.production g pr in
-          Grammar.Cfg.seq_kind g prod.Grammar.Cfg.lhs = Grammar.Cfg.Seq
-          &&
-          match prod.Grammar.Cfg.role with
-          | Grammar.Cfg.Seq_one | Grammar.Cfg.Seq_cons ->
-              Array.length p.Node.kids > 0
-              && p.Node.kids.(Array.length p.Node.kids - 1) == n
-          | Grammar.Cfg.Seq_empty | Grammar.Cfg.Plain -> false)
-      | _ -> false)
+  let p = n.Node.parent in
+  Node.has_parent n
+  &&
+  match p.Node.kind with
+  | Node.Choice _ -> reference_is_element g p
+  | Node.Prod pr -> (
+      let prod = Grammar.Cfg.production g pr in
+      Grammar.Cfg.seq_kind g prod.Grammar.Cfg.lhs = Grammar.Cfg.Seq
+      &&
+      match prod.Grammar.Cfg.role with
+      | Grammar.Cfg.Seq_one | Grammar.Cfg.Seq_cons ->
+          Array.length p.Node.kids > 0
+          && p.Node.kids.(Array.length p.Node.kids - 1) == n
+      | Grammar.Cfg.Seq_empty | Grammar.Cfg.Plain -> false)
+  | _ -> false
 
 (* The hashed climb that [Session.isolation_unit] replaced. *)
 let reference_unit s i =
@@ -277,8 +275,9 @@ let reference_unit s i =
   let idx_tbl = leaf_index doc in
   let leaves = leaves_of doc in
   let existing =
-    match leaves.(i).Node.parent with
-    | Some ({ Node.kind = Node.Error _; _ } as e) -> reference_span idx_tbl e
+    let e = leaves.(i).Node.parent in
+    match e.Node.kind with
+    | Node.Error _ -> reference_span idx_tbl e
     | _ -> None
   in
   match existing with
@@ -286,7 +285,8 @@ let reference_unit s i =
   | None -> (
       let rec climb (n : Node.t) =
         if reference_is_element g n then reference_span idx_tbl n
-        else match n.Node.parent with Some p -> climb p | None -> None
+        else if Node.has_parent n then climb n.Node.parent
+        else None
       in
       match climb leaves.(i) with Some sp -> sp | None -> (i, i))
 
@@ -327,7 +327,7 @@ let reference_decisions g root =
   let compound_nt = Cfg.find_nonterminal g "compound" in
   let rec leading_id (n : Node.t) =
     match n.Node.kind with
-    | Node.Term i -> if i.Node.term = id_t then Some i.Node.text else None
+    | Node.Term i -> if i.term = id_t then Some i.text else None
     | Node.Bos | Node.Eos _ -> None
     | Node.Choice _ -> leading_id n.Node.kids.(0)
     | Node.Prod _ | Node.Error _ | Node.Root ->
@@ -365,7 +365,7 @@ let reference_decisions g root =
     Array.fold_left
       (fun acc (k : Node.t) ->
         match k.Node.kind with
-        | Node.Term i when i.Node.term = id_t -> Some i.Node.text
+        | Node.Term i when i.term = id_t -> Some i.text
         | _ -> acc)
       None n.Node.kids
   in
@@ -386,7 +386,7 @@ let reference_decisions g root =
     in
     let starts_with_id =
       match Node.first_terminal n with
-      | Some { Node.kind = Node.Term i; _ } -> i.Node.term = id_t
+      | Some { Node.kind = Node.Term i; _ } -> i.term = id_t
       | _ -> false
     in
     let target =
@@ -435,8 +435,8 @@ let rec copy_dag (n : Node.t) =
   let kids = Array.map copy_dag n.Node.kids in
   match n.Node.kind with
   | Node.Term i ->
-      Node.make_term ~term:i.Node.term ~text:i.Node.text ~trivia:i.Node.trivia
-        ~lex_la:i.Node.lex_la
+      Node.make_term ~term:i.term ~text:i.text ~trivia:i.trivia
+        ~lex_la:i.lex_la
   | Node.Prod p -> Node.make_prod ~prod:p ~state:n.Node.state kids
   | Node.Choice ci ->
       let c = Node.make_choice ~nt:ci.Node.nt kids in
@@ -506,7 +506,7 @@ let check_decisions lang d s =
       let leaf =
         if at >= 0 && at < Array.length leaves then
           match leaves.(at).Node.kind with
-          | Node.Term i -> i.Node.text
+          | Node.Term i -> i.text
           | _ -> ""
         else ""
       in
@@ -1180,10 +1180,11 @@ let units_across_ambiguity () =
   in
   let model = flag_model () in
   let rec through_choice (n : Node.t) =
-    match n.Node.parent with
-    | Some { Node.kind = Node.Choice _; _ } -> true
-    | Some p -> through_choice p
-    | None -> false
+    Node.has_parent n
+    &&
+    match n.Node.parent.Node.kind with
+    | Node.Choice _ -> true
+    | _ -> through_choice n.Node.parent
   in
   let check_all outcome =
     observe model s outcome;

@@ -377,7 +377,7 @@ let test_check_dag_error_rules () =
        (fun (v : Check.violation) ->
          v.Check.rule = "error-node" && v.Check.nid = e.Node.nid)
        (Check.dag (Session.table s) (Session.root s)));
-  kid.Node.parent <- Some e;
+  kid.Node.parent <- e;
   Alcotest.(check int) "repaired dag is clean again" 0
     (List.length (Check.dag (Session.table s) (Session.root s)))
 

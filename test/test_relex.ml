@@ -186,7 +186,7 @@ let test_gss_paths () =
         String.concat ""
           (List.map
              (fun (n : Node.t) ->
-               match n.Node.kind with Node.Term i -> i.Node.text | _ -> "?")
+               match n.Node.kind with Node.Term i -> i.text | _ -> "?")
              labels))
       paths
     |> List.sort compare

@@ -63,16 +63,14 @@ let test_separated_plus () =
       (* Find the outermost arg_list spine node: walk up while the parent
          is also an arg_list. *)
       let rec outer (n : Node.t) =
-        match n.Node.parent with
-        | Some p
-          when match p.Node.kind with
-               | Node.Prod q ->
-                   (Grammar.Cfg.production c.Language.grammar q).lhs
-                   = (match node.Node.kind with
-                     | Node.Prod r ->
-                         (Grammar.Cfg.production c.Language.grammar r).lhs
-                     | _ -> -1)
-               | _ -> false ->
+        let p = n.Node.parent in
+        match p.Node.kind with
+        | Node.Prod q
+          when (Grammar.Cfg.production c.Language.grammar q).lhs
+               = (match node.Node.kind with
+                 | Node.Prod r ->
+                     (Grammar.Cfg.production c.Language.grammar r).lhs
+                 | _ -> -1) ->
             outer p
         | _ -> n
       in
