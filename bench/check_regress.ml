@@ -9,19 +9,18 @@
    by (experiment, language, case); only entries with "gate": true are
    compared.  The rule follows from the baseline entry's fields:
 
-   - "median" (ms): fail when fresh median > baseline * (1 + tolerance),
-     but entries whose baseline median is below the 5 ms noise floor are
-     skipped — sub-millisecond medians on smoke-scale inputs are
-     dominated by clock/alloc noise, not by the parser.
-   - "ratio": fail when fresh ratio > baseline * (1 + tolerance).
-   - otherwise every *_pct field: fail when the fresh percentage drops
-     below baseline * (1 - tolerance).  These are deterministic (seeded
-     edit streams, fixed fault sites, exact coverage counts), so they
-     are the gate that bites at smoke scale.
+   - "ratio" (lower is better): fail when fresh ratio > baseline *
+     (1 + tolerance).  Most ratios are work counts per token, per edit
+     or per item (words, nodes, shifts), which repeat exactly; the rest
+     are paired-minimum wall-clock ratios.
+   - otherwise every *_pct field (higher is better): fail when the
+     fresh percentage drops below baseline * (1 - tolerance).  These are
+     deterministic too (seeded edit streams, fixed fault sites, exact
+     coverage counts).
 
-   The tolerance is 20% for every rule.  When the two runs were made at
-   different --scale factors, medians and ratios compare different
-   workloads and always pass; the percentages still gate.
+   The tolerance is 20% for both rules.  When the two runs were made at
+   different --scale factors, ratios compare different workloads and
+   always pass; the percentages still gate.
 
    Every regression is reported as one machine-parseable line naming the
    offending metric with its baseline/current values, so CI logs localize
@@ -32,18 +31,18 @@
    A gated entry missing from the fresh output reports metric=KIND
    error=missing (KIND from the document's file name), a missing *_pct
    field metric=NAME error=missing, a gated baseline entry with none of
-   the fields above metric=gate error=no-gated-field, and a fresh
-   document with no baseline document=FILE metric=KIND error=no-baseline.
+   the fields above metric=gate error=no-gated-field, a gated fresh
+   entry with no baseline entry metric=KIND error=no-baseline, and a
+   fresh document with no baseline document=FILE metric=KIND
+   error=no-baseline.
 
    Exit status: 0 clean, 1 on any regression, 2 on usage/IO errors. *)
 
 module Json = Metrics.Json
 
 let tolerance = 0.2
-let floor_ms = 5.0
 let failures = ref 0
 let compared = ref 0
-let skipped = ref 0
 
 let die fmt =
   Printf.ksprintf
@@ -60,10 +59,7 @@ let get_str name entry =
 let get_float name entry =
   Option.bind (Json.member name entry) Json.to_float
 
-let gated entry =
-  match Option.bind (Json.member "gate" entry) Json.to_bool with
-  | Some b -> b
-  | None -> false
+let gated e = Option.bind (Json.member "gate" e) Json.to_bool = Some true
 
 let key entry =
   (get_str "experiment" entry, get_str "language" entry, get_str "case" entry)
@@ -116,30 +112,19 @@ let pct_fields entry =
         kvs
   | _ -> []
 
-(* [latency_tolerance] is infinite when the runs' scales differ. *)
-let check_entry ~latency_tolerance key base fresh =
-  let upper = 1. +. latency_tolerance in
-  match (get_float "median" base, get_float "ratio" base, pct_fields base) with
-  | Some bm, _, _ -> (
-      match get_float "median" fresh with
-      | None -> fail_error key ~metric:"median_ms" "missing"
-      | Some _ when bm < floor_ms ->
-          incr skipped;
-          Printf.printf "skip %-40s baseline %.3f ms below noise floor\n"
-            (pp_key key) bm
-      | Some fm when fm > bm *. upper ->
-          fail key ~metric:"median_ms" ~baseline:bm ~current:fm
-            ~limit:(bm *. upper)
-      | Some fm -> ok key "median %.2f ms vs baseline %.2f ms" fm bm)
-  | None, Some br, _ -> (
+(* [ratio_tolerance] is infinite when the runs' scales differ. *)
+let check_entry ~ratio_tolerance key base fresh =
+  let upper = 1. +. ratio_tolerance in
+  match (get_float "ratio" base, pct_fields base) with
+  | Some br, _ -> (
       match get_float "ratio" fresh with
       | None -> fail_error key ~metric:"ratio" "missing"
       | Some fr when fr > br *. upper ->
           fail key ~metric:"ratio" ~baseline:br ~current:fr
             ~limit:(br *. upper)
       | Some fr -> ok key "ratio %.3f vs baseline %.3f" fr br)
-  | None, None, [] -> fail_error key ~metric:"gate" "no-gated-field"
-  | None, None, pcts ->
+  | None, [] -> fail_error key ~metric:"gate" "no-gated-field"
+  | None, pcts ->
       let fresh_pcts = pct_fields fresh in
       List.iter
         (fun (name, bv) ->
@@ -201,14 +186,14 @@ let () =
      One harness run writes every document at one scale, so the first
      pair decides. *)
   let scale doc = Option.bind (Json.member "scale" doc) Json.to_float in
-  let latency_tolerance =
+  let ratio_tolerance =
     match pairs with
     | (_, base, fresh) :: _ -> (
         match (scale base, scale fresh) with
         | Some a, Some b when a <> b ->
             Printf.printf
-              "note: baseline scale %.3f != fresh scale %.3f; latency \
-               entries are not comparable, gating on reuse only\n"
+              "note: baseline scale %.3f != fresh scale %.3f; ratio \
+               entries are not comparable, gating on percentages only\n"
               a b;
             infinity
         | _ -> tolerance)
@@ -216,16 +201,20 @@ let () =
   in
   List.iter
     (fun (file, b, f) ->
-      let fresh = entries file f in
+      let base = entries file b and fresh = entries file f in
       List.iter
-        (fun (k, base) ->
-          if gated base then
+        (fun (k, be) ->
+          if gated be then
             match List.assoc_opt k fresh with
             | None -> fail_error k ~metric:(kind_of file) "missing"
-            | Some fe -> check_entry ~latency_tolerance k base fe)
-        (entries file b))
+            | Some fe -> check_entry ~ratio_tolerance k be fe)
+        base;
+      List.iter
+        (fun (k, fe) ->
+          if gated fe && not (List.mem_assoc k base) then
+            fail_error k ~metric:(kind_of file) "no-baseline")
+        fresh)
     pairs;
-  Printf.printf "%d compared, %d skipped (noise floor), %d regression%s\n"
-    !compared !skipped !failures
+  Printf.printf "%d compared, %d regression%s\n" !compared !failures
     (if !failures = 1 then "" else "s");
   exit (if !failures > 0 then 1 else 0)

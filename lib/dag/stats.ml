@@ -9,29 +9,39 @@ type t = {
   sentential_words : int;
 }
 
-(* Header: kind tag, state, parent pointer, flags/length. *)
-let header_words = 4
-let words_of_string s = 1 + ((String.length s + 7) / 8)
+(* A heap block's words, header included. *)
+let block v = Obj.size (Obj.repr v) + 1
 
-let node_words n =
-  let kids = Array.length n.Node.kids in
-  let payload =
-    match n.Node.kind with
-    | Node.Term i -> words_of_string i.text + words_of_string i.trivia
-    | Node.Eos e -> words_of_string e.trailing
-    | Node.Error e -> words_of_string e.message
-    | Node.Prod _ | Node.Choice _ | Node.Bos | Node.Root -> 0
-  in
-  header_words + kids + payload
+(* The words of the nodes [iter] visits.  A node owns its record, a
+   non-empty kid array, its kind's blocks (a [Term]'s inline record; the
+   constructor block and record of a [Choice], [Error] or [Eos]; nothing
+   for a [Prod], whose value is shared per production) and its strings.
+   Spellings such as the empty trivia are shared, so each string counts
+   once by physical identity: the runtime's reachability walk over a
+   list of them visits a block once, less the list's three-word cells. *)
+let words iter =
+  let blocks = ref 0 and strings = ref [] in
+  iter (fun n ->
+      let kind, ss =
+        match n.Node.kind with
+        | Node.Term i -> (block n.Node.kind, [ i.text; i.trivia ])
+        | Node.Choice c -> (block n.Node.kind + block c, [])
+        | Node.Error e -> (block n.Node.kind + block e, [ e.message ])
+        | Node.Eos e -> (block n.Node.kind + block e, [ e.trailing ])
+        | Node.Prod _ | Node.Bos | Node.Root -> (0, [])
+      in
+      let kids = n.Node.kids in
+      let kids = if Array.length kids = 0 then 0 else block kids in
+      blocks := !blocks + block n + kids + kind;
+      strings := List.rev_append ss !strings);
+  !blocks + Obj.reachable_words (Obj.repr !strings) - (3 * List.length !strings)
 
 let measure root =
   let total = ref 0 and terms = ref 0 and prods = ref 0 in
   let choices = ref 0 and alts = ref 0 in
-  let dag_words = ref 0 in
   Node.iter
     (fun n ->
       incr total;
-      dag_words := !dag_words + node_words n;
       match n.Node.kind with
       | Node.Term _ -> incr terms
       | Node.Prod _ -> incr prods
@@ -42,31 +52,30 @@ let measure root =
     root;
   (* The disambiguated-tree baseline: walk with each choice node replaced
      by its selected (default: first) alternative. *)
-  let tree_words = ref 0 in
   let tree_nodes = ref 0 in
   let seen = Hashtbl.create 256 in
-  let rec walk n =
+  let rec walk f n =
     match n.Node.kind with
-    | Node.Choice _ -> walk (Node.alt n)
+    | Node.Choice _ -> walk f (Node.alt n)
     | Node.Term _ | Node.Prod _ | Node.Error _ | Node.Bos | Node.Eos _
     | Node.Root ->
         if not (Hashtbl.mem seen n.Node.nid) then begin
           Hashtbl.replace seen n.Node.nid ();
           incr tree_nodes;
-          tree_words := !tree_words + node_words n;
-          Array.iter walk n.Node.kids
+          f n;
+          Array.iter (walk f) n.Node.kids
         end
   in
-  walk root;
+  let tree_words = words (fun f -> walk f root) in
   {
     total_nodes = !total;
     term_nodes = !terms;
     prod_nodes = !prods;
     choice_nodes = !choices;
     choice_alts = !alts;
-    dag_words = !dag_words;
-    tree_words = !tree_words;
-    sentential_words = !tree_words - !tree_nodes;
+    dag_words = words (fun f -> Node.iter f root);
+    tree_words;
+    sentential_words = tree_words - !tree_nodes;
   }
 
 let space_overhead_pct t =

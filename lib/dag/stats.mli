@@ -1,12 +1,16 @@
 (** Space accounting for parse dags (Table 1, Figure 4, §5 of the paper).
 
-    The word model charges each node a fixed header (kind, state, parent,
-    flags) plus one word per child pointer; terminal text is charged by
-    length.  The "fully disambiguated parse tree" baseline is the same
-    structure with every choice node replaced by a single alternative
-    (sharing resolved), which is what a batch compiler with lexer feedback
-    would have built.  The "sentential-form" baseline (§5) additionally
-    drops the per-node state word. *)
+    Words are measured on the heap: a node is charged every block it
+    owns, header included — its record, its non-empty kid array, its
+    kind's blocks and its strings, each string once however many nodes
+    share it.  Per-program constants ({!Node.orphan}, the empty kid
+    array, the [Prod] values shared per production) are left out, so
+    [dag_words] plus those is [Obj.reachable_words] of the root.  The
+    "fully disambiguated parse tree" baseline is the same structure with
+    every choice node replaced by a single alternative (sharing
+    resolved), which is what a batch compiler with lexer feedback would
+    have built.  The "sentential-form" baseline (§5) additionally drops
+    the per-node state word. *)
 
 type t = {
   total_nodes : int;

@@ -147,6 +147,32 @@ let test_stats_choice_overhead () =
   Alcotest.(check (float 0.0001)) "no ambiguity, no overhead" 0.0
     (Stats.space_overhead_pct m2)
 
+(* The walk is the heap: with the per-program constants it leaves out
+   (the orphan, the empty kid array, one [Prod] value per production)
+   added back, it is what the root reaches. *)
+let test_stats_heap_oracle () =
+  let c = Languages.C_subset.language in
+  let text = Workload.Spec_gen.plain ~lines:2000 ~seed:11 in
+  let s, _ =
+    Iglr.Session.create ~table:(Languages.Language.table c)
+      ~lexer:(Languages.Language.lexer c) text
+  in
+  let root = Iglr.Session.root s in
+  let prods = Hashtbl.create 64 in
+  Node.iter
+    (fun n ->
+      match n.Node.kind with
+      | Node.Prod p -> Hashtbl.replace prods p ()
+      | _ -> ())
+    root;
+  let constants =
+    Obj.reachable_words (Obj.repr Node.orphan) + (2 * Hashtbl.length prods)
+  in
+  let walked = (Stats.measure root).Stats.dag_words + constants in
+  let heap = Obj.reachable_words (Obj.repr root) in
+  if abs (walked - heap) * 100 > heap then
+    Alcotest.failf "the walk reads %d words, the heap %d" walked heap
+
 let test_unshare () =
   let eps = Node.make_prod ~prod:0 ~state:0 [||] in
   (* The same ε node appears under two parents: over-sharing. *)
@@ -244,6 +270,7 @@ let suite =
     Alcotest.test_case "cursor skips alternatives" `Quick test_cursor_choice;
     Alcotest.test_case "cursor over epsilon" `Quick test_cursor_epsilon;
     Alcotest.test_case "stats overhead" `Quick test_stats_choice_overhead;
+    Alcotest.test_case "stats walk = heap" `Quick test_stats_heap_oracle;
     Alcotest.test_case "epsilon unsharing" `Quick test_unshare;
     Alcotest.test_case "structural equality" `Quick test_structural_equal;
     Alcotest.test_case "graphviz output" `Quick test_to_dot;
